@@ -1,7 +1,7 @@
 // Batch sweep scaling and cache reuse: flow::run_batch over a
 // Figure-2-style power grid at several worker-pool sizes, cached vs
 // uncached, plus a 2-D (T, Pmax) grid with duplicate points exercising
-// the two-level explore_cache.
+// the explore_cache's report memo.
 //
 // Checks and gates:
 //   * determinism -- reports are byte-identical for every thread count
@@ -10,20 +10,20 @@
 //     deterministic, and every cached value is a pure function of the
 //     problem);
 //   * cache reuse -- a >= 24-point sweep over one (graph, lib) serves
-//     reachability, prospect tables and initial windows from the shared
-//     explore_cache (hit counter printed per benchmark, and required to
-//     be positive);
-//   * two-level cache -- a 120-point 2-D grid with duplicates must take
-//     committed-window (level 1) and whole-report (level 2) hits, beat
-//     the initial-windows-only (PR 2) cache configuration on wall time,
-//     and stay byte-identical across cache levels and thread counts;
+//     reachability and prospect tables from the shared explore_cache
+//     (hit counter printed per benchmark, and required to be positive);
+//   * report memo -- a 120-point 2-D grid with duplicates must take
+//     whole-report hits and stay byte-identical cached and uncached and
+//     across thread counts;
 //   * incremental Pareto -- the front streamed by run_batch_pareto must
 //     equal the front computed post-hoc from the final vector;
-//   * scaling -- wall-clock time drops as workers are added.  On a host
-//     with >= 4 hardware threads the 4-worker sweep must beat the
-//     uncached sequential reference by >= 2x (hard gate); on smaller
-//     hosts the speedup is reported but not gated (a single-core host is
-//     ~1x by construction);
+//   * scaling -- wall-clock time drops as workers are added.  The
+//     4-worker elliptic sweep must beat the uncached sequential
+//     reference by >= 2x (hard gate) on a host with >= 4 hardware
+//     threads, and only when that reference gives each of the 4 workers
+//     at least scaling_floor_ms_per_worker of work; otherwise the
+//     speedup is reported but not gated (a single-core host is ~1x by
+//     construction, and a few-millisecond sweep is timing noise);
 //   * dse::session -- a cold, unbounded session explore over the same
 //     duplicate-heavy grid is byte-identical to run_batch; replaying the
 //     streamed front *deltas* reconstructs the final front; a session
@@ -38,9 +38,9 @@
 //     25% of the plane, its counters must partition the space, and the
 //     guided walk must beat the eager walk on wall time.
 //
-// The machine-readable summary (points/sec, per-level hit rates, warm
-// vs cold wall time, gate results) is written to BENCH_batch_sweep.json
-// so the perf trajectory is comparable across PRs.
+// The machine-readable summary (points/sec, hit rates, warm vs cold
+// wall time, gate results) is written to BENCH_batch_sweep.json so the
+// perf trajectory is comparable across changes.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -48,6 +48,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,6 +61,11 @@
 #include "support/table.h"
 
 namespace {
+
+/// The 4-thread scaling gate is hard only when the uncached sequential
+/// sweep holds at least this much work per worker: below it, thread
+/// start-up and one slow point decide the ratio, not the scaling.
+constexpr double scaling_floor_ms_per_worker = 100.0;
 
 double run_ms(const std::function<void()>& fn)
 {
@@ -104,6 +110,7 @@ int main()
     bool all_identical = true;
     bool all_hit = true;
     double speedup_at_4 = 0.0;
+    double elliptic_uncached_ms = 0.0;
     for (const auto& [bench, T] : {std::pair<const char*, int>{"hal", 17},
                                    {"cosine", 15}, {"elliptic", 22}}) {
         const graph g = benchmark_by_name(bench);
@@ -140,8 +147,10 @@ int main()
             const double ms = run_ms([&] { reports = f.run_batch(grid, threads); });
             const bool same = identical(reports, reference);
             all_identical = all_identical && same;
-            if (threads == 4 && bench == std::string("elliptic"))
+            if (threads == 4 && bench == std::string("elliptic")) {
                 speedup_at_4 = ms_uncached / ms;
+                elliptic_uncached_ms = ms_uncached;
+            }
             t.add_row({std::to_string(threads), "on", strf("%.1f", ms),
                        strf("%.2f", ms / grid.size()),
                        strf("%.2fx", ms_uncached / ms), same ? "yes" : "NO"});
@@ -152,20 +161,17 @@ int main()
         int feasible = 0;
         for (const flow_report& r : reference) feasible += r.st.ok() ? 1 : 0;
         std::cout << feasible << "/" << reference.size() << " points feasible; "
-                  << strf("explore_cache: %ld hits, %ld misses; committed windows: "
-                          "%ld hits, %ld misses; report memo: %ld hits, %ld misses\n\n",
-                          cc.hits, cc.misses, cc.committed_hits, cc.committed_misses,
-                          cc.report_hits, cc.report_misses);
+                  << strf("explore_cache: %ld hits, %ld misses; report memo: %ld hits, "
+                          "%ld misses\n\n",
+                          cc.hits, cc.misses, cc.report_hits, cc.report_misses);
     }
 
-    // ---- two-level cache on a duplicate-heavy 2-D (T, Pmax) grid ----
+    // ---- report memo on a duplicate-heavy 2-D (T, Pmax) grid ----
     //
     // Each (T, cap) point appears twice, as a dense DSE grid or a
-    // repeated CLI sweep would produce: the first evaluation fills the
-    // committed-window memo (level 1), the duplicate is served whole
-    // from the report memo (level 2).  A cache restricted to the initial
-    // windows only (the PR 2 configuration) is the ablation baseline.
-    std::cout << "=== two-level cache on a 2-D (T, Pmax) grid with duplicates ===\n";
+    // repeated CLI sweep would produce: the first evaluation computes
+    // the point, the duplicate is served whole from the report memo.
+    std::cout << "=== report memo on a 2-D (T, Pmax) grid with duplicates ===\n";
     const graph g2 = make_hal();
     const flow base2 = flow::on(g2).with_library(lib).latency(17);
     const std::vector<int> lat2 = {17, 19, 21};
@@ -183,22 +189,14 @@ int main()
         ref2 = flow::on(g2).with_library(lib).caching(false).run_batch(grid2, 1);
     });
 
-    const std::shared_ptr<explore_cache> cache_l0 = base2.build_cache();
-    cache_l0->set_committed_memo(false);
-    cache_l0->set_report_memo(false);
-    std::vector<flow_report> rep_l0;
-    const double ms2_l0 = run_ms([&] {
-        rep_l0 = flow::on(g2).with_library(lib).reuse(cache_l0).run_batch(grid2, 1);
+    const std::shared_ptr<explore_cache> cache2 = base2.build_cache();
+    std::vector<flow_report> rep2;
+    const double ms2_cached = run_ms([&] {
+        rep2 = flow::on(g2).with_library(lib).reuse(cache2).run_batch(grid2, 1);
     });
+    const explore_cache::counters c2 = cache2->stats();
 
-    const std::shared_ptr<explore_cache> cache_l2 = base2.build_cache();
-    std::vector<flow_report> rep_l2;
-    const double ms2_l2 = run_ms([&] {
-        rep_l2 = flow::on(g2).with_library(lib).reuse(cache_l2).run_batch(grid2, 1);
-    });
-    const explore_cache::counters c2 = cache_l2->stats();
-
-    bool grid_identical = identical(ref2, rep_l0) && identical(ref2, rep_l2);
+    bool grid_identical = identical(ref2, rep2);
     for (int threads : {2, 8}) {
         const std::vector<flow_report> rep =
             flow::on(g2).with_library(lib).run_batch(grid2, threads);
@@ -224,18 +222,14 @@ int main()
                                 delivered == grid2.size() &&
                                 identical(rep_pareto, ref2);
 
-    ascii_table t2({"cache levels", "wall (ms)", "speedup", "identical"});
+    ascii_table t2({"cache", "wall (ms)", "speedup", "identical"});
     t2.add_row({"off", strf("%.1f", ms2_off), "1.00x", "ref"});
-    t2.add_row({"initial windows (PR 2)", strf("%.1f", ms2_l0),
-                strf("%.2fx", ms2_off / ms2_l0), identical(ref2, rep_l0) ? "yes" : "NO"});
-    t2.add_row({"two-level", strf("%.1f", ms2_l2), strf("%.2fx", ms2_off / ms2_l2),
-                identical(ref2, rep_l2) ? "yes" : "NO"});
+    t2.add_row({"on", strf("%.1f", ms2_cached), strf("%.2fx", ms2_off / ms2_cached),
+                identical(ref2, rep2) ? "yes" : "NO"});
     t2.print(std::cout);
-    std::cout << strf("two-level counters: invariants %ld hits / %ld misses, "
-                      "committed windows %ld hits / %ld misses, report memo %ld hits "
-                      "/ %ld misses\n",
-                      c2.hits, c2.misses, c2.committed_hits, c2.committed_misses,
-                      c2.report_hits, c2.report_misses);
+    std::cout << strf("cache counters: invariants %ld hits / %ld misses, report memo "
+                      "%ld hits / %ld misses\n",
+                      c2.hits, c2.misses, c2.report_hits, c2.report_misses);
     std::cout << strf("incremental Pareto front: %zu points, %zu changes over %zu "
                       "deliveries\n\n",
                       streamed_front.size(), front_changes, delivered);
@@ -406,27 +400,21 @@ int main()
 
     // ------------------------------------------------------------ gates
     //
-    // The two wall-clock gates are deliberately hard (per ROADMAP) but
-    // structurally safe: the duplicate grid hands the two-level cache
-    // half its points for free (measured ~1.6x over the level-0 config,
-    // far above timing noise), and 24 independent points on >= 4 cores
-    // clear 2x with a similar margin.
-    const bool committed_hit = c2.committed_hits > 0;
+    // The scaling gate is hard only where a ratio means something: at
+    // least 4 hardware threads, and enough uncached work that each of
+    // the 4 workers gets scaling_floor_ms_per_worker of it.
     const bool report_hit = c2.report_hits > 0;
-    const bool beats_l0 = ms2_l2 < ms2_l0;
-    const bool hard_scaling = cores >= 4;
+    const double work_ms_per_worker = elliptic_uncached_ms / 4.0;
+    const bool enough_work = work_ms_per_worker >= scaling_floor_ms_per_worker;
+    const bool hard_scaling = cores >= 4 && enough_work;
     const bool scaling_ok = !hard_scaling || speedup_at_4 >= 2.0;
 
     std::cout << "reports identical across thread counts and caching modes: "
               << (all_identical && grid_identical ? "YES" : "NO") << '\n';
     std::cout << "cache hits taken on every benchmark: " << (all_hit ? "YES" : "NO")
               << '\n';
-    std::cout << "committed-window hits taken on the 2-D grid: "
-              << (committed_hit ? "YES" : "NO") << '\n';
     std::cout << "report-memo hits taken on the 2-D grid: "
               << (report_hit ? "YES" : "NO") << '\n';
-    std::cout << "two-level cache beats the initial-windows-only cache: "
-              << (beats_l0 ? "YES" : "NO") << '\n';
     std::cout << "incremental Pareto front equals the post-hoc front: "
               << (pareto_matches ? "YES" : "NO") << '\n';
     std::cout << "cold session explore is byte-identical to run_batch: "
@@ -449,11 +437,16 @@ int main()
                       guided_fraction);
     std::cout << "guided walk beats the eager walk on wall time: "
               << (guided_faster ? "YES" : "NO") << '\n';
+    const std::string gate =
+        hard_scaling ? std::string(">= 2x, hard")
+        : cores < 4  ? std::string("soft: fewer than 4 cores")
+                     : strf("soft: %.1f ms of work per worker, under the %.0f ms floor",
+                            work_ms_per_worker, scaling_floor_ms_per_worker);
     std::cout << strf("elliptic speedup at 4 threads: %.2fx (gate %s)\n", speedup_at_4,
-                      hard_scaling ? ">= 2x, hard" : "soft: fewer than 4 cores");
+                      gate.c_str());
 
-    const bool ok = all_identical && grid_identical && all_hit && committed_hit &&
-                    report_hit && beats_l0 && pareto_matches && scaling_ok &&
+    const bool ok = all_identical && grid_identical && all_hit && report_hit &&
+                    pareto_matches && scaling_ok &&
                     session_identical && deltas_ok && warm_matches && warm_faster &&
                     bounded_ok && refine_ok && guided_identical && guided_partition &&
                     guided_frugal && guided_faster;
@@ -484,18 +477,17 @@ int main()
                      ms_warm > 0.0 ? ms_cold / ms_warm : 0.0);
         json << strf("  \"warm_metric_served\": %zu,\n", warm_sum.metric_served);
         json << strf("  \"invariant_hit_rate\": %.4f,\n", rate(ccold.hits, ccold.misses));
-        json << strf("  \"committed_hit_rate\": %.4f,\n",
-                     rate(ccold.committed_hits, ccold.committed_misses));
         json << strf("  \"report_hit_rate\": %.4f,\n",
                      rate(ccold.report_hits, ccold.report_misses));
-        json << strf("  \"two_level_wall_ms\": %.3f,\n", ms2_l2);
-        json << strf("  \"initial_windows_wall_ms\": %.3f,\n", ms2_l0);
+        json << strf("  \"cached_wall_ms\": %.3f,\n", ms2_cached);
         json << strf("  \"uncached_wall_ms\": %.3f,\n", ms2_off);
         json << strf("  \"refine_evaluated\": %zu,\n", refine_sum.evaluated);
         json << strf("  \"refine_lattice\": %zu,\n", refine_sum.space_size);
         json << strf("  \"refine_wall_ms\": %.3f,\n", ms_refine);
         json << strf("  \"eager_wall_ms\": %.3f,\n", ms_eager);
         json << strf("  \"speedup_at_4_threads\": %.2f,\n", speedup_at_4);
+        json << strf("  \"scaling_work_ms_per_worker\": %.3f,\n", work_ms_per_worker);
+        json << strf("  \"scaling_gate_hard\": %s,\n", hard_scaling ? "true" : "false");
         json << strf("  \"guided_space\": %zu,\n", plane_guided_sum.space_size);
         json << strf("  \"guided_computed\": %zu,\n", plane_guided_sum.computed);
         json << strf("  \"guided_memo_served\": %zu,\n", plane_guided_sum.memo_served);

@@ -167,8 +167,8 @@ int main()
     }
     std::cout << strf("single warm cache replay:  %.1f ms, %zu/%zu metric-served\n",
                       ms_single_warm, single_warm.metric_served, grid.size());
-    std::cout << strf("8 shard caches merge:      %.1f ms (%zu committed, %zu metrics)\n",
-                      ms_merge, merge_stats.committed_total, merge_stats.metric_total);
+    std::cout << strf("8 shard caches merge:      %.1f ms (%zu metric records)\n",
+                      ms_merge, merge_stats.metric_total);
     std::cout << strf("merged cache replay:       %.1f ms, %zu/%zu metric-served\n",
                       ms_merged_replay, merged_warm.metric_served, grid.size());
     std::cout << "merged == single warm cache: " << (merge_ok ? "YES" : "NO") << "\n\n";

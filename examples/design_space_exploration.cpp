@@ -5,11 +5,11 @@
 //
 // The exploration runs as a dse::session: the 7x10 constraint plane is a
 // declarative dse::cross space (lazy — the session walks it in chunks,
-// nothing is materialised eagerly), one bounded two-level explore_cache
-// owns every memo across BOTH explorations, and the Pareto channel
-// streams *front deltas* (the designs entering and leaving the front)
-// the moment each worker finishes.  The final summary carries the front
-// and the per-level cache counters.
+// nothing is materialised eagerly), one bounded explore_cache owns the
+// graph invariants and the report memo across BOTH explorations, and
+// the Pareto channel streams *front deltas* (the designs entering and
+// leaving the front) the moment each worker finishes.  The final
+// summary carries the front and the cache counters.
 #include <iostream>
 #include <vector>
 
@@ -92,9 +92,8 @@ int main()
                  "area; everything off the front is dominated.\n";
     const explore_cache::counters c = session.cache()->stats();
     std::cout << strf("\nexplore_cache: %ld hits, %ld misses across %zu points\n"
-                      "  committed windows: %ld hits, %ld misses; report memo: %ld "
-                      "hits, %ld misses\n",
-                      c.hits, c.misses, plane.size() + grid15.size(), c.committed_hits,
-                      c.committed_misses, c.report_hits, c.report_misses);
+                      "  report memo: %ld hits, %ld misses\n",
+                      c.hits, c.misses, plane.size() + grid15.size(), c.report_hits,
+                      c.report_misses);
     return 0;
 }

@@ -129,7 +129,7 @@ struct session::delivery_state {
     surrogate* model = nullptr;   ///< set only by explore_guided
     signature_grid* grid = nullptr; ///< set only by the guided walk
     std::size_t computed = 0;     ///< deliveries from the executor
-    std::size_t memo_served = 0;  ///< deliveries from the level-2 memo scan
+    std::size_t memo_served = 0;  ///< deliveries from the report-memo scan
     std::size_t trained_rows = 0; ///< rows folded into the surrogate
     /// Freshly delivered rows awaiting training, drained by train_fresh().
     std::vector<std::pair<std::size_t, metric_record>> fresh;

@@ -2,7 +2,7 @@
 //
 // A dse::session binds a configured flow (the *prototype*: graph,
 // library, strategy, options, enabled stages — its own constraint point
-// is ignored) to a long-lived two-level explore_cache, and evaluates
+// is ignored) to a long-lived explore_cache, and evaluates
 // dse::space point sets against it:
 //
 //   dse::session s(flow::on(g).latency(17), {.memo_limit = 4096});
@@ -22,9 +22,9 @@
 // docs/FLOW_API.md for the migration table.
 //
 // The session's cache is bounded (memo_limit full reports, LRU) and
-// persistent: save()/load() serialise the memo tables, so a repeated CLI
-// sweep warm-starts across processes.  Warm-started (and evicted) points
-// are served as *metric-only* reports — status and achieved
+// persistent: save()/load() serialise its metric records, so a repeated
+// CLI sweep warm-starts across processes.  Warm-started (and evicted)
+// points are served as *metric-only* reports — status and achieved
 // (peak, area, latency, lifetime) without the datapath — which is
 // everything a sweep table, front or envelope reads; disable
 // metric_answers to force full recomputes.
@@ -34,8 +34,8 @@
 // of its prototype — because its cache keys sub-results by exactly that
 // configuration.  Re-running a space on the same session warm-starts;
 // pointing the same session at a *different* problem is a logic error
-// (the level-1 invariants would be wrong for the new graph).  When a
-// workload mixes problems (e.g. many tasks, each its own CDFG), hold
+// (the cached graph invariants would be wrong for the new graph).  When
+// a workload mixes problems (e.g. many tasks, each its own CDFG), hold
 // one session per problem.  serve::session_pool (src/serve/server.h)
 // does that keying for you: acquire(job) canonicalises the job minus
 // its space/threads and returns a shared slot, so duplicate problems
@@ -59,7 +59,7 @@ namespace phls::dse {
 
 /// Session-construction knobs.
 struct session_options {
-    /// Level-2 memo bound: max *full* reports held (LRU-evicted down to
+    /// Report-memo bound: max *full* reports held (LRU-evicted down to
     /// metric records beyond it); 0 = unbounded.
     std::size_t memo_limit = 0;
     /// Max points materialised per executor call: a space is walked in
@@ -151,8 +151,8 @@ public:
     /// The session's cache; shareable with plain flow::reuse() callers.
     const std::shared_ptr<explore_cache>& cache() const { return cache_; }
 
-    /// Persists the cache's memo tables (committed windows + metric
-    /// records); returns the number of records written — what load()
+    /// Persists the cache's report memo as metric records (cache-file
+    /// format v3); returns the number of records written — what load()
     /// into a fresh session reports.  @throws phls::error when the file
     /// cannot be written.
     std::size_t save(const std::string& path) const { return cache_->save(path); }
@@ -160,15 +160,16 @@ public:
     /// Warm-starts the cache from a save()d file; returns records
     /// loaded.  @throws cache_file_error carrying the path and failure
     /// kind (missing / truncated / corrupt / version or problem
-    /// mismatch) — never silently degrades.  Call before explore().
+    /// mismatch; files written before format v3 are version mismatches
+    /// and must be deleted) — never silently degrades.  Call before
+    /// explore().
     std::size_t load(const std::string& path) { return cache_->load(path); }
 
     /// Unions a save()d cache file into this session's (possibly warm)
-    /// cache: novel committed-window and metric records are inserted,
-    /// keys the cache already holds keep their in-memory value.  This is
-    /// how per-shard sweep caches combine into one warm session; merging
-    /// every shard file then behaves like the single cache that computed
-    /// all shards.  Returns the number of new records.
+    /// cache: novel metric records are inserted, keys the cache already
+    /// holds keep their in-memory value.  This is how per-shard sweep
+    /// caches combine into one warm session; merging every shard file
+    /// then behaves like the single cache that computed all shards.  Returns the number of new records.
     /// @throws cache_file_error like load().
     std::size_t merge(const std::string& path) { return cache_->merge(path); }
 
@@ -207,7 +208,7 @@ private:
     void evaluate(const space& s, const std::vector<std::size_t>& indices,
                   delivery_state& state, int threads);
 
-    /// Serves `index` from the level-2 memo if possible; returns false
+    /// Serves `index` from the report memo if possible; returns false
     /// when the point must be computed.
     bool serve_from_memo(const space& s, std::size_t index,
                          delivery_state& state);

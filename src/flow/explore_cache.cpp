@@ -10,7 +10,6 @@
 
 #include "cdfg/textio.h"
 #include "flow/flow.h"
-#include "sched/schedule.h"
 #include "support/errors.h"
 #include "support/faultpoints.h"
 #include "support/memo_key.h"
@@ -28,7 +27,7 @@ const graph& checked(const graph& g, const module_library& lib)
     return g;
 }
 
-/// The metric projection stored beside every level-2 entry.
+/// The metric projection stored beside every report-memo entry.
 metric_record project(const flow_report& r)
 {
     metric_record m;
@@ -47,11 +46,19 @@ metric_record project(const flow_report& r)
     return m;
 }
 
-/// Cache-file identity and integrity framing.  Version 2 declares the
-/// body length in the (unchecksummed) header, so a torn tail is
-/// reported as `truncated` while a flipped byte is `corrupt`.
+/// Cache-file identity and integrity framing.  The header declares the
+/// body length outside the checksum, so a torn tail is reported as
+/// `truncated` while a flipped byte is `corrupt`.  Version 3 holds the
+/// metric records only; a file of any other version is rejected as
+/// `version_mismatch`.
 constexpr const char* cache_file_magic = "phls-explore-cache";
-constexpr long cache_file_version = 2;
+constexpr long cache_file_version = 3;
+
+/// The encoded size of a metric record with empty strings: ten
+/// key_int fields (four of them string length prefixes) and five
+/// doubles.  A declared record count larger than the body divided by
+/// this cannot be genuine.
+constexpr std::size_t min_metric_record_bytes = 10 * sizeof(long) + 5 * sizeof(double);
 
 std::uint64_t fnv1a(const std::string& bytes)
 {
@@ -63,25 +70,12 @@ std::uint64_t fnv1a(const std::string& bytes)
     return h;
 }
 
-/// One record of each table, in file order.
+/// The problem identity and the metric records, in file order.
 struct parsed_cache_file {
     std::string graph_text;
     std::string lib_text;
-    std::vector<std::pair<std::string, time_windows>> committed;
     std::vector<std::pair<std::string, metric_record>> metrics;
 };
-
-void append_committed_record(std::string& body, const std::string& key,
-                             const time_windows& w)
-{
-    key_str(body, key);
-    key_int(body, w.feasible ? 1 : 0);
-    key_str(body, w.reason);
-    key_int(body, static_cast<long>(w.s_min.size()));
-    for (const int t : w.s_min) key_int(body, t);
-    key_int(body, static_cast<long>(w.s_max.size()));
-    for (const int t : w.s_max) key_int(body, t);
-}
 
 void append_metric_record(std::string& body, const std::string& fp,
                           const metric_record& m)
@@ -109,14 +103,11 @@ void append_metric_record(std::string& body, const std::string& fp,
 /// sees a torn file.
 void write_cache_file(const std::string& path, const std::string& graph_text,
                       const std::string& lib_text,
-                      const std::vector<std::pair<std::string, time_windows>>& committed,
                       const std::vector<std::pair<std::string, metric_record>>& metrics)
 {
     std::string body;
     key_str(body, graph_text);
     key_str(body, lib_text);
-    key_int(body, static_cast<long>(committed.size()));
-    for (const auto& [key, w] : committed) append_committed_record(body, key, w);
     key_int(body, static_cast<long>(metrics.size()));
     for (const auto& [fp, m] : metrics) append_metric_record(body, fp, m);
 
@@ -241,30 +232,9 @@ parsed_cache_file parse_cache_file(const std::string& path)
         key_reader r(body);
         parsed.graph_text = r.read_str();
         parsed.lib_text = r.read_str();
-        const long n_committed = r.read_int();
-        check(n_committed >= 0, "negative table size");
-        parsed.committed.reserve(static_cast<std::size_t>(n_committed));
-        for (long i = 0; i < n_committed; ++i) {
-            std::string key = r.read_str();
-            time_windows w;
-            w.feasible = r.read_int() != 0;
-            w.reason = r.read_str();
-            const long n_min = r.read_int();
-            check(n_min >= 0, "negative window size");
-            w.s_min.reserve(static_cast<std::size_t>(n_min));
-            for (long j = 0; j < n_min; ++j)
-                w.s_min.push_back(static_cast<int>(r.read_int()));
-            const long n_max = r.read_int();
-            check(n_max >= 0, "negative window size");
-            w.s_max.reserve(static_cast<std::size_t>(n_max));
-            for (long j = 0; j < n_max; ++j)
-                w.s_max.push_back(static_cast<int>(r.read_int()));
-            parsed.committed.emplace_back(std::move(key), std::move(w));
-        }
-        const long n_metrics = r.read_int();
-        check(n_metrics >= 0, "negative table size");
-        parsed.metrics.reserve(static_cast<std::size_t>(n_metrics));
-        for (long i = 0; i < n_metrics; ++i) {
+        const std::size_t n_metrics = r.read_count(min_metric_record_bytes);
+        parsed.metrics.reserve(n_metrics);
+        for (std::size_t i = 0; i < n_metrics; ++i) {
             std::string fp = r.read_str();
             metric_record m;
             m.st.code = static_cast<status_code>(r.read_int());
@@ -334,11 +304,11 @@ flow_report metric_report(const metric_record& m)
 
 metric_record metric_of(const flow_report& r) { return project(r); }
 
-/// Level-2 store.  Lives behind a pimpl so explore_cache.h does not pull
-/// in flow.h (the flow layer sits above this one).  It has its own lock:
-/// copying a whole flow_report (datapath, netlist, note strings) in or
-/// out is far heavier than the level-0/1 lookups, and must not stall
-/// workers queued on the shared mutex_ for those.
+/// The report memo.  Lives behind a pimpl so explore_cache.h does not
+/// pull in flow.h (the flow layer sits above this one).  It has its own
+/// lock: copying a whole flow_report (datapath, netlist, note strings)
+/// in or out is far heavier than the invariant lookups, and must not
+/// stall workers queued on the shared mutex_ for those.
 ///
 /// Every entry carries the metric projection of its report; the full
 /// report itself is optional — LRU eviction under a configured capacity
@@ -464,88 +434,8 @@ module_assignment explore_cache::fastest(double cap) const
     return result;
 }
 
-time_windows explore_cache::initial_windows(prospect_policy policy, double cap,
-                                            int latency, pasap_order order) const
-{
-    const std::tuple<int, double, int, int> key{static_cast<int>(policy), cap, latency,
-                                                static_cast<int>(order)};
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = windows_.find(key);
-        if (it != windows_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-    const prospect_result p = prospect(policy, cap);
-    time_windows result;
-    if (!p.ok) {
-        result.reason = p.reason;
-    } else {
-        pasap_options opts;
-        opts.order = order;
-        opts.reversed = &rev_;
-        result = power_windows(g_, lib_, p.assignment, cap, latency, opts);
-    }
-    if (p.ok) {
-        // Same rule as prospect(): infeasibility text embeds the exact
-        // point, but here the exact point IS the key, so a feasible-input
-        // failure (e.g. latency below the pasap length) is memoisable;
-        // only the prospect-failure path (cap-text via a shared bucket)
-        // must stay uncached.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const bool inserted = windows_.emplace(key, result).second;
-        (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-    } else {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return result;
-}
-
-time_windows explore_cache::committed_windows(const module_assignment& assignment,
-                                              double cap, int latency, pasap_order order,
-                                              const std::vector<int>& fixed_starts) const
-{
-    pasap_options opts;
-    opts.order = order;
-    opts.fixed_starts = fixed_starts;
-    opts.reversed = &rev_;
-    if (!committed_memo_)
-        return power_windows(g_, lib_, assignment, cap, latency, opts);
-
-    // Canonical key over the full scheduling state; every quantity the
-    // window computation reads (beyond the cached problem itself) is in
-    // it, so even infeasible results are safely memoisable.
-    std::string key;
-    key.reserve((assignment.size() + fixed_starts.size() + 4) * sizeof(long));
-    key_int(key, static_cast<int>(order));
-    key_int(key, latency);
-    key_double(key, cap);
-    key_int(key, static_cast<int>(assignment.size()));
-    for (const module_id m : assignment) key_int(key, m.value());
-    for (const int t : fixed_starts) key_int(key, t);
-
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = committed_.find(key);
-        if (it != committed_.end()) {
-            committed_hits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-    const time_windows result = power_windows(g_, lib_, assignment, cap, latency, opts);
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const bool inserted = committed_.emplace(std::move(key), result).second;
-        (inserted ? committed_misses_ : committed_hits_)
-            .fetch_add(1, std::memory_order_relaxed);
-    }
-    return result;
-}
-
 bool explore_cache::report_lookup(const std::string& fingerprint, flow_report* out) const
 {
-    if (!report_memo_) return false;
     const std::lock_guard<std::mutex> lock(reports_->mutex);
     const auto it = reports_->entries.find(fingerprint);
     if (it == reports_->entries.end() || !it->second.full) return false;
@@ -560,7 +450,6 @@ bool explore_cache::report_lookup(const std::string& fingerprint, flow_report* o
 void explore_cache::report_store(const std::string& fingerprint,
                                  const flow_report& report) const
 {
-    if (!report_memo_) return;
     const std::lock_guard<std::mutex> lock(reports_->mutex);
     const auto [it, inserted] = reports_->entries.try_emplace(fingerprint);
     if (!inserted && it->second.full) {
@@ -580,7 +469,6 @@ void explore_cache::report_store(const std::string& fingerprint,
 bool explore_cache::metric_lookup(const std::string& fingerprint,
                                   metric_record* out) const
 {
-    if (!report_memo_) return false;
     const std::lock_guard<std::mutex> lock(reports_->mutex);
     const auto it = reports_->entries.find(fingerprint);
     if (it == reports_->entries.end()) return false;
@@ -634,24 +522,17 @@ void explore_cache::each_metric(
 
 std::size_t explore_cache::save(const std::string& path) const
 {
-    std::vector<std::pair<std::string, time_windows>> committed;
+    // Every entry's metric record: full datapaths and netlists are
+    // deliberately not persisted — a warm start answers metric queries
+    // instantly and recomputes designs on demand.
     std::vector<std::pair<std::string, metric_record>> metrics;
     {
-        // Level 1: the committed-window table, exact values — a warm run
-        // serves the partitioner's recomputes without re-deriving them.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        committed.assign(committed_.begin(), committed_.end());
-    }
-    {
-        // Level 2: every entry's metric record (full datapaths and
-        // netlists are deliberately not persisted — a warm start answers
-        // metric queries instantly and recomputes designs on demand).
         const std::lock_guard<std::mutex> lock(reports_->mutex);
         metrics.reserve(reports_->entries.size());
         for (const auto& [fp, e] : reports_->entries) metrics.emplace_back(fp, e.metrics);
     }
-    write_cache_file(path, graph_text_, lib_text_, committed, metrics);
-    return committed.size() + metrics.size();
+    write_cache_file(path, graph_text_, lib_text_, metrics);
+    return metrics.size();
 }
 
 std::size_t explore_cache::load(const std::string& path)
@@ -662,21 +543,14 @@ std::size_t explore_cache::load(const std::string& path)
                                "saved for a different graph or library");
 
     std::size_t loaded = 0;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto& [key, w] : parsed.committed)
-            loaded += committed_.emplace(key, w).second ? 1 : 0;
-    }
-    {
-        const std::lock_guard<std::mutex> lock(reports_->mutex);
-        for (const auto& [fp, m] : parsed.metrics) {
-            // Existing entries win: a live full report is strictly more
-            // informative than a loaded metric record.
-            const auto [it, inserted] = reports_->entries.try_emplace(fp);
-            if (!inserted) continue;
-            it->second.metrics = m;
-            ++loaded;
-        }
+    const std::lock_guard<std::mutex> lock(reports_->mutex);
+    for (const auto& [fp, m] : parsed.metrics) {
+        // Existing entries win: a live full report is strictly more
+        // informative than a loaded metric record.
+        const auto [it, inserted] = reports_->entries.try_emplace(fp);
+        if (!inserted) continue;
+        it->second.metrics = m;
+        ++loaded;
     }
     return loaded;
 }
@@ -700,10 +574,9 @@ cache_merge_stats explore_cache::merge_files(const std::string& out,
     std::string lib_text;
     std::string identity_path; ///< the first good input, the problem anchor
     bool have_identity = false;
-    // std::map keeps the merged tables in sorted key order, the same
+    // std::map keeps the merged records in sorted key order, the same
     // order save() writes, so merged files are deterministic whatever
     // the input order (only first-wins value choice depends on it).
-    std::map<std::string, time_windows> committed;
     std::map<std::string, metric_record> metrics;
 
     for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -723,10 +596,7 @@ cache_merge_stats explore_cache::merge_files(const std::string& out,
                                        "saved for a different graph or library than '" +
                                            identity_path + "'");
             }
-            in.committed = parsed.committed.size();
             in.metrics = parsed.metrics.size();
-            for (const auto& [key, w] : parsed.committed)
-                in.new_committed += committed.emplace(key, w).second ? 1 : 0;
             for (const auto& [fp, m] : parsed.metrics)
                 in.new_metrics += metrics.emplace(fp, m).second ? 1 : 0;
         } catch (const cache_file_error& e) {
@@ -741,10 +611,7 @@ cache_merge_stats explore_cache::merge_files(const std::string& out,
     // silently launder total data loss into a "successful" merge.
     check(have_identity, "cache merge: every input file was rejected");
 
-    write_cache_file(out, graph_text, lib_text,
-                     {committed.begin(), committed.end()},
-                     {metrics.begin(), metrics.end()});
-    stats.committed_total = committed.size();
+    write_cache_file(out, graph_text, lib_text, {metrics.begin(), metrics.end()});
     stats.metric_total = metrics.size();
     return stats;
 }

@@ -1,30 +1,26 @@
 // Shared sub-results for batch design-space exploration.
 //
 // A (T, Pmax) sweep evaluates many constraint points over ONE graph and
-// ONE module library, yet large parts of every evaluation depend only on
-// that (graph, library) pair: the transitive reachability relation behind
-// the compatibility graph, the per-cap prospect module tables, the
-// fastest-assignment tables used by the schedulers, and the initial
-// (unpinned) pasap/palap windows.  explore_cache computes each of those
-// once and serves it to every batch point and worker thread; flow::
+// ONE module library, yet parts of every evaluation depend only on that
+// (graph, library) pair.  explore_cache holds exactly two kinds of state
+// and serves both to every batch point and worker thread; flow::
 // run_batch builds one automatically, and callers can share a cache
-// across several flows/batches with flow::reuse().
+// across several flows/batches with flow::reuse():
 //
-// The cache is two-level:
+//   * graph invariants -- the transitive reachability relation behind
+//     the compatibility graph, the reversed graph palap schedules on,
+//     the per-kind node buckets, and the prospect and fastest-assignment
+//     tables (one per admissible-module bucket of the power cap);
+//   * the report memo -- whole-flow_report memoisation for exactly-
+//     duplicate constraint points, keyed by a fingerprint of the
+//     complete flow configuration (strategy, every option, enabled
+//     stages) plus the (T, Pmax) point, so distinct configurations never
+//     collide.  Dense 2-D grids and repeated CLI sweeps hit it.  Entries
+//     can be LRU-evicted down to metric records, and the metric records
+//     are what cache files persist.
 //
-//   * level 1 -- per-(graph, lib) invariants plus *committed-window*
-//     recomputes: the pasap/palap windows the greedy partitioner
-//     re-derives after every merge, keyed by the full scheduling state
-//     (module assignment, cap, latency, order, fixed-start vector).
-//     Identical states recur inside one point (joins after the backtrack
-//     lock leave the state unchanged), across the two prospect policies,
-//     and across points (two_step's time-only first step is the same for
-//     every cap).
-//   * level 2 -- whole-flow_report memoisation for exactly-duplicate
-//     constraint points, keyed by a fingerprint of the complete flow
-//     configuration (strategy, every option, enabled stages) plus the
-//     (T, Pmax) point, so distinct configurations never collide.  Dense
-//     2-D grids and repeated CLI sweeps hit this level.
+// The pasap/palap windows are not memoised: every synthesis computes
+// its initial and per-merge windows itself, with or without a cache.
 #pragma once
 
 #include <atomic>
@@ -34,13 +30,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "cdfg/analysis.h"
 #include "flow/status.h"
-#include "sched/mobility.h"
 #include "support/errors.h"
 #include "synth/prospect.h"
 #include "synth/synthesizer.h"
@@ -82,7 +76,7 @@ private:
 /// The metric projection of one memoised flow_report: everything a sweep
 /// table, Pareto front or Figure-2 envelope reads — status, achieved
 /// (peak, area, latency) and battery lifetime — without the datapath,
-/// netlist or heuristic counters.  This is what remains of a level-2
+/// netlist or heuristic counters.  This is what remains of a report-memo
 /// entry after LRU eviction, and what explore_cache::save persists, so
 /// evicted and warm-started points still answer metric queries without a
 /// resynthesis.  dse::session turns these back into metric-only
@@ -120,19 +114,16 @@ struct cache_merge_stats {
     /// Per-input record counts, in merge order (first occurrence of a
     /// key wins, so later inputs contribute only their novel records).
     struct input {
-        std::string path;              ///< the merged file
-        std::size_t committed = 0;     ///< committed-window records in the file
-        std::size_t metrics = 0;       ///< metric records in the file
-        std::size_t new_committed = 0; ///< committed records not seen before
-        std::size_t new_metrics = 0;   ///< metric records not seen before
-        bool skipped = false;          ///< rejected and skipped (merge_files
-                                       ///< with skip_bad; counts are zero)
-        std::string skip_reason;       ///< failure kind name when skipped
+        std::string path;            ///< the merged file
+        std::size_t metrics = 0;     ///< metric records in the file
+        std::size_t new_metrics = 0; ///< metric records not seen before
+        bool skipped = false;        ///< rejected and skipped (merge_files
+                                     ///< with skip_bad; counts are zero)
+        std::string skip_reason;     ///< failure kind name when skipped
     };
     std::vector<input> inputs;
-    std::size_t committed_total = 0;  ///< committed records in the merged file
-    std::size_t metric_total = 0;     ///< metric records in the merged file
-    std::size_t skipped_inputs = 0;   ///< inputs rejected under skip_bad
+    std::size_t metric_total = 0;   ///< metric records in the merged file
+    std::size_t skipped_inputs = 0; ///< inputs rejected under skip_bad
 };
 
 /// Memoised per-(graph, library) invariants of design-space exploration.
@@ -172,16 +163,16 @@ public:
     }
 
     /// The edge-reversed graph palap schedules on -- like reach(), a
-    /// pure graph invariant built once at construction and served to
-    /// every window computation (it is part of the same eager invariant
-    /// build, so it does not move the hit/miss counters).
+    /// pure graph invariant built once at construction and handed to
+    /// every window computation through pasap_options::reversed (it is
+    /// part of the same eager invariant build, so it does not move the
+    /// hit/miss counters).
     const graph& reversed_design() const { return rev_; }
 
     /// Nodes of the design of kind `k`, ascending id -- the
     /// graph::nodes_of_kind() buckets materialised once at construction
-    /// (a level-0 invariant like reach()/reversed_design()), so
-    /// per-point code reads a stable vector instead of allocating a
-    /// fresh one per call.
+    /// (an invariant like reach()/reversed_design()), so per-point code
+    /// reads a stable vector instead of allocating a fresh one per call.
     const std::vector<node_id>& nodes_of_kind(op_kind k) const
     {
         return kind_buckets_[static_cast<std::size_t>(op_kind_index(k))];
@@ -197,30 +188,11 @@ public:
     /// fastest_assignment() on the cached problem, memoised the same way.
     module_assignment fastest(double cap) const;
 
-    /// The initial (no operator committed) pasap/palap windows for one
-    /// constraint point — identical to power_windows() over the `policy`
-    /// prospect table with no fixed starts.  Memoised per exact
-    /// (policy, cap, latency, order) key.
-    time_windows initial_windows(prospect_policy policy, double cap, int latency,
-                                 pasap_order order) const;
-
-    /// Level 1: the committed-operator pasap/palap windows — identical to
-    /// power_windows(design(), library(), assignment, cap, latency,
-    /// {order, fixed_starts}).  Memoised per exact state: the key is the
-    /// canonical (assignment, cap, latency, order, fixed-start) tuple, so
-    /// infeasible results are memoisable too (their diagnostic text can
-    /// only mention quantities that are part of the key).  Served to the
-    /// greedy partitioner's per-merge recomputes; counted in the
-    /// committed_hits/committed_misses counters.
-    time_windows committed_windows(const module_assignment& assignment, double cap,
-                                   int latency, pasap_order order,
-                                   const std::vector<int>& fixed_starts) const;
-
-    /// Level 2: whole-report memoisation for exactly-duplicate constraint
-    /// points.  `fingerprint` must encode the complete flow configuration
-    /// and the (T, Pmax) point (flow::fingerprint builds it); the stored
-    /// report is a deterministic pure function of that fingerprint on the
-    /// cached problem.  Returns true and fills `*out` on a full-report
+    /// The report memo: whole-report memoisation for exactly-duplicate
+    /// constraint points.  `fingerprint` must encode the complete flow
+    /// configuration and the (T, Pmax) point (flow::fingerprint builds
+    /// it); the stored report is a deterministic pure function of that
+    /// fingerprint on the cached problem.  Returns true and fills `*out` on a full-report
     /// hit (entries evicted down to metric records do not answer here —
     /// see metric_lookup); a hit refreshes the entry's LRU position.
     bool report_lookup(const std::string& fingerprint, flow_report* out) const;
@@ -228,11 +200,10 @@ public:
     /// Stores `report` under `fingerprint` together with its metric
     /// projection.  The first writer of a key counts the miss; a
     /// concurrent loser of the insert race counts a hit instead, so
-    /// report_hits + report_misses always equals the number of level-2
-    /// lookups that found or stored a full report — flow::run_point's
-    /// memoised calls plus dse::session's scan-time probes.  (flow::
-    /// run_point skips the store for status
-    /// `internal` — an escaped, possibly transient exception must not
+    /// report_hits + report_misses always equals the number of lookups
+    /// that found or stored a full report — flow::run_point's memoised
+    /// calls plus dse::session's scan-time probes.  (flow::run_point
+    /// skips the store for status `internal` — an escaped, possibly transient exception must not
     /// become permanent for every duplicate point.)  When a report
     /// capacity is configured and the store exceeds it, the
     /// least-recently-used full report is evicted down to its metric
@@ -247,22 +218,22 @@ public:
     /// keep heavy entries alive).
     bool metric_lookup(const std::string& fingerprint, metric_record* out) const;
 
-    /// Bounds the number of *full* reports the level-2 memo holds;
+    /// Bounds the number of *full* reports the report memo holds;
     /// 0 (the default) means unbounded.  Beyond the bound the
     /// least-recently-used report is dropped to its metric record, which
     /// is retained (metric records are ~100 bytes, so a 10^5-point plane
     /// costs megabytes, not the gigabytes of full datapaths).  Shrinking
     /// the capacity evicts immediately.  Not thread-safe: call before
-    /// sharing the cache, like the memo-level knobs.
+    /// sharing the cache.
     void set_report_capacity(std::size_t max_full_reports);
     /// The configured full-report bound (0 = unbounded).
     std::size_t report_capacity() const;
-    /// Full reports currently held by the level-2 memo.
+    /// Full reports currently held by the report memo.
     std::size_t report_full_size() const;
     /// Metric-only records currently held (evicted or loaded entries).
     std::size_t report_metric_size() const;
 
-    /// Visits the metric projection of every level-2 entry (full or
+    /// Visits the metric projection of every report-memo entry (full or
     /// metric-only) as (fingerprint, record), in canonical fingerprint
     /// order.  The entries are snapshotted first, so the callback may
     /// probe or mutate the cache.  This is how dse::session pretrains
@@ -271,13 +242,13 @@ public:
         const std::function<void(const std::string& fingerprint,
                                  const metric_record& record)>& fn) const;
 
-    /// Persists the memo tables to `path`: the level-1 committed-window
-    /// table (exact values — warm runs recompute nothing and stay
-    /// byte-identical) and the level-2 entries as metric records, all in
+    /// Persists the report memo to `path` as metric records (format v3:
+    /// one record per entry, full or metric-only, and nothing else) in
     /// the canonical memo_key.h byte encoding, prefixed with the
     /// (graph, library) identity and suffixed with a checksum.  Returns
-    /// the number of records written — what load() into a *fresh* cache
-    /// reports (a load into a non-empty cache counts only new keys).
+    /// the number of records written, report_full_size() +
+    /// report_metric_size() — what load() into a *fresh* cache reports
+    /// (a load into a non-empty cache counts only new keys).
     /// Cache files inherit the in-memory key encoding and are therefore
     /// host-ABI-specific (sizeof(long) field widths); a file from a
     /// different ABI fails load() loudly, it is never misread.
@@ -289,20 +260,21 @@ public:
     /// written or renamed.
     std::size_t save(const std::string& path) const;
 
-    /// Warm-starts the memo tables from a file written by save().
+    /// Warm-starts the report memo from a file written by save().
     /// Returns the number of records loaded.  @throws cache_file_error
     /// carrying the path and the failure kind when the file is missing,
-    /// truncated, corrupt (bad magic, checksum mismatch or trailing
-    /// bytes), of an unknown version, or was saved for a different
-    /// (graph, library) — a bad cache file never silently degrades to
-    /// wrong answers.  Not thread-safe: call before sharing the cache.
+    /// truncated, corrupt (bad magic, checksum mismatch, trailing bytes
+    /// or a record count the body cannot hold), of another format
+    /// version (files from before v3 fail with version_mismatch and must
+    /// be deleted), or was saved for a different (graph, library) — a
+    /// bad cache file never silently degrades to wrong answers.  Not
+    /// thread-safe: call before sharing the cache.
     std::size_t load(const std::string& path);
 
-    /// Unions the tables of a save()d file into this (possibly warm)
-    /// cache: keys already present keep their in-memory value (a live
-    /// full report is strictly more informative than a loaded metric
-    /// record, and committed windows are deterministic so first-wins is
-    /// value-neutral), novel keys are inserted.  Returns the number of
+    /// Unions the metric records of a save()d file into this (possibly
+    /// warm) cache: keys already present keep their in-memory value (a
+    /// live full report is strictly more informative than a loaded
+    /// metric record), novel keys are inserted.  Returns the number of
     /// records that were new.  This is how per-shard caches combine into
     /// one warm cache.  @throws cache_file_error like load().
     /// Not thread-safe: call between explorations, not during one.
@@ -310,11 +282,11 @@ public:
 
     /// File-level merge, no cache instance needed: reads every input
     /// (each fully validated like load()), requires them all to be for
-    /// the same (graph, library), unions their committed-window and
-    /// metric tables (first occurrence of a key wins, inputs processed
-    /// in order) and atomically writes the union to `out` in the same
-    /// format — loading the merged file behaves like loading every input
-    /// in order.  @throws cache_file_error on an unreadable/invalid
+    /// the same (graph, library), unions their metric records (first
+    /// occurrence of a key wins, inputs processed in order) and
+    /// atomically writes the union to `out` in the same format —
+    /// loading the merged file behaves like loading every input in
+    /// order.  @throws cache_file_error on an unreadable/invalid
     /// input, mismatched problems or an unwritable output; phls::error
     /// when `inputs` is empty.
     ///
@@ -329,30 +301,24 @@ public:
                                          const std::vector<std::string>& inputs,
                                          bool skip_bad = false);
 
-    /// Benchmark/ablation knobs: selectively disable the deeper memo
-    /// levels to reproduce the initial-windows-only (PR 2) cache.
-    /// Results are byte-identical either way; only wall time and the
-    /// counters change.  Not thread-safe: call before sharing the cache.
-    void set_committed_memo(bool enabled) { committed_memo_ = enabled; }
-    void set_report_memo(bool enabled) { report_memo_ = enabled; }
-
-    /// Per-level hit/miss counters.
+    /// Hit/miss counters.
     ///
     ///   * hits/misses — the shared per-(graph, lib) invariants:
-    ///     reach/prospect/fastest/initial windows.  `misses` starts at 1
-    ///     for the eager reachability build.
-    ///   * committed_hits/committed_misses — level-1 committed-window
-    ///     lookups (see committed_windows()).
-    ///   * report_hits/report_misses — level-2 whole-report lookups.
+    ///     reach/prospect/fastest.  `misses` starts at 1 for the eager
+    ///     reachability build.
+    ///   * committed_hits/committed_misses — always 0 (windows are not
+    ///     memoised); kept so the wire protocol's done frame and existing
+    ///     readers of this struct keep their layout.
+    ///   * report_hits/report_misses — report-memo whole-report lookups.
     ///   * metric_hits — metric_lookup() successes (served from a full
     ///     report, an evicted entry or a loaded record; misses fall
     ///     through to a real computation, which the other counters see).
     ///
     /// Counting is exact even under concurrent misses of one key: the
     /// thread whose insert wins counts the miss, every racing loser
-    /// counts a hit, so for each level hits + misses equals the number
+    /// counts a hit, so for each table hits + misses equals the number
     /// of lookups and misses equals the number of stored entries (plus,
-    /// for the invariant level, recomputed prospect failures).
+    /// for the invariants, recomputed prospect failures).
     struct counters {
         long hits = 0;
         long misses = 0;
@@ -366,13 +332,11 @@ public:
     /// Snapshot of the counters; safe to call concurrently with lookups.
     counters stats() const
     {
-        return {hits_.load(std::memory_order_relaxed),
-                misses_.load(std::memory_order_relaxed),
-                committed_hits_.load(std::memory_order_relaxed),
-                committed_misses_.load(std::memory_order_relaxed),
-                report_hits_.load(std::memory_order_relaxed),
-                report_misses_.load(std::memory_order_relaxed),
-                metric_hits_.load(std::memory_order_relaxed)};
+        return {.hits = hits_.load(std::memory_order_relaxed),
+                .misses = misses_.load(std::memory_order_relaxed),
+                .report_hits = report_hits_.load(std::memory_order_relaxed),
+                .report_misses = report_misses_.load(std::memory_order_relaxed),
+                .metric_hits = metric_hits_.load(std::memory_order_relaxed)};
     }
 
 private:
@@ -389,22 +353,16 @@ private:
     std::string graph_text_;
     std::string lib_text_;
     std::vector<double> power_levels_; ///< sorted distinct module powers
-    bool committed_memo_ = true;
-    bool report_memo_ = true;
 
     mutable std::mutex mutex_;
     mutable std::map<std::pair<int, int>, prospect_result> prospects_;
     mutable std::map<int, module_assignment> fastest_;
-    mutable std::map<std::tuple<int, double, int, int>, time_windows> windows_;
-    mutable std::map<std::string, time_windows> committed_;
-    /// Level-2 store, behind a pimpl so this header does not depend on
+    /// The report memo, behind a pimpl so this header does not depend on
     /// flow.h (flow_report is incomplete here).
     struct report_memo;
     mutable std::unique_ptr<report_memo> reports_;
     mutable std::atomic<long> hits_{0};
     mutable std::atomic<long> misses_{0};
-    mutable std::atomic<long> committed_hits_{0};
-    mutable std::atomic<long> committed_misses_{0};
     mutable std::atomic<long> report_hits_{0};
     mutable std::atomic<long> report_misses_{0};
     mutable std::atomic<long> metric_hits_{0};

@@ -196,7 +196,7 @@ flow_report flow::run_point(const synthesis_constraints& c,
 {
     const auto started = std::chrono::steady_clock::now();
 
-    // Level 2: exactly-duplicate points (dense 2-D grids, repeated
+    // The report memo: exactly-duplicate points (dense 2-D grids, repeated
     // sweeps over a shared cache) are served whole.  The stored report
     // is a deterministic pure function of the fingerprint, so serving it
     // is byte-identical to recomputing; only wall_ms (excluded from the
@@ -452,7 +452,7 @@ std::vector<double> flow::power_grid(int points) const
 
     // Lower edge: no operation can run below the min per-cycle power of
     // its kind, so the sweep starts just under that necessary bound.
-    // One min_power_for query per kind present (the cache's level-0 kind
+    // One min_power_for query per kind present (the cache's kind
     // buckets when available), not one per node.
     double low = 0.0;
     for (const op_kind k : all_op_kinds()) {

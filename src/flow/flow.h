@@ -137,13 +137,13 @@ public:
     flow& estimate_lifetime(const lifetime_spec& spec = {});
 
     /// Shares a pre-built explore_cache with this flow: run(), batch runs
-    /// and run_schedule() serve reachability, prospect tables, initial
-    /// and committed windows, and whole reports of exactly-duplicate
-    /// points from it instead of recomputing per point (see
-    /// explore_cache for the two levels).  The cache must have been
-    /// built for this flow's (graph, library) -- see build_cache(); a
-    /// mismatched cache makes every run report invalid_argument rather
-    /// than silently computing on the wrong problem.
+    /// and run_schedule() serve the graph invariants (reachability, the
+    /// reversed graph, prospect and fastest tables) and whole reports of
+    /// exactly-duplicate points from it instead of recomputing per point
+    /// (see explore_cache).  The cache must have been built for this
+    /// flow's (graph, library) -- see build_cache(); a mismatched cache
+    /// makes every run report invalid_argument rather than silently
+    /// computing on the wrong problem.
     flow& reuse(std::shared_ptr<const explore_cache> cache);
 
     /// Enables/disables the automatic per-batch cache (default enabled).
@@ -198,7 +198,7 @@ public:
     /// strategy (assignment: fastest modules under the cap).
     sched_outcome run_schedule() const;
 
-    /// The level-2 memo key for point `c`: every configuration field
+    /// The report-memo key for point `c`: every configuration field
     /// that influences run()'s outcome (strategy names, options, enabled
     /// stages, lifetime spec) plus the (T, Pmax) point, canonically
     /// encoded via support/memo_key.h, so two flows share a stored

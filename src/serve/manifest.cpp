@@ -155,10 +155,10 @@ sweep_manifest load_manifest(const std::string& path)
         key_reader r(body);
         m.problem_hash = static_cast<std::uint64_t>(r.read_int());
         m.space_size = static_cast<std::uint64_t>(r.read_int());
-        const long n_ranges = r.read_int();
-        check(n_ranges >= 0, "negative range count");
-        m.done_ranges.reserve(static_cast<std::size_t>(n_ranges));
-        for (long i = 0; i < n_ranges; ++i) {
+        // A range is two ints, a file name at least its length prefix.
+        const std::size_t n_ranges = r.read_count(2 * sizeof(long));
+        m.done_ranges.reserve(n_ranges);
+        for (std::size_t i = 0; i < n_ranges; ++i) {
             sweep_manifest::range rg;
             rg.begin = static_cast<std::uint64_t>(r.read_int());
             rg.end = static_cast<std::uint64_t>(r.read_int());
@@ -166,10 +166,9 @@ sweep_manifest load_manifest(const std::string& path)
                   "range outside the space");
             m.done_ranges.push_back(rg);
         }
-        const long n_files = r.read_int();
-        check(n_files >= 0, "negative file count");
-        m.cache_files.reserve(static_cast<std::size_t>(n_files));
-        for (long i = 0; i < n_files; ++i) m.cache_files.push_back(r.read_str());
+        const std::size_t n_files = r.read_count(sizeof(long));
+        m.cache_files.reserve(n_files);
+        for (std::size_t i = 0; i < n_files; ++i) m.cache_files.push_back(r.read_str());
         check(r.remaining() == 0, "trailing bytes inside the body");
         return m;
     } catch (const cache_file_error&) {

@@ -12,8 +12,7 @@
 // Every optimised path is gated byte-identical to the reference
 // implementation it replaced; the reference paths are retained behind
 // these knobs so tests and bench_kernels can compare results and wall
-// time (the same pattern as explore_cache::set_committed_memo /
-// set_report_memo for the memo levels).
+// time.
 //
 // The knobs are process-global mutable state: set them *before* starting
 // any flow/batch work and leave them alone while synthesis runs (they

@@ -1,14 +1,13 @@
 // Canonical byte-encoding helpers for memoisation keys and cache files.
 //
-// The explore_cache keys its deeper memo levels by exact values: doubles
-// by bit pattern (two caps differing in the 17th digit are different
+// The explore_cache keys its report memo by exact values: doubles by
+// bit pattern (two caps differing in the 17th digit are different
 // scheduling problems) and strings length-prefixed (so adjacent fields
-// cannot run together and collide).  Both the committed-window key
-// (explore_cache.cpp) and the report fingerprint (flow.cpp) use these,
-// so the encoding cannot silently diverge between levels; the persisted
-// cache file (explore_cache::save/load) reuses the same encoding via the
-// key_reader decoders below, so what is a valid key in memory is a valid
-// record on disk.
+// cannot run together and collide).  The report fingerprint (flow.cpp)
+// is built with these; the persisted cache file (explore_cache::
+// save/load) and the sweep manifest reuse the same encoding via the
+// key_reader decoders below, so what is a valid key in memory is a
+// valid record on disk.
 //
 // Degenerate doubles are *normalised* before encoding so fingerprints
 // are well-defined on them:
@@ -106,6 +105,17 @@ public:
         std::string s = bytes_.substr(pos_, static_cast<std::size_t>(n));
         pos_ += static_cast<std::size_t>(n);
         return s;
+    }
+
+    /// Reads a record count and checks that that many records of at
+    /// least `min_record_bytes` each fit in the bytes not yet consumed,
+    /// so a damaged count fails here instead of sizing an allocation.
+    std::size_t read_count(std::size_t min_record_bytes)
+    {
+        const long n = read_int();
+        check(n >= 0 && static_cast<std::size_t>(n) <= remaining() / min_record_bytes,
+              "memo record count exceeds the remaining bytes");
+        return static_cast<std::size_t>(n);
     }
 
     /// Bytes not yet consumed.

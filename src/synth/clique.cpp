@@ -170,40 +170,23 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     st.committed.assign(static_cast<std::size_t>(n), 0);
     st.dp = datapath(name, n);
 
-    // The reversed graph palap schedules on is a pure invariant: the
-    // cache serves its copy to every point; without a cache it is built
-    // once per partitioning instead of once per window recompute.
+    // The reversed graph palap schedules on is a pure invariant: an
+    // attached cache serves its copy; without one it is built once per
+    // partitioning instead of once per window recompute.
     std::optional<graph> local_rev;
     if (cache == nullptr) local_rev.emplace(reversed_graph(g));
-    pasap_options sched_opts_base{options.order, {}, cache ? nullptr : &*local_rev};
+    const graph& rev = cache ? cache->reversed_design() : *local_rev;
 
-    // Committed-window recomputes are level-1 memoised when a batch cache
-    // is attached: the key is the full scheduling state, so identical
-    // states (joins after the backtrack lock, the shared time-only first
-    // step of two_step, duplicate points) are served instead of re-run.
-    // The recompute counter still advances either way, keeping reports
-    // byte-identical with the uncached path.
-    const auto recompute_windows = [&](partition_state& s) {
+    // Every pasap/palap window computation -- the initial one and the
+    // recompute after each commit -- goes through this one call.
+    const auto recompute_windows = [&](const partition_state& s) {
         ++result.stats.window_recomputes;
-        if (cache != nullptr)
-            return cache->committed_windows(s.assignment, cap, constraints.latency,
-                                            options.order, s.fixed);
-        pasap_options o = sched_opts_base;
-        o.fixed_starts = s.fixed;
-        return power_windows(g, lib, s.assignment, cap, constraints.latency, o);
+        return power_windows(g, lib, s.assignment, cap, constraints.latency,
+                             {options.order, s.fixed, &rev});
     };
 
-    // 2. Initial pasap/palap windows.  With no operator committed yet
-    // they are a pure function of (graph, lib, policy, cap, T, order),
-    // so a batch cache serves them across points; the counter still
-    // advances to keep reports byte-identical with the uncached path.
-    if (cache != nullptr) {
-        ++result.stats.window_recomputes;
-        st.windows = cache->initial_windows(options.policy, cap, constraints.latency,
-                                            options.order);
-    } else {
-        st.windows = recompute_windows(st);
-    }
+    // 2. Initial pasap/palap windows.
+    st.windows = recompute_windows(st);
     if (!st.windows.feasible) {
         result.reason = st.windows.reason;
         return result;

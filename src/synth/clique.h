@@ -10,7 +10,7 @@ namespace phls {
 /// Runs prospect selection, window computation, the greedy merge loop
 /// with backtrack-and-lock, and finalisation.  Does not compute area or
 /// verify (synthesize() adds those).  `cache` (optional) serves the
-/// reachability relation, the prospect table and the initial windows;
+/// reachability relation, the reversed graph and the prospect table;
 /// see synthesize() for the contract.
 synthesis_result run_clique_partitioning(const graph& g, const module_library& lib,
                                          const synthesis_constraints& constraints,

@@ -79,12 +79,12 @@ class explore_cache;
 /// Runs the full algorithm: prospect modules -> pasap/palap windows ->
 /// greedy power-aware clique partitioning with backtrack-and-lock ->
 /// finalisation -> area accounting.  `cache` (optional) serves the
-/// per-(graph, lib) invariants -- reachability, prospect tables, initial
-/// windows -- during batch exploration; it must have been built for
-/// exactly (g, lib), and the result is byte-identical with or without
-/// it.  When `options.try_both_prospects` resolves both policies to the
-/// same module table (any cap below the point where they diverge), the
-/// second synthesis run is skipped outright.
+/// per-(graph, lib) invariants -- reachability, the reversed graph,
+/// prospect tables -- during batch exploration; it must have been built
+/// for exactly (g, lib), and the result is byte-identical with or
+/// without it.  When `options.try_both_prospects` resolves both policies
+/// to the same module table (any cap below the point where they
+/// diverge), the second synthesis run is skipped outright.
 synthesis_result synthesize(const graph& g, const module_library& lib,
                             const synthesis_constraints& constraints,
                             const synthesis_options& options = {},

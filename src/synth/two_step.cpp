@@ -88,9 +88,7 @@ two_step_result two_step_synthesize(const graph& g, const module_library& lib,
 {
     two_step_result result;
 
-    // Step one: time-constrained only.  Every point of a power sweep
-    // shares this exact sub-problem (the cap is relaxed away), so a batch
-    // cache serves its window recomputes after the first point.
+    // Step one: time-constrained only (the cap is relaxed away).
     synthesis_constraints step1 = constraints;
     step1.max_power = unbounded_power;
     synthesis_options opts = options;

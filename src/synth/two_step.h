@@ -26,10 +26,10 @@ class explore_cache;
 /// Runs the baseline under `constraints`; step one ignores
 /// constraints.max_power, step two tries to reach it by moving operations
 /// within their slack (allocation/binding unchanged).  `cache` (optional)
-/// serves step one's window computations during batch exploration: the
-/// time-only first step is the same scheduling problem for every cap, so
-/// a power sweep recomputes it once.  Results are byte-identical with or
-/// without the cache.
+/// serves step one's graph invariants during batch exploration; step one
+/// itself (the same cap-free problem for every cap) is re-run at every
+/// point of a power sweep.  Results are byte-identical with or without
+/// the cache.
 two_step_result two_step_synthesize(const graph& g, const module_library& lib,
                                     const synthesis_constraints& constraints,
                                     const synthesis_options& options = {},

@@ -1,6 +1,6 @@
 // Tests for dse::session: the unified explore() sink, byte-identity
 // with the run_batch wrappers, front-delta streaming, the bounded
-// level-2 memo, cache-file persistence and the adaptive refine driver.
+// report memo, cache-file persistence and adaptive refinement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "flow/flow.h"
 #include "flow/pareto_stream.h"
 #include "support/errors.h"
+#include "support/memo_key.h"
 
 namespace phls {
 namespace {
@@ -238,7 +239,6 @@ TEST(dse_session, save_load_round_trip_preserves_answers_and_counters)
     EXPECT_EQ(counters[0].metric_hits, counters[1].metric_hits);
     EXPECT_EQ(counters[0].hits, counters[1].hits);
     EXPECT_EQ(counters[0].misses, counters[1].misses);
-    EXPECT_EQ(counters[0].committed_hits, counters[1].committed_hits);
     EXPECT_EQ(counters[0].report_hits, counters[1].report_hits);
 
     // Saving a loaded cache reproduces the file byte-for-byte.
@@ -458,6 +458,36 @@ TEST(dse_session, load_error_reports_a_version_mismatch)
     EXPECT_EQ(e.kind(), cache_file_error::failure::version_mismatch);
     EXPECT_EQ(e.path(), path);
     std::remove(path.c_str());
+}
+
+TEST(dse_session, format_2_cache_files_are_version_mismatches_and_skipped_by_merge)
+{
+    // Files written before format 3 carried a committed-window table;
+    // load() rejects them by their header and a skip_bad merge drops
+    // them while merging the rest.
+    const std::string old_file = scratch("session_err_v2.phlscache");
+    const std::string good = scratch("session_v3.phlscache");
+    const std::string out = scratch("session_v2_merged.phlscache");
+    std::string bytes = saved_cache_bytes(old_file);
+    saved_cache_bytes(good);
+
+    const std::size_t version_at = sizeof(long) + std::string("phls-explore-cache").size();
+    std::string v2;
+    key_int(v2, 2);
+    ASSERT_LT(version_at + v2.size(), bytes.size());
+    bytes.replace(version_at, v2.size(), v2);
+    overwrite(old_file, bytes);
+    EXPECT_EQ(expect_load_failure(old_file).kind(),
+              cache_file_error::failure::version_mismatch);
+
+    const cache_merge_stats stats = explore_cache::merge_files(out, {old_file, good}, true);
+    ASSERT_EQ(stats.inputs.size(), 2u);
+    EXPECT_TRUE(stats.inputs[0].skipped);
+    EXPECT_EQ(stats.inputs[0].skip_reason, "version-mismatch");
+    EXPECT_FALSE(stats.inputs[1].skipped);
+    EXPECT_EQ(stats.skipped_inputs, 1u);
+    EXPECT_EQ(stats.metric_total, stats.inputs[1].metrics);
+    for (const std::string& path : {old_file, good, out}) std::remove(path.c_str());
 }
 
 TEST(dse_session, load_error_reports_a_problem_mismatch)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <functional>
 #include <set>
 #include <thread>
@@ -10,7 +11,7 @@
 #include "cdfg/benchmarks.h"
 #include "flow/explore_cache.h"
 #include "flow/flow.h"
-#include "sched/mobility.h"
+#include "sched/schedule.h"
 #include "support/errors.h"
 #include "synth/prospect.h"
 #include "synth/two_step.h"
@@ -67,8 +68,8 @@ TEST(explore_cache, hits_are_taken_on_a_16_point_sweep)
     const explore_cache::counters c = cache->stats();
     EXPECT_GT(c.hits, 0);
     // Every feasible point takes several hits (prospect tables from both
-    // policies, the initial windows' table, reachability), so a 16-point
-    // sweep lands well past one hit per point.
+    // policies, reachability), so a 16-point sweep lands well past one
+    // hit per point.
     EXPECT_GE(c.hits, 16);
     // Far fewer distinct computations than lookups: the sweep shares them.
     EXPECT_LT(c.misses, c.hits);
@@ -163,70 +164,12 @@ TEST(explore_cache, counters_are_exact_under_concurrent_misses_of_one_key)
     EXPECT_EQ(c.hits, threads * lookups_per_thread - 1);
 }
 
-TEST(explore_cache, committed_counters_are_exact_under_concurrent_misses)
-{
-    const graph g = make_hal();
-    const explore_cache cache(g, lib());
-    const module_assignment a = fastest_assignment(g, lib(), 9.0);
-    const std::vector<int> all_free(static_cast<std::size_t>(g.node_count()), -1);
-    constexpr int threads = 8;
-    constexpr int lookups_per_thread = 4;
-
-    std::atomic<bool> go{false};
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t)
-        pool.emplace_back([&] {
-            while (!go.load()) std::this_thread::yield();
-            for (int i = 0; i < lookups_per_thread; ++i)
-                (void)cache.committed_windows(a, 9.0, 17, pasap_order::critical_path,
-                                              all_free);
-        });
-    go.store(true);
-    for (std::thread& t : pool) t.join();
-
-    const explore_cache::counters c = cache.stats();
-    EXPECT_EQ(c.committed_misses, 1);
-    EXPECT_EQ(c.committed_hits, threads * lookups_per_thread - 1);
-}
-
-// ------------------------------------------------- level 1: committed windows
-
-TEST(explore_cache, committed_windows_match_direct_computation)
-{
-    const graph g = make_hal();
-    const explore_cache cache(g, lib());
-    const module_assignment a = fastest_assignment(g, lib(), 9.0);
-
-    std::vector<int> fixed(static_cast<std::size_t>(g.node_count()), -1);
-    for (int variant = 0; variant < 3; ++variant) {
-        if (variant == 1) fixed[0] = 0;    // pin the source
-        if (variant == 2) fixed[3] = 2;    // plus an interior operator
-        for (const int latency : {17, 20, 5 /* infeasible bound */}) {
-            pasap_options opts;
-            opts.order = pasap_order::critical_path;
-            opts.fixed_starts = fixed;
-            const time_windows direct = power_windows(g, lib(), a, 9.0, latency, opts);
-            const time_windows cached = cache.committed_windows(
-                a, 9.0, latency, pasap_order::critical_path, fixed);
-            ASSERT_EQ(direct.feasible, cached.feasible) << variant << " T=" << latency;
-            EXPECT_EQ(direct.reason, cached.reason) << variant << " T=" << latency;
-            EXPECT_EQ(direct.s_min, cached.s_min) << variant << " T=" << latency;
-            EXPECT_EQ(direct.s_max, cached.s_max) << variant << " T=" << latency;
-        }
-    }
-    // Repeating one state is a hit, not a recompute.
-    EXPECT_GT(cache.stats().committed_misses, 0);
-    const long misses_before = cache.stats().committed_misses;
-    (void)cache.committed_windows(a, 9.0, 17, pasap_order::critical_path, fixed);
-    EXPECT_EQ(cache.stats().committed_misses, misses_before);
-    EXPECT_GT(cache.stats().committed_hits, 0);
-}
-
 TEST(explore_cache, two_step_shares_step_one_windows_across_a_cap_sweep)
 {
     // two_step's first step relaxes the cap away, so every point of a
-    // power sweep solves the same scheduling problem; the batch cache
-    // must serve it after the first point, byte-identically.
+    // power sweep solves the same scheduling problem.  The cache shares
+    // its invariants and every point recomputes its windows; the sweep
+    // must stay byte-identical to the uncached one at any thread count.
     const graph g = make_hal();
     const std::vector<synthesis_constraints> grid = hal_grid(8);
     const std::vector<flow_report> reference = flow::on(g)
@@ -236,16 +179,15 @@ TEST(explore_cache, two_step_shares_step_one_windows_across_a_cap_sweep)
                                                    .caching(false)
                                                    .run_batch(grid, 1);
     const auto cache = std::make_shared<explore_cache>(g, lib());
-    const std::vector<flow_report> cached = flow::on(g)
-                                                .with_library(lib())
-                                                .latency(17)
-                                                .synthesizer("two_step")
-                                                .reuse(cache)
-                                                .run_batch(grid, 1);
-    ASSERT_EQ(cached.size(), reference.size());
-    for (std::size_t i = 0; i < cached.size(); ++i)
-        EXPECT_EQ(cached[i].to_string(), reference[i].to_string()) << i;
-    EXPECT_GT(cache->stats().committed_hits, 0);
+    const flow cached =
+        flow::on(g).with_library(lib()).latency(17).synthesizer("two_step").reuse(cache);
+    for (int threads : {1, 8}) {
+        const std::vector<flow_report> reports = cached.run_batch(grid, threads);
+        ASSERT_EQ(reports.size(), reference.size()) << threads << " threads";
+        for (std::size_t i = 0; i < reports.size(); ++i)
+            EXPECT_EQ(reports[i].to_string(), reference[i].to_string())
+                << threads << " threads, point " << i;
+    }
 
     // The free function accepts the cache directly too.
     const two_step_result with = two_step_synthesize(g, lib(), {17, 9.0}, {}, cache.get());
@@ -255,7 +197,7 @@ TEST(explore_cache, two_step_shares_step_one_windows_across_a_cap_sweep)
     EXPECT_DOUBLE_EQ(with.peak_after, without.peak_after);
 }
 
-// ----------------------------------------------------- level 2: report memo
+// ------------------------------------------------------------ report memo
 
 TEST(explore_cache, report_memo_serves_exact_duplicates_byte_identically)
 {
@@ -326,26 +268,25 @@ TEST(explore_cache, report_memo_fingerprint_separates_configurations)
     EXPECT_EQ(cache->stats().report_hits, 1);
 }
 
-TEST(explore_cache, memo_levels_can_be_disabled_without_changing_results)
+TEST(explore_cache, save_writes_exactly_the_report_memo_records)
 {
+    // A cache file holds one metric record per report-memo entry, full
+    // or evicted, and nothing else.
     const graph g = make_hal();
-    const std::vector<synthesis_constraints> grid = {
-        {17, 9.0}, {17, 7.0}, {17, 9.0}};
-    const std::vector<flow_report> reference =
-        flow::on(g).with_library(lib()).caching(false).run_batch(grid, 1);
-
     const auto cache = std::make_shared<explore_cache>(g, lib());
-    cache->set_committed_memo(false);
-    cache->set_report_memo(false);
-    const std::vector<flow_report> reports =
-        flow::on(g).with_library(lib()).reuse(cache).run_batch(grid, 1);
-    for (std::size_t i = 0; i < reports.size(); ++i)
-        EXPECT_EQ(reports[i].to_string(), reference[i].to_string()) << i;
-    EXPECT_EQ(cache->stats().committed_hits, 0);
-    EXPECT_EQ(cache->stats().committed_misses, 0);
-    EXPECT_EQ(cache->stats().report_hits, 0);
-    EXPECT_EQ(cache->stats().report_misses, 0);
-    EXPECT_GT(cache->stats().hits, 0); // level 0 invariants still serve
+    cache->set_report_capacity(3); // leaves full and metric-only entries
+    flow::on(g).with_library(lib()).reuse(cache).run_batch(hal_grid(8), 1);
+    const std::size_t held = cache->report_full_size() + cache->report_metric_size();
+    EXPECT_EQ(cache->report_full_size(), 3u);
+    EXPECT_EQ(held, 8u);
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "explore_cache_save_count.phlscache";
+    EXPECT_EQ(cache->save(path), held);
+    explore_cache fresh(g, lib());
+    EXPECT_EQ(fresh.load(path), held);
+    EXPECT_EQ(fresh.report_metric_size(), held);
+    std::remove(path.c_str());
 }
 
 TEST(explore_cache, each_metric_snapshots_every_stored_record)

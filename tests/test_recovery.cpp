@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -32,6 +33,7 @@
 #include "serve/shard.h"
 #include "support/errors.h"
 #include "support/faultpoints.h"
+#include "support/memo_key.h"
 
 namespace phls {
 namespace {
@@ -85,6 +87,41 @@ void expect_same_front(const std::vector<front_point>& got,
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_TRUE(got[i] == want[i]) << "front point " << i;
+}
+
+/// Rewrites `path`, a valid cache file or manifest, around a new `body`:
+/// same magic and version, fresh body length and FNV-1a checksum, so the
+/// file passes every framing check and only the body is hostile.
+void reframe(const std::string& path, const std::string& body)
+{
+    std::ifstream is(path, std::ios::binary);
+    const std::string old((std::istreambuf_iterator<char>(is)), {});
+    key_reader header(old);
+    const std::string magic = header.read_str();
+    const long version = header.read_int();
+
+    std::string bytes;
+    key_str(bytes, magic);
+    key_int(bytes, version);
+    key_int(bytes, static_cast<long>(body.size()));
+    bytes += body;
+    std::uint64_t sum = 1469598103934665603ull;
+    for (const unsigned char c : body) {
+        sum ^= c;
+        sum *= 1099511628211ull;
+    }
+    bytes.append(reinterpret_cast<const char*>(&sum), sizeof sum);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// A checksum-clean cache-file body declaring 2^40 metric records.
+std::string cache_body_with_a_huge_record_count()
+{
+    std::string body;
+    key_str(body, "graph");
+    key_str(body, "library");
+    key_int(body, 1L << 40);
+    return body;
 }
 
 /// Disarms every fault on scope exit, so a failing ASSERT cannot leak
@@ -286,6 +323,44 @@ TEST(recovery, cache_merge_skip_bad_skips_and_reports_damaged_inputs)
     expect_same_front(session.explore(dse::list(grid), {}, 1).front, want);
 }
 
+TEST(recovery, cache_file_declaring_more_records_than_its_body_holds_is_corrupt)
+{
+    const std::string dir = scratch_dir("recovery_huge_count");
+    const std::string path = dir + "/cache.phlscache";
+    dse::session warm(hal17());
+    warm.explore(dse::list(distinct_grid(3)), {}, 1);
+    warm.save(path);
+    reframe(path, cache_body_with_a_huge_record_count());
+
+    dse::session fresh(hal17());
+    try {
+        fresh.load(path);
+        FAIL() << "a record count the body cannot hold must not load";
+    } catch (const cache_file_error& e) {
+        EXPECT_EQ(e.kind(), cache_file_error::failure::corrupt);
+    }
+}
+
+TEST(recovery, cache_merge_skip_bad_skips_a_file_declaring_too_many_records)
+{
+    const std::string dir = scratch_dir("recovery_huge_count_merge");
+    const std::string bad = dir + "/bad.phlscache";
+    const std::string good = dir + "/good.phlscache";
+    dse::session warm(hal17());
+    warm.explore(dse::list(distinct_grid(3)), {}, 1);
+    warm.save(bad);
+    warm.save(good);
+    reframe(bad, cache_body_with_a_huge_record_count());
+
+    const cache_merge_stats stats =
+        explore_cache::merge_files(dir + "/merged.phlscache", {bad, good}, true);
+    ASSERT_EQ(stats.inputs.size(), 2u);
+    EXPECT_TRUE(stats.inputs[0].skipped);
+    EXPECT_EQ(stats.inputs[0].skip_reason, "corrupt");
+    EXPECT_FALSE(stats.inputs[1].skipped);
+    EXPECT_EQ(stats.metric_total, stats.inputs[1].metrics);
+}
+
 TEST(recovery, all_inputs_bad_still_aborts_even_with_skip_bad)
 {
     const std::string dir = scratch_dir("recovery_allbad");
@@ -442,6 +517,29 @@ TEST(recovery, damaged_manifests_are_rejected_loudly)
         FAIL() << "missing manifest must not load";
     } catch (const cache_file_error& e) {
         EXPECT_EQ(e.kind(), cache_file_error::failure::missing);
+    }
+}
+
+TEST(recovery, manifest_declaring_more_entries_than_its_body_holds_is_corrupt)
+{
+    const std::string dir = scratch_dir("recovery_manifest_huge");
+    const std::string path = dir + "/sweep.phlsman";
+    save_manifest(path, sweep_manifest{});
+
+    // 2^40 done ranges, then (with none) 2^40 cache files.
+    for (const bool huge_ranges : {true, false}) {
+        std::string body;
+        key_int(body, 7); // problem hash
+        key_int(body, 4); // space size
+        key_int(body, huge_ranges ? 1L << 40 : 0);
+        if (!huge_ranges) key_int(body, 1L << 40);
+        reframe(path, body);
+        try {
+            load_manifest(path);
+            FAIL() << "a count the body cannot hold must not load";
+        } catch (const cache_file_error& e) {
+            EXPECT_EQ(e.kind(), cache_file_error::failure::corrupt) << huge_ranges;
+        }
     }
 }
 

@@ -287,13 +287,10 @@ TEST(shard, merge_files_combines_shard_caches_into_one_loadable_file)
     const std::string out = dir + "/merged.phlscache";
     const cache_merge_stats stats = explore_cache::merge_files(out, sum.cache_files);
     ASSERT_EQ(stats.inputs.size(), 2u);
-    EXPECT_GT(stats.committed_total, 0u);
     EXPECT_GT(stats.metric_total, 0u);
     // Disjoint shards: every input record is novel at merge time.
-    for (const cache_merge_stats::input& in : stats.inputs) {
-        EXPECT_EQ(in.new_committed, in.committed) << in.path;
+    for (const cache_merge_stats::input& in : stats.inputs)
         EXPECT_EQ(in.new_metrics, in.metrics) << in.path;
-    }
 
     dse::session warm(hal17());
     EXPECT_GT(warm.load(out), 0u);

@@ -412,10 +412,11 @@ int cmd_sweep(const arg_parser& args)
               "and 'phls cache merge'");
     }
 
-    // The sweep runs as a dse::session: one bounded two-level cache owns
-    // every memo, --cache-file persists it across processes (a repeated
-    // sweep warm-starts and serves metric answers instead of
-    // resynthesising), and --refine evaluates the cap axis adaptively.
+    // The sweep runs as a dse::session: one bounded cache owns the graph
+    // invariants and the report memo, --cache-file persists its metric
+    // records across processes (a repeated sweep warm-starts and serves
+    // metric answers instead of resynthesising), and --refine evaluates
+    // the cap axis adaptively.
     const flow proto = flow::on(g).with_library(lib).latency(T);
     dse::session_options opts;
     if (args.has("--memo-limit")) {
@@ -444,10 +445,10 @@ int cmd_sweep(const arg_parser& args)
         }
     }
 
-    // The grid probe shares the session cache when there is one (warm
-    // runs serve its committed windows instead of re-deriving the
-    // problem from cold); distributed sweeps probe cold — the grid is a
-    // pure function of the problem, so the caps are identical.
+    // The grid probe shares the session cache when there is one (its
+    // kind buckets and invariants are already built); distributed sweeps
+    // probe cold — the grid is a pure function of the problem, so the
+    // caps are identical.
     flow probe = proto;
     if (session) probe.reuse(session->cache());
     const std::vector<double> caps = probe.power_grid(points);
@@ -778,16 +779,13 @@ int cmd_cache(const arg_parser& args)
 
     const cache_merge_stats stats =
         explore_cache::merge_files(out, inputs, args.has("--skip-bad"));
-    ascii_table t({"input", "committed", "metrics", "new committed", "new metrics",
-                   "skipped"});
+    ascii_table t({"input", "metrics", "new metrics", "skipped"});
     t.set_align(0, align::left);
-    t.set_align(5, align::left);
+    t.set_align(3, align::left);
     for (const cache_merge_stats::input& in : stats.inputs)
-        t.add_row({in.path, std::to_string(in.committed), std::to_string(in.metrics),
-                   std::to_string(in.new_committed), std::to_string(in.new_metrics),
+        t.add_row({in.path, std::to_string(in.metrics), std::to_string(in.new_metrics),
                    in.skipped ? in.skip_reason : "-"});
-    t.add_row({"= " + out, std::to_string(stats.committed_total),
-               std::to_string(stats.metric_total), "", "",
+    t.add_row({"= " + out, std::to_string(stats.metric_total), "",
                stats.skipped_inputs > 0
                    ? strf("%zu input(s)", stats.skipped_inputs)
                    : "-"});
@@ -929,10 +927,10 @@ int run(const std::vector<std::string>& argv)
                     "export the sweep's Pareto front + per-point reports "
                     "(.csv or .json)");
     args.add_option("--cache-file", "",
-                    "persist the sweep's memo tables: load before, save after "
+                    "persist the sweep's metric records: load before, save after "
                     "(warm-starts repeated sweeps)");
     args.add_option("--memo-limit", "",
-                    "max full reports held by the level-2 memo (0 = unbounded)");
+                    "max full reports held by the report memo (0 = unbounded)");
     args.add_option("--server", "",
                     "run the sweep on a phls serve (unix:PATH or HOST:PORT)");
     args.add_option("--shards", "",
