@@ -354,6 +354,7 @@ struct explore_cache::report_memo {
 
 explore_cache::explore_cache(const graph& g, const module_library& lib)
     : g_(g), lib_(lib), reach_(checked(g_, lib_)), rev_(reversed_graph(g_)),
+      topo_(g_.topo_order()), rev_topo_(rev_.topo_order()),
       graph_text_(write_cdfg_string(g_)), lib_text_(write_library_string(lib_)),
       reports_(new report_memo)
 {

@@ -82,13 +82,6 @@ public:
     /// fits(start, duration, headroom(start, duration)) always holds.
     double headroom(int start, int duration) const;
 
-    /// Forces the lazy headroom trees to exist.  next_fit() builds them
-    /// on first use, which is a benign cache fill single-threaded but a
-    /// data race when several scoring threads probe concurrently -- call
-    /// this once before fanning out.  No-op when the trees exist or the
-    /// profile is still empty.
-    void prepare_probes() const { ensure_tree(); }
-
     const power_profile& profile() const { return profile_; }
 
     /// Tolerance used when comparing sums against the cap.

@@ -19,6 +19,7 @@ struct core_inputs {
     double max_power;
     pasap_order order;
     std::vector<int> fixed; // -1 = free
+    const std::vector<node_id>* topo; // g.topo_order(), or null to compute
 };
 
 pasap_result run_core(const core_inputs& in)
@@ -91,7 +92,9 @@ pasap_result run_core(const core_inputs& in)
     // Priority: longest delay-weighted path to any sink (used in
     // critical_path order; also a useful diagnostic).
     std::vector<long> priority(static_cast<std::size_t>(n), 0);
-    const std::vector<node_id> topo = in.g.topo_order();
+    std::vector<node_id> local_topo;
+    if (in.topo == nullptr) local_topo = in.g.topo_order();
+    const std::vector<node_id>& topo = in.topo ? *in.topo : local_topo;
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
         const node_id v = *it;
         long below = 0;
@@ -209,8 +212,8 @@ pasap_result pasap(const graph& g, const module_library& lib,
                    const module_assignment& assignment, double max_power,
                    const pasap_options& options)
 {
-    return run_core(
-        {g, lib, assignment, max_power, options.order, options.fixed_starts});
+    return run_core({g, lib, assignment, max_power, options.order, options.fixed_starts,
+                     options.topo});
 }
 
 pasap_result palap(const graph& g, const module_library& lib,
@@ -253,7 +256,8 @@ pasap_result palap(const graph& g, const module_library& lib,
     std::optional<graph> local_rev;
     if (options.reversed == nullptr) local_rev.emplace(reversed_graph(g));
     const graph& rg = options.reversed ? *options.reversed : *local_rev;
-    pasap_result rres = run_core({rg, lib, assignment, max_power, options.order, rfixed});
+    pasap_result rres =
+        run_core({rg, lib, assignment, max_power, options.order, rfixed, options.reversed_topo});
     if (!rres.feasible) {
         result.reason = "reversed pasap: " + rres.reason;
         return result;

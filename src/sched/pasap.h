@@ -50,6 +50,14 @@ struct pasap_options {
     /// run_clique_partitioning hoists it per uncached partitioning).
     /// Null = compute per call.  Ignored by pasap().
     const graph* reversed = nullptr;
+    /// Optional pre-computed g.topo_order() (read by pasap) and
+    /// reversed_graph(g).topo_order() (read by palap) -- pure graph
+    /// invariants each call otherwise recomputes with a min-heap Kahn
+    /// pass.  Non-owning; must outlive the call and must equal those
+    /// orders exactly (explore_cache serves both, run_clique_partitioning
+    /// hoists them per uncached partitioning).  Null = compute per call.
+    const std::vector<node_id>* topo = nullptr;
+    const std::vector<node_id>* reversed_topo = nullptr;
 };
 
 /// Outcome of pasap/palap.

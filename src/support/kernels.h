@@ -1,18 +1,16 @@
 // Ablation knobs and region timers for the synthesis inner kernels.
 //
-// PR 5 optimised three inner loops -- power-feasibility probing
-// (power_tracker::next_fit), candidate enumeration across merge-loop
-// iterations (synth/candidates.h) and merge rollback (the undo log in
-// clique.cpp).  PR 8 rearchitected the candidate hot path around a
-// struct-of-arrays arena (synth/arena.h): CSR adjacency, per-kind node
-// buckets and O(1) per-node clamp bounds replace the per-combo pointer
-// chases, the power ledger answers probes from contiguous cycle slabs
-// with branch-free tree descents, and candidate scoring can fan out
-// over intra-point worker threads with a fixed application order.
-// Every optimised path is gated byte-identical to the reference
-// implementation it replaced; the reference paths are retained behind
-// these knobs so tests and bench_kernels can compare results and wall
-// time.
+// Three inner loops dominate a synthesis run: power-feasibility probing
+// (power_tracker::next_fit), the merge loop's candidate pick
+// (synth/candidates.h, a best-first frontier over equal-saving buckets
+// that times a handful of combos per pick instead of enumerating them
+// all) and merge rollback (the undo log in clique.cpp).  The candidate
+// scoring reads per-node facts from a struct-of-arrays arena
+// (synth/arena.h), and the power ledger answers probes from contiguous
+// cycle slabs with branch-free tree descents.  Every optimised path is
+// gated byte-identical to the seed-era reference implementation it
+// replaced; the reference paths are retained behind these knobs so
+// tests and bench_kernels can compare results and wall time.
 //
 // The knobs are process-global mutable state: set them *before* starting
 // any flow/batch work and leave them alone while synthesis runs (they
@@ -29,36 +27,34 @@ struct kernel_tuning {
     /// compatibility graph's find_slot.  Off = the seed-era linear
     /// `++offset` / `++t` probes.
     bool skip_probe = true;
-    /// Incremental candidate maintenance across merge-loop iterations
-    /// (synth/candidates.h).  Off = full enumerate_candidates() per
-    /// iteration.
+    /// The best-first candidate frontier (synth/candidates.h): each pick
+    /// walks the current state's equal-saving buckets and times only the
+    /// combos whose bound beats the winner.  Off = full
+    /// enumerate_candidates() per iteration.
     bool incremental_candidates = true;
     /// O(changes) undo-log rollback of a failed merge decision.  Off =
     /// the full `partition_state` deep copy per attempt.
     bool undo_log = true;
     /// Struct-of-arrays candidate scoring (synth/arena.h): CSR
-    /// adjacency + per-kind buckets + O(1) precomputed clamp bounds and
-    /// standalone areas, and a negative-saving precheck that skips the
-    /// slot probes of combos the reference path times and then erases.
-    /// Only takes effect together with incremental_candidates (the
-    /// arena is an engine of the candidate store).  Off = the PR-5
-    /// per-combo neighbour walks.
+    /// adjacency + O(1) precomputed clamp bounds and standalone areas,
+    /// synced before every pick.  Only takes effect together with
+    /// incremental_candidates (the arena is an engine of the frontier).
+    /// Off = the reference per-combo neighbour walks and standalone
+    /// folds.
     bool soa_arena = true;
     /// Dense power-ledger queries: fits() scans the contiguous
     /// per-cycle slab directly and the headroom-tree descents run
     /// iteratively (branch-free child steps) instead of recursing.
-    /// Off = the PR-5 at()-per-cycle scan and recursive descents.
+    /// Off = the at()-per-cycle scan and recursive descents.
     bool dense_power = true;
-    /// Intra-point parallelism: candidate (re-)scoring inside ONE
-    /// partitioning run fans out over this many worker threads.
-    /// Scoring is pure and results are applied in the fixed sequential
-    /// combo order, so every thread count produces byte-identical
-    /// decisions.  1 = sequential (default); requires soa_arena +
-    /// incremental_candidates to take effect.
+    /// No longer changes any computation: a frontier pick reaches a
+    /// handful of combos (4.4 on average on 100-op random DAGs) and
+    /// nothing fans out.  Kept so existing callers that assign it still
+    /// compile; every value gives the same results and the same work.
     int intra_threads = 1;
     /// Debug/testing: with incremental_candidates on, ALSO run the
-    /// reference enumeration every iteration and throw phls::error if
-    /// the two paths would pick different candidates.  Slow; tests only.
+    /// reference enumeration after every pick and throw phls::error if
+    /// it would pick a different candidate.  Slow; tests only.
     bool cross_check = false;
 };
 
@@ -73,7 +69,7 @@ kernel_tuning& kernel_knobs();
 /// disabled-timing path costs exactly one branch per region.
 struct kernel_timers {
     bool collect = false;
-    long long candidates_ns = 0; ///< enumeration / store maintenance + pick
+    long long candidates_ns = 0; ///< enumeration / frontier build + pick
     long long rollback_ns = 0;   ///< state capture + restore (both paths)
     void reset() { candidates_ns = rollback_ns = 0; }
 };

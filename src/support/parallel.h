@@ -1,5 +1,5 @@
-// Minimal deterministic fork/join helper for the intra-point parallel
-// kernels (kernel_tuning::intra_threads).
+// Minimal deterministic fork/join helper (the task engine fans its
+// per-task candidate sweeps out with it).
 //
 // The design constraint is determinism, not peak throughput: callers
 // score independent work items into pre-sized result slots and then

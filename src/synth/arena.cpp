@@ -48,8 +48,6 @@ void synth_arena::build(const graph& g, const module_library& lib)
             if (m.supports(k)) mods.push_back({m.latency, m.area, m.power});
     }
     screened_ = false;
-
-    buckets_.assign(static_cast<std::size_t>(op_kind_count), {});
 }
 
 void synth_arena::sync(const compat_inputs& in)
@@ -59,7 +57,6 @@ void synth_arena::sync(const compat_inputs& in)
     const std::vector<int>& fixed = *in.fixed;
     const time_windows& w = *in.windows;
     const module_assignment& assign = *in.assignment;
-    const std::vector<char>& committed = *in.committed;
 
     // Power screen per kind: the cap is fixed for the whole run, so this
     // triggers once.  The comparison is the exact precheck of the
@@ -113,12 +110,6 @@ void synth_arena::sync(const compat_inputs& in)
         if (best < 0.0) best = mod_area_[static_cast<std::size_t>(assign[v].value())];
         standalone_[v] = best;
     }
-
-    for (std::vector<node_id>& b : buckets_) b.clear();
-    for (std::size_t v = 0; v < n; ++v)
-        if (!committed[v])
-            buckets_[static_cast<std::size_t>(kind_[v])].push_back(
-                node_id(static_cast<int>(v)));
 }
 
 } // namespace phls

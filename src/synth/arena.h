@@ -3,13 +3,12 @@
 //
 // Candidate scoring (synth/compat.h) reads the same per-node facts over
 // and over: the dependency bounds clamp_by_neighbors() folds from a
-// node's neighbours, the standalone area of each operation, and the
-// free operations grouped by kind.  The reference path re-derives all
-// of them per combo through graph adjacency vectors and module-library
-// lookups -- O(degree) pointer chases and an O(|lib|) module scan per
-// scored candidate.  The arena flattens them into contiguous arrays
-// indexed by the dense node id, refreshed once per scheduling-state
-// change by sync():
+// node's neighbours and the standalone area of each operation.  The
+// reference path re-derives both per combo through graph adjacency
+// vectors and module-library lookups -- O(degree) pointer chases and an
+// O(|lib|) module scan per scored candidate.  The arena flattens them
+// into contiguous arrays indexed by the dense node id, refreshed once
+// per scheduling-state change by sync():
 //
 //   * CSR adjacency (one offsets array + one flat neighbour array per
 //     direction), built once per partitioning run;
@@ -20,10 +19,8 @@
 //     succ_latest[v] - d for candidate delay d (integer min commutes
 //     with the constant subtraction, so the fold is exact);
 //   * standalone[v]  = standalone_area(v), the same min over the same
-//     module set, cached per node instead of recomputed per combo;
-//   * free_of_kind buckets, ascending node id, so candidate_store can
-//     enumerate pairs per (kind, kind) block and skip blocks whose
-//     module screen is empty.
+//     module set, cached per node instead of recomputed per combo (the
+//     candidate frontier groups the free ops by it before every pick).
 //
 // Everything the arena serves is a value the reference path computes
 // from identical inputs with identical arithmetic, so scoring through
@@ -46,10 +43,10 @@ public:
     void build(const graph& g, const module_library& lib);
 
     /// Refreshes every state-derived array (dependency bounds,
-    /// standalone areas, free-op buckets) from the current scheduling
-    /// state.  O(V + E + V * |lib per kind|); call after any change to
-    /// fixed / windows / assignment / committed -- in the merge loop
-    /// that is before a store rebuild and before apply_accept.
+    /// standalone areas) from the current scheduling state.
+    /// O(V + E + V * |lib per kind|); call after any change to fixed /
+    /// windows / assignment -- in the merge loop that is before every
+    /// candidate_store rebuild.
     void sync(const compat_inputs& in);
 
     /// max over preds p of (earliest(p) + delay(p)); INT_MIN when none.
@@ -60,12 +57,6 @@ public:
 
     /// Cached standalone_area(in, v) of the last sync.
     double standalone(node_id v) const { return standalone_[v.index()]; }
-
-    /// Free (uncommitted) operations of kind index `k`, ascending id.
-    const std::vector<node_id>& free_of_kind(int k) const
-    {
-        return buckets_[static_cast<std::size_t>(k)];
-    }
 
 private:
     int n_ = 0;
@@ -92,7 +83,6 @@ private:
     std::vector<int> earliest_, latest_, delay_;
     std::vector<int> pred_bound_, succ_latest_;
     std::vector<double> standalone_;
-    std::vector<std::vector<node_id>> buckets_;
 };
 
 } // namespace phls

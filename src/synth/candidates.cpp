@@ -1,605 +1,293 @@
 #include "synth/candidates.h"
 
 #include <algorithm>
-#include <bit>
+#include <tuple>
 
 #include "support/errors.h"
-#include "support/kernels.h"
-#include "support/parallel.h"
-#include "synth/arena.h"
 
 namespace phls {
 
 namespace {
 
-/// Combos per flush of the bucketed rebuild: bounds the batch buffer
-/// (a 10k-op rebuild visits ~10^8 combos -- far too many to gather at
-/// once) while keeping each parallel fan-out coarse enough to amortise
-/// thread startup.
-constexpr std::size_t combo_chunk = 1 << 16;
+/// Order of combos inside one equal-saving level, ascending: pairs by
+/// (a, b, module), joins by (a, instance, 0).  For a pair's bound, a is
+/// the smaller id.
+using level_key = std::tuple<int, int, int>;
 
-/// Below this batch size the fan-out overhead dominates: score inline.
-constexpr std::size_t min_parallel_batch = 128;
+/// Yields one bucket's combos in bound order.  Pairs within one group
+/// are (ops[i], ops[j]) for i < j.  Pairs across two disjoint groups
+/// take x = min(a[i], b[j]) with the other group's ops from its current
+/// position on as partners: every op it passed is smaller than x.  Joins
+/// are (ops[i], instances[j]).
+class cursor {
+public:
+    cursor(const std::vector<node_id>* a, const std::vector<node_id>* b,
+           const std::vector<int>* instances, int module)
+        : a_(a), b_(b), instances_(instances), module_(module)
+    {
+        if (a_ == b_) j_ = 1;
+    }
+
+    bool done() const
+    {
+        if (instances_ != nullptr) return i_ >= a_->size();
+        if (a_ == b_) return j_ >= a_->size();
+        return i_ >= a_->size() || j_ >= b_->size();
+    }
+
+    module_id module() const { return module_id(module_); }
+
+    level_key head() const
+    {
+        if (instances_ != nullptr) return {(*a_)[i_].value(), (*instances_)[j_], 0};
+        if (a_ == b_) return {(*a_)[i_].value(), (*a_)[j_].value(), module_};
+        const node_id x = (*a_)[i_], y = (*b_)[j_];
+        if (x < y) return {x.value(), (*b_)[j_ + k_].value(), module_};
+        return {y.value(), (*a_)[i_ + k_].value(), module_};
+    }
+
+    /// Joins: moves on to the next op, past the current op's remaining
+    /// instances.
+    void skip_op()
+    {
+        ++i_;
+        j_ = 0;
+    }
+
+    void advance()
+    {
+        if (instances_ != nullptr) {
+            if (++j_ == instances_->size()) {
+                ++i_;
+                j_ = 0;
+            }
+        } else if (a_ == b_) {
+            if (++j_ == a_->size()) {
+                ++i_;
+                j_ = i_ + 1;
+            }
+        } else if ((*a_)[i_] < (*b_)[j_]) {
+            if (j_ + ++k_ == b_->size()) {
+                ++i_;
+                k_ = 0;
+            }
+        } else if (i_ + ++k_ == a_->size()) {
+            ++j_;
+            k_ = 0;
+        }
+    }
+
+private:
+    const std::vector<node_id>* a_;
+    const std::vector<node_id>* b_;
+    const std::vector<int>* instances_;
+    int module_;
+    std::size_t i_ = 0, j_ = 0, k_ = 0;
+};
+
+/// True when some start t in [lo, hi] keeps [t, t + d) clear of the
+/// sorted, disjoint intervals `busy`.  score_join() searches a sub-range
+/// of its op's window for such a slot, so false rules the join out
+/// without its clamps and reachability walk.
+bool busy_allows(const std::vector<std::pair<int, int>>& busy, int lo, int hi, int d)
+{
+    int t = lo;
+    auto it = std::upper_bound(busy.begin(), busy.end(), t,
+                               [](int v, const std::pair<int, int>& b) { return v < b.second; });
+    for (; it != busy.end() && it->first < t + d; ++it) t = it->second;
+    return t <= hi;
+}
 
 } // namespace
-
-std::uint64_t candidate_store::combo_key(bool is_pair, int x, int second, int module)
-{
-    return pack_candidate_key(is_pair, x, second, module);
-}
-
-candidate_store::pick_key candidate_store::key_of(const entry& e)
-{
-    pick_key k;
-    k.saving = e.score.cand.saving;
-    k.is_join = !e.is_pair;
-    k.a = e.score.cand.a.value();
-    k.b = e.is_pair ? e.score.cand.b.value() : -1;
-    k.tie = e.is_pair ? e.module.value() : e.instance;
-    return k;
-}
-
-candidate_store::pick128 candidate_store::pack_pick(const pick_key& k)
-{
-    // Finite-double ordering trick: flip the sign bit of non-negatives
-    // and all bits of negatives to get an order-preserving uint64, then
-    // complement for the descending saving order.  Savings are sums and
-    // differences of module areas, never NaN; -0.0 is normalised so the
-    // two zero encodings cannot split.
-    const double s = k.saving == 0.0 ? 0.0 : k.saving;
-    std::uint64_t u = std::bit_cast<std::uint64_t>(s);
-    u = (u >> 63) != 0 ? ~u : (u | 0x8000000000000000ull);
-
-    // 1 + 3 x 21 bits: joins sort before pairs; a, b, tie ascend.  b and
-    // tie are offset by one so the join sentinel -1 packs smallest.
-    constexpr int field_bits = 21;
-    constexpr std::uint64_t field_max = (1ull << field_bits) - 1;
-    const std::uint64_t a = static_cast<std::uint64_t>(k.a + 1);
-    const std::uint64_t b = static_cast<std::uint64_t>(k.b + 1);
-    const std::uint64_t tie = static_cast<std::uint64_t>(k.tie + 1);
-    check(a <= field_max && b <= field_max && tie <= field_max,
-          "candidate_store: graph exceeds the flat pick-index field width");
-
-    pick128 p;
-    p.hi = ~u;
-    p.lo = (static_cast<std::uint64_t>(k.is_join ? 0 : 1) << 63) |
-           (a << (2 * field_bits)) | (b << field_bits) | tie;
-    return p;
-}
-
-std::size_t candidate_store::flat_lookup(std::uint64_t key) const
-{
-    const auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
-    const auto kit = std::lower_bound(
-        keys_.begin(), keys_.end(), key,
-        [](const std::pair<std::uint64_t, std::uint32_t>& e, std::uint64_t k) {
-            return e.first < k;
-        });
-    if (kit != keys_.end() && kit->first == key && alive_[kit->second] != 0)
-        return kit->second;
-    return npos;
-}
-
-void candidate_store::kill(std::size_t pos)
-{
-    alive_[pos] = 0;
-    if (pos >= core_size_) {
-        order_.erase(key_of(pool_[pos]));
-        index_.erase(pool_[pos].key);
-    }
-}
-
-void candidate_store::build_module_screen(const compat_inputs& in)
-{
-    screen_.assign(static_cast<std::size_t>(op_kind_count * op_kind_count), {});
-    for (const op_kind a : all_op_kinds()) {
-        for (const op_kind b : all_op_kinds()) {
-            std::vector<module_id>& mods =
-                screen_[static_cast<std::size_t>(op_kind_index(a) * op_kind_count +
-                                                 op_kind_index(b))];
-            for (int mi = 0; mi < in.lib->size(); ++mi) {
-                const fu_module& m = in.lib->module(module_id(mi));
-                // Exactly score_pair()'s static prechecks: modules that
-                // fail them can never yield a candidate and are skipped
-                // without touching the store.
-                if (!m.supports(a) || !m.supports(b)) continue;
-                if (m.power > in.max_power + power_tracker::tolerance) continue;
-                mods.push_back(module_id(mi));
-            }
-        }
-    }
-}
-
-const std::vector<module_id>& candidate_store::pair_modules(op_kind a, op_kind b) const
-{
-    return screen_[static_cast<std::size_t>(op_kind_index(a) * op_kind_count +
-                                            op_kind_index(b))];
-}
-
-void candidate_store::erase_at(std::size_t pos)
-{
-    order_.erase(key_of(pool_[pos]));
-    index_.erase(pool_[pos].key);
-    if (pos + 1 != pool_.size()) {
-        pool_[pos] = std::move(pool_.back());
-        index_[pool_[pos].key] = pos;
-    }
-    pool_.pop_back();
-}
-
-void candidate_store::store_entry(entry e)
-{
-    if (flat_) {
-        const std::size_t pos = flat_lookup(e.key);
-        if (pos != npos) {
-            entry& slot = pool_[pos];
-            const pick_key before = key_of(slot);
-            const pick_key after = key_of(e);
-            if (!(before < after) && !(after < before)) {
-                // Same rank: the core pick order (resp. the overlay map
-                // key) stays valid, so replace in place.
-                slot = std::move(e);
-                return;
-            }
-            kill(pos);
-        }
-        const std::size_t np = pool_.size();
-        order_.emplace(key_of(e), e.key);
-        index_.emplace(e.key, np);
-        pool_.push_back(std::move(e));
-        alive_.push_back(1);
-        return;
-    }
-
-    const auto [it, inserted] = index_.try_emplace(e.key, pool_.size());
-    if (inserted) {
-        order_.emplace(key_of(e), e.key);
-        pool_.push_back(std::move(e));
-        return;
-    }
-    entry& slot = pool_[it->second];
-    const pick_key before = key_of(slot);
-    const pick_key after = key_of(e);
-    if (before < after || after < before) {
-        order_.erase(before);
-        order_.emplace(after, e.key);
-    }
-    slot = std::move(e);
-}
-
-candidate_store::scored candidate_store::score_combo(const compat_inputs& in,
-                                                     const combo& c) const
-{
-    scored out;
-    if (c.is_pair) {
-        out.key = combo_key(true, c.x.value(), c.y.value(), c.module.value());
-        if (in.arena != nullptr) {
-            // A pair's saving does not depend on its times, and both
-            // reference paths erase saving < 0 after timing it -- the
-            // identical expression decides before the slot probes run.
-            const fu_module& m = in.lib->module(c.module);
-            const double saving = standalone_area(in, c.x) + standalone_area(in, c.y) -
-                                  m.area - mux_penalty(m, *in.costs);
-            if (saving < 0.0) return out;
-        }
-        const candidate_score s = score_pair(in, c.x, c.y, c.module);
-        if (!s.ok || s.cand.saving < 0.0) return out;
-        out.keep = true;
-        out.e.key = out.key;
-        out.e.is_pair = true;
-        out.e.x = c.x;
-        out.e.y = c.y;
-        out.e.module = c.module;
-        out.e.score = s;
-        return out;
-    }
-    const fu_instance& inst = (*in.instances)[static_cast<std::size_t>(c.instance)];
-    out.key = combo_key(false, c.x.value(), inst.index, inst.module.value());
-    if (in.arena != nullptr) {
-        const fu_module& m = in.lib->module(inst.module);
-        const double saving = standalone_area(in, c.x) - mux_penalty(m, *in.costs);
-        if (saving < 0.0) return out;
-    }
-    const candidate_score s =
-        score_join(in, c.x, inst, busy_[static_cast<std::size_t>(inst.index)]);
-    if (!s.ok || s.cand.saving < 0.0) return out;
-    out.keep = true;
-    out.e.key = out.key;
-    out.e.is_pair = false;
-    out.e.x = c.x;
-    out.e.instance = inst.index;
-    out.e.module = inst.module;
-    out.e.score = s;
-    return out;
-}
-
-void candidate_store::apply_scored(scored&& s)
-{
-    if (flat_ && rebuilding_) {
-        // The bucketed generation emits every combo key exactly once, so
-        // the rebuild appends without lookups; the flat indices are
-        // bulk-sorted once afterwards.
-        if (s.keep) {
-            pool_.push_back(std::move(s.e));
-            alive_.push_back(1);
-        }
-        return;
-    }
-    if (!s.keep) {
-        if (flat_) {
-            const std::size_t pos = flat_lookup(s.key);
-            if (pos != npos) kill(pos);
-            return;
-        }
-        const auto it = index_.find(s.key);
-        if (it != index_.end()) erase_at(it->second);
-        return;
-    }
-    store_entry(std::move(s.e));
-}
-
-void candidate_store::score_batch(const compat_inputs& in, std::vector<combo>& combos)
-{
-    const kernel_tuning& knobs = kernel_knobs();
-    const int threads =
-        in.arena != nullptr && knobs.intra_threads > 1 ? knobs.intra_threads : 1;
-    if (threads <= 1 || combos.size() < min_parallel_batch) {
-        for (const combo& c : combos) apply_scored(score_combo(in, c));
-    } else {
-        // Scoring is read-only over the scheduling state and the busy
-        // table; the only lazily built structure it touches is the power
-        // tracker's headroom tree, forced here before the fan-out.
-        in.committed_power->prepare_probes();
-        std::vector<scored> results(combos.size());
-        parallel_for(combos.size(), threads,
-                     [&](std::size_t i) { results[i] = score_combo(in, combos[i]); });
-        for (scored& s : results) apply_scored(std::move(s));
-    }
-    combos.clear();
-}
-
-void candidate_store::score_pair_combo(const compat_inputs& in, node_id x, node_id y,
-                                       module_id m)
-{
-    combo c;
-    c.is_pair = true;
-    c.x = x;
-    c.y = y;
-    c.module = m;
-    apply_scored(score_combo(in, c));
-}
-
-void candidate_store::score_join_combo(const compat_inputs& in, node_id x,
-                                       const fu_instance& inst)
-{
-    combo c;
-    c.is_pair = false;
-    c.x = x;
-    c.instance = inst.index;
-    c.module = inst.module;
-    apply_scored(score_combo(in, c));
-}
 
 void candidate_store::rebuild(const compat_inputs& in)
 {
     check(in.g && in.lib && in.costs && in.reach && in.windows && in.fixed &&
               in.committed && in.instances && in.committed_power && in.assignment,
           "compat_inputs is incomplete");
-    pool_.clear();
-    index_.clear();
-    order_.clear();
-    sorted_.clear();
-    keys_.clear();
-    alive_.clear();
-    core_size_ = 0;
-    cursor_ = 0;
-    flat_ = in.arena != nullptr;
-    build_module_screen(in);
+    in_ = in;
+    groups_.clear();
+    buckets_.clear();
 
+    std::vector<std::vector<int>> groups_of_kind(static_cast<std::size_t>(op_kind_count));
+    for (node_id v : in.g->node_ids()) {
+        if ((*in.committed)[v.index()]) continue;
+        const op_kind k = in.g->kind(v);
+        const double area = standalone_area(in, v);
+        std::vector<int>& mine = groups_of_kind[static_cast<std::size_t>(op_kind_index(k))];
+        auto it = std::find_if(mine.begin(), mine.end(), [&](int gi) {
+            return groups_[static_cast<std::size_t>(gi)].area == area;
+        });
+        if (it == mine.end()) {
+            mine.push_back(static_cast<int>(groups_.size()));
+            groups_.push_back({k, area, {}});
+            it = mine.end() - 1;
+        }
+        groups_[static_cast<std::size_t>(*it)].ops.push_back(v);
+    }
+
+    instances_of_.assign(static_cast<std::size_t>(in.lib->size()), {});
     busy_.clear();
-    busy_.reserve(in.instances->size());
-    for (const fu_instance& inst : *in.instances) busy_.push_back(busy_intervals(in, inst));
-
-    if (in.arena != nullptr) {
-        // Bucketed generation: one block per unordered kind pair, with
-        // blocks whose module screen is empty skipped wholesale.  The
-        // store is keyed, so landing the same combo set in a different
-        // order from the reference free_ops^2 sweep yields the same
-        // content; batches flush in chunks to bound the buffer and feed
-        // the intra-point fan-out.
-        rebuilding_ = true;
-        std::vector<combo> combos;
-        combos.reserve(combo_chunk);
-        const auto queue = [&](combo c) {
-            combos.push_back(c);
-            if (combos.size() >= combo_chunk) score_batch(in, combos);
-        };
-        for (int ka = 0; ka < op_kind_count; ++ka) {
-            const std::vector<node_id>& bucket_a = in.arena->free_of_kind(ka);
-            if (bucket_a.empty()) continue;
-            for (int kb = ka; kb < op_kind_count; ++kb) {
-                const std::vector<module_id>& mods =
-                    screen_[static_cast<std::size_t>(ka * op_kind_count + kb)];
-                if (mods.empty()) continue;
-                const std::vector<node_id>& bucket_b = in.arena->free_of_kind(kb);
-                combo c;
-                c.is_pair = true;
-                if (ka == kb) {
-                    for (std::size_t i = 0; i < bucket_a.size(); ++i)
-                        for (std::size_t j = i + 1; j < bucket_a.size(); ++j) {
-                            c.x = bucket_a[i];
-                            c.y = bucket_a[j];
-                            for (const module_id m : mods) {
-                                c.module = m;
-                                queue(c);
-                            }
-                        }
-                } else {
-                    for (const node_id u : bucket_a)
-                        for (const node_id w : bucket_b) {
-                            c.x = u < w ? u : w;
-                            c.y = u < w ? w : u;
-                            for (const module_id m : mods) {
-                                c.module = m;
-                                queue(c);
-                            }
-                        }
-                }
-            }
-        }
-        combo c;
-        c.is_pair = false;
-        for (node_id v : in.g->node_ids()) {
-            if ((*in.committed)[v.index()]) continue;
-            c.x = v;
-            for (const fu_instance& inst : *in.instances) {
-                c.instance = inst.index;
-                c.module = inst.module;
-                queue(c);
-            }
-        }
-        score_batch(in, combos);
-        rebuilding_ = false;
-
-        // Freeze the core: two bulk sorts over flat arrays replace one
-        // tree/hash insert per entry -- the dominant cost of the classic
-        // rebuild at 10k ops.
-        core_size_ = pool_.size();
-        check(core_size_ <= 0xFFFFFFFFull, "candidate_store: flat core too large");
-        sorted_.resize(core_size_);
-        keys_.resize(core_size_);
-        for (std::size_t i = 0; i < core_size_; ++i) {
-            sorted_[i] = {pack_pick(key_of(pool_[i])), static_cast<std::uint32_t>(i)};
-            keys_[i] = {pool_[i].key, static_cast<std::uint32_t>(i)};
-        }
-        std::sort(sorted_.begin(), sorted_.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        std::sort(keys_.begin(), keys_.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        built_ = true;
-        return;
+    horizon_ = 0;
+    for (const fu_instance& inst : *in.instances) {
+        instances_of_[inst.module.index()].push_back(inst.index);
+        busy_.push_back(busy_intervals(in, inst));
+        for (const auto& [start, end] : busy_.back()) horizon_ = std::max(horizon_, end);
     }
 
-    std::vector<node_id> free_ops;
-    for (node_id v : in.g->node_ids())
-        if (!(*in.committed)[v.index()]) free_ops.push_back(v);
-
-    for (std::size_t i = 0; i < free_ops.size(); ++i) {
-        const op_kind ki = in.g->kind(free_ops[i]);
-        for (std::size_t j = i + 1; j < free_ops.size(); ++j)
-            for (const module_id m : pair_modules(ki, in.g->kind(free_ops[j])))
-                score_pair_combo(in, free_ops[i], free_ops[j], m);
-        for (const fu_instance& inst : *in.instances)
-            score_join_combo(in, free_ops[i], inst);
+    // Per module: prefix counts of the start cycles at which at least one
+    // instance is free for the module's latency.  A start is blocked by a
+    // busy interval [s, e) iff it lies in [s - d + 1, e - 1]; each
+    // instance's blocked ranges are merged before they are counted.
+    open_.assign(static_cast<std::size_t>(in.lib->size()), {});
+    for (int mi = 0; mi < in.lib->size(); ++mi) {
+        const std::vector<int>& insts = instances_of_[static_cast<std::size_t>(mi)];
+        if (insts.empty()) continue;
+        const int d = in.lib->module(module_id(mi)).latency;
+        std::vector<int> blocked(static_cast<std::size_t>(horizon_) + 1, 0);
+        for (const int i : insts) {
+            int next = 0;
+            for (const auto& [start, end] : busy_[static_cast<std::size_t>(i)]) {
+                const int from = std::max(start - d + 1, next);
+                if (from > end - 1) continue;
+                ++blocked[static_cast<std::size_t>(from)];
+                --blocked[static_cast<std::size_t>(end)];
+                next = end;
+            }
+        }
+        std::vector<int>& open = open_[static_cast<std::size_t>(mi)];
+        open.assign(static_cast<std::size_t>(horizon_) + 1, 0);
+        int now = 0;
+        for (std::size_t c = 0; c < static_cast<std::size_t>(horizon_); ++c) {
+            now += blocked[c];
+            open[c + 1] = open[c] + (now < static_cast<int>(insts.size()) ? 1 : 0);
+        }
     }
-    built_ = true;
+
+    // Each bucket's saving is the exact expression score_pair() /
+    // score_join() computes for every combo in it; negative buckets can
+    // never yield a pick.
+    const int n_groups = static_cast<int>(groups_.size());
+    for (int a = 0; a < n_groups; ++a) {
+        const group& ga = groups_[static_cast<std::size_t>(a)];
+        for (int mi = 0; mi < in.lib->size(); ++mi) {
+            const fu_module& m = in.lib->module(module_id(mi));
+            const double mux = mux_penalty(m, *in.costs);
+            if (!m.supports(ga.kind)) continue;
+            if (!instances_of_[static_cast<std::size_t>(mi)].empty() && !(ga.area - mux < 0.0))
+                buckets_.push_back({ga.area - mux, true, a, a, module_id(mi)});
+            // score_pair()'s static prechecks.
+            if (m.power > in.max_power + power_tracker::tolerance) continue;
+            for (int b = a; b < n_groups; ++b) {
+                const group& gb = groups_[static_cast<std::size_t>(b)];
+                if (!m.supports(gb.kind) || (a == b && ga.ops.size() < 2)) continue;
+                const double saving = ga.area + gb.area - m.area - mux;
+                if (!(saving < 0.0)) buckets_.push_back({saving, false, a, b, module_id(mi)});
+            }
+        }
+    }
+    std::sort(buckets_.begin(), buckets_.end(), [](const bucket& x, const bucket& y) {
+        if (x.saving != y.saving) return x.saving > y.saving;
+        return x.join && !y.join;
+    });
 }
 
-const merge_candidate*
+bool candidate_store::any_free(module_id m, int lo, int hi) const
+{
+    lo = std::max(lo, 0);
+    if (lo > hi) return false;
+    if (hi >= horizon_) return true;
+    const std::vector<int>& open = open_[m.index()];
+    return open[static_cast<std::size_t>(hi) + 1] - open[static_cast<std::size_t>(lo)] > 0;
+}
+
+std::optional<merge_candidate>
 candidate_store::best(const std::unordered_set<std::uint64_t>& blacklist) const
 {
-    if (flat_) {
-        // Merge the frozen core (best-first, dead entries skipped) with
-        // the overlay map.  Ranks are unique across both -- an update
-        // tombstones the core copy before the overlay copy exists -- so
-        // the strict comparison below decides every head-to-head.
-        while (cursor_ < sorted_.size() && alive_[sorted_[cursor_].second] == 0)
-            ++cursor_;
-        std::size_t ci = cursor_;
-        auto oit = order_.begin();
-        while (true) {
-            while (ci < sorted_.size() && alive_[sorted_[ci].second] == 0) ++ci;
-            const bool have_core = ci < sorted_.size();
-            const bool have_overlay = oit != order_.end();
-            if (!have_core && !have_overlay) return nullptr;
-            bool take_core = have_core;
-            if (have_core && have_overlay)
-                take_core = sorted_[ci].first < pack_pick(oit->first);
-            const entry& e = take_core ? pool_[sorted_[ci].second]
-                                       : pool_[index_.at(oit->second)];
-            if (blacklist.empty() || blacklist.count(e.score.cand.packed_key()) == 0)
-                return &e.score.cand;
-            if (take_core)
-                ++ci;
-            else
-                ++oit;
+    const compat_inputs& in = in_;
+    // An op's window (or pinned time) contains every start score_pair()
+    // and score_join() search after their clamps, so a combo these
+    // windows cannot time is ruled out without scoring it.
+    const auto window = [&](node_id v) {
+        const int f = (*in.fixed)[v.index()];
+        return f >= 0 ? std::pair<int, int>{f, f}
+                      : std::pair<int, int>{in.windows->s_min[v.index()],
+                                            in.windows->s_max[v.index()]};
+    };
+    const auto score = [&](bool join, const level_key& k) {
+        const node_id x(std::get<0>(k));
+        const auto [lx, hx] = window(x);
+        if (!join) {
+            const node_id y(std::get<1>(k));
+            const module_id m(std::get<2>(k));
+            const int d = in.lib->module(m).latency;
+            const auto [ly, hy] = window(y);
+            if (lx + d > hy && ly + d > hx) return candidate_score{};
+            return score_pair(in, x, y, m);
         }
-    }
-    for (const auto& [pick, key] : order_) {
-        const entry& e = pool_[index_.at(key)];
-        if (!blacklist.empty() && blacklist.count(e.score.cand.packed_key()) > 0) continue;
-        return &e.score.cand;
-    }
-    return nullptr;
-}
-
-void candidate_store::apply_accept(const compat_inputs& in, const merge_candidate& chosen,
-                                   const time_windows& before)
-{
-    const int n = in.g->node_count();
-    const bool pair = chosen.type == merge_candidate::merge_type::pair;
-    const int d = in.lib->module(chosen.module).latency;
-
-    // 1. Per-instance busy intervals, maintained on bind: a pair merge
-    // created one instance (the last one), a join extended an existing
-    // one.
-    const auto insert_sorted = [](std::vector<std::pair<int, int>>& busy, int t, int e) {
-        busy.insert(std::lower_bound(busy.begin(), busy.end(), std::make_pair(t, e)),
-                    {t, e});
+        const fu_instance& inst = (*in.instances)[static_cast<std::size_t>(std::get<1>(k))];
+        const std::vector<std::pair<int, int>>& busy = busy_[static_cast<std::size_t>(inst.index)];
+        if (!busy_allows(busy, lx, hx, in.lib->module(inst.module).latency))
+            return candidate_score{};
+        return score_join(in, x, inst, busy);
     };
-    int changed_instance = -1;
-    if (pair) {
-        check(!in.instances->empty(), "pair merge without a created instance");
-        changed_instance = in.instances->back().index;
-        std::vector<std::pair<int, int>> busy;
-        insert_sorted(busy, chosen.t_a, chosen.t_a + d);
-        insert_sorted(busy, chosen.t_b, chosen.t_b + d);
-        check(static_cast<int>(busy_.size()) == changed_instance,
-              "busy table out of sync with the instance list");
-        busy_.push_back(std::move(busy));
-    } else {
-        changed_instance = chosen.instance;
-        insert_sorted(busy_[static_cast<std::size_t>(changed_instance)], chosen.t_a,
-                      chosen.t_a + d);
-    }
+    const auto later = [](const cursor& x, const cursor& y) { return y.head() < x.head(); };
 
-    // 2. Changed-node closure: the committed ops plus every operator
-    // whose window moved; a candidate reads at most its own ops and
-    // their direct neighbours, so `affected` (changed or adjacent to a
-    // change) is exactly the re-score trigger set.  After the backtrack
-    // lock every operator is pinned, windows stop moving and this set
-    // collapses to the merged ops' neighbourhood.
-    std::vector<char> touched(static_cast<std::size_t>(n), 0);
-    for (int v = 0; v < n; ++v)
-        if (before.s_min[static_cast<std::size_t>(v)] !=
-                in.windows->s_min[static_cast<std::size_t>(v)] ||
-            before.s_max[static_cast<std::size_t>(v)] !=
-                in.windows->s_max[static_cast<std::size_t>(v)])
-            touched[static_cast<std::size_t>(v)] = 1;
-    touched[chosen.a.index()] = 1;
-    if (pair) touched[chosen.b.index()] = 1;
-    std::vector<char> affected(static_cast<std::size_t>(n), 0);
-    for (node_id v : in.g->node_ids()) {
-        char hit = touched[v.index()];
-        if (!hit)
-            for (node_id p : in.g->preds(v))
-                if (touched[p.index()]) { hit = 1; break; }
-        if (!hit)
-            for (node_id s : in.g->succs(v))
-                if (touched[s.index()]) { hit = 1; break; }
-        affected[v.index()] = hit;
-    }
-
-    // 3. One linear sweep of the dense pool: drop candidates of the
-    // now-committed ops; revalidate survivors whose cached slots the new
-    // reservations overlap.  The revalidation is one fits() probe per
-    // cached slot, not a re-score: the profile only grows, so slots
-    // before a cached minimum stay infeasible, the losing pair order can
-    // only get worse, and a slot that still fits leaves the whole cached
-    // result unchanged.  Only broken slots go to the re-score list.
-    const std::pair<int, int> res_a{chosen.t_a, chosen.t_a + d};
-    const std::pair<int, int> res_b =
-        pair ? std::pair<int, int>{chosen.t_b, chosen.t_b + d} : std::pair<int, int>{0, 0};
-    const auto hits_interval = [&](int lo, int hi) {
-        if (lo < res_a.second && res_a.first < hi) return true;
-        return pair && lo < res_b.second && res_b.first < hi;
-    };
-    const auto generation_covers = [&](const entry& e) {
-        if (e.is_pair) return affected[e.x.index()] || affected[e.y.index()] ? true : false;
-        return (affected[e.x.index()] ? true : false) || e.instance == changed_instance;
-    };
-    const auto slot_broke = [&](const entry& e) {
-        const fu_module& m = in.lib->module(e.score.cand.module);
-        const bool hit_a = hits_interval(e.score.cand.t_a, e.score.cand.t_a + m.latency);
-        const bool hit_b =
-            e.is_pair && hits_interval(e.score.cand.t_b, e.score.cand.t_b + m.latency);
-        return (hit_a && !in.committed_power->fits(e.score.cand.t_a, m.latency, m.power)) ||
-               (hit_b && !in.committed_power->fits(e.score.cand.t_b, m.latency, m.power));
-    };
-    std::vector<entry> broken;
-    if (flat_) {
-        // Tombstone sweep: positions are stable in flat mode, so dead
-        // entries are skipped rather than swap-popped.
-        for (std::size_t i = 0; i < pool_.size(); ++i) {
-            if (alive_[i] == 0) continue;
-            const entry& e = pool_[i];
-            if ((*in.committed)[e.x.index()] ||
-                (e.is_pair && (*in.committed)[e.y.index()])) {
-                kill(i);
-                continue;
+    std::vector<cursor> open;
+    for (std::size_t lo = 0; lo < buckets_.size();) {
+        std::size_t hi = lo;
+        while (hi < buckets_.size() && buckets_[hi].saving == buckets_[lo].saving) ++hi;
+        // Every combo of the level has the level's saving, so the first
+        // level with a usable combo holds the pick.
+        std::optional<merge_candidate> pick;
+        level_key pick_key;
+        for (const bool join : {true, false}) {
+            open.clear();
+            for (std::size_t i = lo; i < hi; ++i) {
+                const bucket& b = buckets_[i];
+                if (b.join != join) continue;
+                const std::vector<node_id>* ops = &groups_[static_cast<std::size_t>(b.a)].ops;
+                const cursor c =
+                    join ? cursor(ops, nullptr, &instances_of_[b.module.index()],
+                                  b.module.value())
+                         : cursor(ops, &groups_[static_cast<std::size_t>(b.b)].ops, nullptr,
+                                  b.module.value());
+                if (!c.done()) open.push_back(c);
             }
-            if (!generation_covers(e) && slot_broke(e)) broken.push_back(e);
-        }
-    } else {
-        for (std::size_t i = 0; i < pool_.size();) {
-            const entry& e = pool_[i];
-            if ((*in.committed)[e.x.index()] ||
-                (e.is_pair && (*in.committed)[e.y.index()])) {
-                erase_at(i); // swap-pop: the swapped-in entry is re-examined
-                continue;
+            std::make_heap(open.begin(), open.end(), later);
+            while (!open.empty()) {
+                std::pop_heap(open.begin(), open.end(), later);
+                cursor& c = open.back();
+                const level_key bound = c.head();
+                if (pick && !(bound < pick_key)) break;
+                const auto [lx, hx] = window(node_id(std::get<0>(bound)));
+                if (join && !any_free(c.module(), lx, hx)) {
+                    c.skip_op(); // no instance of the module is free in x's window
+                } else {
+                    const candidate_score s = score(join, bound);
+                    if (s.ok && !(s.cand.saving < 0.0) &&
+                        blacklist.count(s.cand.packed_key()) == 0) {
+                        const level_key exact =
+                            join ? bound
+                                 : level_key{s.cand.a.value(), s.cand.b.value(),
+                                             std::get<2>(bound)};
+                        if (!pick || exact < pick_key) {
+                            pick = s.cand;
+                            pick_key = exact;
+                        }
+                    }
+                    c.advance();
+                }
+                if (c.done())
+                    open.pop_back();
+                else
+                    std::push_heap(open.begin(), open.end(), later);
             }
-            if (!generation_covers(e) && slot_broke(e)) broken.push_back(e);
-            ++i;
+            if (pick) return pick;
         }
+        lo = hi;
     }
-
-    // 4. Generative re-score of everything touching an affected node or
-    // the changed instance -- including combos with no stored entry (a
-    // window move can make a previously infeasible candidate valid).
-    // O(|affected| * free), so a post-lock accept (affected = the merged
-    // ops' neighbourhood) costs a sliver of one full enumeration.
-    std::vector<node_id> free_ops;
-    for (node_id v : in.g->node_ids())
-        if (!(*in.committed)[v.index()]) free_ops.push_back(v);
-    const fu_instance& changed =
-        (*in.instances)[static_cast<std::size_t>(changed_instance)];
-    // The re-score set is gathered first and scored as one batch: every
-    // combo is distinct (pairs are claimed by their smaller affected op,
-    // broken slots are unaffected by construction), so scoring is pure
-    // and fans out over intra_threads with a fixed application order.
-    std::vector<combo> combos;
-    const auto queue_pair = [&](node_id x, node_id y, module_id m) {
-        combo c;
-        c.is_pair = true;
-        c.x = x;
-        c.y = y;
-        c.module = m;
-        combos.push_back(c);
-    };
-    const auto queue_join = [&](node_id x, const fu_instance& inst) {
-        combo c;
-        c.is_pair = false;
-        c.x = x;
-        c.instance = inst.index;
-        c.module = inst.module;
-        combos.push_back(c);
-    };
-    for (const node_id u : free_ops) {
-        if (!affected[u.index()]) {
-            queue_join(u, changed);
-            continue;
-        }
-        for (const node_id w : free_ops) {
-            if (w == u) continue;
-            // A both-affected pair is handled once, by its smaller op.
-            if (affected[w.index()] && w < u) continue;
-            const node_id x = u < w ? u : w;
-            const node_id y = u < w ? w : u;
-            for (const module_id m : pair_modules(in.g->kind(x), in.g->kind(y)))
-                queue_pair(x, y, m);
-        }
-        for (const fu_instance& inst : *in.instances) queue_join(u, inst);
-    }
-
-    // 5. The broken-slot stragglers (disjoint from step 4 by construction).
-    for (const entry& e : broken) {
-        if (e.is_pair)
-            queue_pair(e.x, e.y, e.module);
-        else
-            queue_join(e.x, (*in.instances)[static_cast<std::size_t>(e.instance)]);
-    }
-    score_batch(in, combos);
+    return std::nullopt;
 }
 
 } // namespace phls

@@ -1,45 +1,49 @@
-// Incremental candidate maintenance for the greedy merge loop.
+// Best-first merge picks for the greedy merge loop.
 //
 // The reference merge loop re-runs enumerate_candidates() -- every free
 // op pair x module plus every (free op, instance) join, each fully
-// re-timed and re-scored -- after every accepted merge.  Almost all of
-// that work is unchanged between iterations: an accepted merge commits
-// one or two operations, adds power reservations over their execution
-// intervals, and (through the window recompute) moves some operators'
-// pasap/palap windows.  A candidate's score is a pure function of
+// timed and scored -- before every pick, then keeps the best by
+// best_candidate()'s order: saving desc, joins before pairs, smaller
+// (dependency-ordered) ops, then enumeration order.
 //
-//   * the windows / fixed times / module assignment of its own ops and
-//     their direct graph neighbours,
-//   * (joins) the target instance's committed ops,
-//   * the committed power profile over the cycles its slots occupy --
-//     within one run the profile only grows, so a cached minimal slot
-//     stays minimal unless a new reservation lands on it,
+// candidate_store reaches the same pick while timing only a handful of
+// combos.  A combo's saving does not depend on its slot times:
 //
-// so after an accepted merge only candidates touching a changed node or
-// a changed instance are re-scored; candidates whose cached slots a new
-// reservation overlaps are revalidated with one fits() probe and
-// re-scored only when the slot actually broke.  candidate_store keeps
-// every currently valid candidate in a best-first map ordered exactly
-// like best_candidate() (saving desc, joins before pairs, smaller ops,
-// then enumeration order) and serves the next pick in O(log n).
+//   pair (x, y, m):  sa(x) + sa(y) - area(m) - mux(m)
+//   join (x, inst):  sa(x) - mux(module(inst))
 //
-// The win therefore scales with merge locality.  It is largest in the
-// locked regimes (after the paper's backtrack-and-lock, or under
-// lock_from_start), where windows stop moving altogether and an
-// accepted merge touches only the merged ops' neighbourhood; with free
-// windows under heavy power contention a commit can ripple through most
-// windows and the store degrades gracefully towards one reference
-// enumeration per accept.
+// and standalone areas sa() take a few values per kind.  rebuild()
+// therefore groups the free ops by (kind, standalone area) and forms
+// (group, group, module) pair buckets and (group, module) join buckets,
+// each sharing one exact saving.  best() walks the equal-saving levels
+// from the top; inside a level one cursor per bucket yields combos in
+// bound order -- joins first, then smaller id, larger id, module or
+// instance index -- and each is timed with score_pair()/score_join()
+// and skipped when untimeable, negative or blacklisted.  A pair's exact
+// (a, b) is its (x, y) or the worse (y, x), so a bound is never worse
+// than the exact key behind it: the walk stops once the next bound is
+// no better than the best exact key found, and the pick equals the
+// reference's tie for tie.
 //
-// The store is an internal engine of run_clique_partitioning (knob:
-// kernel_knobs().incremental_candidates); results are bit-identical to
-// the reference enumeration, which tests assert via
-// kernel_tuning::cross_check.
+// Cheap necessary conditions keep most untimeable combos away from the
+// scorers.  An op's window (or pinned time) contains every start
+// score_pair() and score_join() search, so a pair whose windows cannot
+// hold two sequential executions, a join whose window finds the
+// instance busy throughout, and an op whose window finds every instance
+// of a module busy -- one prefix-count lookup that skips all of them --
+// are ruled out unscored.
+//
+// Nothing survives between picks: the merge loop calls rebuild() on the
+// current state before every best(), at O(V + buckets + horizon x
+// modules) memory.  With an arena attached (kernel_tuning::soa_arena)
+// the walk reads its cached clamp bounds and standalone areas;
+// detached, the reference per-node folds.  kernel_tuning::cross_check
+// re-runs the reference enumeration after every pick and throws on any
+// divergence.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -47,173 +51,51 @@
 
 namespace phls {
 
-/// Best-first store of the currently valid merge candidates.
+/// Equal-saving buckets of the current merge-loop state.
 class candidate_store {
 public:
-    /// Discards everything and scores every candidate of the current
-    /// state (used initially and after backtrack-and-lock, which moves
-    /// every free operator's fixed time at once).
+    /// Groups the free operations of `in`'s state into equal-saving
+    /// buckets.  `in` (and everything it points to) must stay unchanged
+    /// until the last best() call on this build.
     void rebuild(const compat_inputs& in);
 
-    bool built() const { return built_; }
-    void invalidate() { built_ = false; }
-
     /// The candidate the reference pipeline -- enumerate_candidates(),
-    /// erase saving < 0 and blacklisted keys, best_candidate() -- would
-    /// choose now; nullptr when none.  `blacklist` holds packed_key()s
-    /// of rejected candidates (cleared by the caller on accept, exactly
-    /// like the reference loop).
-    const merge_candidate* best(const std::unordered_set<std::uint64_t>& blacklist) const;
-
-    /// Incremental update after `chosen` was committed (state mutated,
-    /// windows advanced from `before` to *in.windows): drops candidates
-    /// of the committed ops, re-scores candidates whose inputs changed,
-    /// and scores joins onto a pair's newly created instance.  Rejected
-    /// decisions need no call -- the rollback restores the scored state
-    /// bit-exactly.
-    void apply_accept(const compat_inputs& in, const merge_candidate& chosen,
-                      const time_windows& before);
+    /// erase saving < 0 and blacklisted packed_key()s, best_candidate()
+    /// -- would choose on the state of the last rebuild(); nullopt when
+    /// none.
+    std::optional<merge_candidate>
+    best(const std::unordered_set<std::uint64_t>& blacklist) const;
 
 private:
-    struct entry {
-        std::uint64_t key = 0; ///< combo key (see combo_key)
-        bool is_pair = true;
-        node_id x, y;      ///< pair ops, x < y; joins use x only
-        int instance = -1; ///< join target
-        module_id module;  ///< pair module; joins: the instance module
-        candidate_score score;
+    /// Free operations of one kind sharing one standalone area,
+    /// ascending id.
+    struct group {
+        op_kind kind;
+        double area = 0.0;
+        std::vector<node_id> ops;
     };
 
-    /// Total order equal to best_candidate() + enumeration-order ties:
-    /// within equal (saving, type, a, b) the reference keeps the first
-    /// enumerated candidate, which is ascending module id for pairs and
-    /// ascending instance index for joins.
-    struct pick_key {
+    /// Combos sharing one saving: pairs of groups `a` x `b` (a <= b) on
+    /// `module`, or joins of group `a` onto the instances of `module`.
+    struct bucket {
         double saving = 0.0;
-        bool is_join = false;
-        int a = -1;
-        int b = -1;  ///< pairs: cand.b; joins: -1
-        int tie = 0; ///< pairs: module id; joins: instance index
-
-        bool operator<(const pick_key& o) const
-        {
-            if (saving != o.saving) return saving > o.saving;
-            if (is_join != o.is_join) return is_join;
-            if (a != o.a) return a < o.a;
-            if (b != o.b) return b < o.b;
-            return tie < o.tie;
-        }
+        bool join = false;
+        int a = 0;
+        int b = 0;
+        module_id module;
     };
 
-    /// Identity of a combo independent of the dependency-chosen op order
-    /// inside the scored candidate (packed_key() orders by (first,
-    /// second), which can flip when the state changes).
-    static std::uint64_t combo_key(bool is_pair, int x, int second, int module);
+    /// True when some start in [lo, hi] finds an instance of module `m`
+    /// free for the module's latency -- necessary for any join onto one.
+    bool any_free(module_id m, int lo, int hi) const;
 
-    static pick_key key_of(const entry& e);
-
-    /// Modules that can execute both kinds under the cap -- the exact
-    /// static prechecks of score_pair(), hoisted so unsupported combos
-    /// cost nothing per iteration.
-    void build_module_screen(const compat_inputs& in);
-    const std::vector<module_id>& pair_modules(op_kind a, op_kind b) const;
-
-    /// One combo to (re-)score: a pair (x < y, module) or a join
-    /// (x onto instance).
-    struct combo {
-        bool is_pair = true;
-        node_id x, y;      ///< pair ops, x < y; joins use x only
-        int instance = -1; ///< join target
-        module_id module;  ///< pair module; joins: the instance module
-    };
-
-    /// Scored outcome of one combo.  keep == false means "erase any
-    /// stored entry for this key" -- the reference outcome for both an
-    /// untimeable combo and a negative saving.
-    struct scored {
-        std::uint64_t key = 0;
-        bool keep = false;
-        entry e;
-    };
-
-    /// Pure scoring of one combo against the current state: touches no
-    /// store state beyond reads of the (frozen during scoring) busy
-    /// table, so batches score concurrently.  With an arena attached, a
-    /// time-independent negative-saving precheck skips the slot probes
-    /// of combos the reference path times and then erases.
-    scored score_combo(const compat_inputs& in, const combo& c) const;
-
-    /// Installs / updates / removes the entry for one scored combo.
-    void apply_scored(scored&& s);
-
-    /// Scores every queued combo -- inline, or fanned out over
-    /// kernel_tuning::intra_threads when the arena path is active --
-    /// then applies the results in combo order (scoring is pure, so the
-    /// deferred application is byte-identical to the sequential
-    /// score-then-apply interleaving at any thread count).  Clears the
-    /// batch.
-    void score_batch(const compat_inputs& in, std::vector<combo>& combos);
-
-    /// Re-scores one combo against the current state and installs /
-    /// updates / removes its entry.
-    void score_pair_combo(const compat_inputs& in, node_id x, node_id y, module_id m);
-    void score_join_combo(const compat_inputs& in, node_id x, const fu_instance& inst);
-
-    void erase_at(std::size_t pos);
-    void store_entry(entry e);
-
-    /// pick_key packed into two words whose lexicographic order equals
-    /// pick_key::operator< exactly (saving's sign-flip trick plus 21-bit
-    /// integer fields), so the flat core sorts on machine compares
-    /// instead of a five-field comparator.
-    struct pick128 {
-        std::uint64_t hi = 0;
-        std::uint64_t lo = 0;
-        bool operator<(const pick128& o) const
-        {
-            return hi != o.hi ? hi < o.hi : lo < o.lo;
-        }
-    };
-    static pick128 pack_pick(const pick_key& k);
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-    /// Flat-mode position of `key` (overlay first, then the sorted core,
-    /// dead entries excluded); npos when absent.
-    std::size_t flat_lookup(std::uint64_t key) const;
-    /// Flat-mode erasure: tombstones a core entry, fully removes an
-    /// overlay entry.
-    void kill(std::size_t pos);
-
-    bool built_ = false;
-    /// Flat mode (arena attached at rebuild): the rebuild appends every
-    /// kept entry to `pool_` (combo generation emits each key exactly
-    /// once, so no lookups run), then bulk-sorts two flat indices over
-    /// the frozen core: `sorted_` (best-first pick order) and `keys_`
-    /// (binary-searchable key -> position).  Post-rebuild mutations
-    /// never reorder the core: an update tombstones the old position via
-    /// `alive_` and appends to an overlay indexed by the classic
-    /// `order_`/`index_` maps, and best() merges the core and overlay
-    /// streams.  Classic mode keeps every entry in the maps directly.
-    bool flat_ = false;
-    /// True while a flat rebuild is generating entries (append-only).
-    bool rebuilding_ = false;
-    std::size_t core_size_ = 0;
-    /// First possibly-alive core rank; dead prefixes are skipped once.
-    mutable std::size_t cursor_ = 0;
-    std::vector<std::pair<pick128, std::uint32_t>> sorted_; ///< core pick order
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> keys_; ///< core key index
-    std::vector<char> alive_;
-    /// Dense entry pool (swap-pop erasure in classic mode, tombstones in
-    /// flat mode) + key index; contiguous so the per-accept sweep is a
-    /// linear scan, not a node-chasing walk.
-    std::vector<entry> pool_;
-    std::unordered_map<std::uint64_t, std::size_t> index_;
-    std::map<pick_key, std::uint64_t> order_; ///< best first
-    std::vector<std::vector<module_id>> screen_; ///< kind x kind module lists
-    /// Per-instance sorted busy intervals, maintained on bind instead of
-    /// rebuilt per candidate per iteration.
-    std::vector<std::vector<std::pair<int, int>>> busy_;
+    compat_inputs in_;
+    std::vector<group> groups_;
+    std::vector<bucket> buckets_; ///< saving desc, joins first within a level
+    std::vector<std::vector<int>> instances_of_; ///< per module, ascending index
+    std::vector<std::vector<std::pair<int, int>>> busy_; ///< per instance
+    std::vector<std::vector<int>> open_; ///< per module, see any_free()
+    int horizon_ = 0; ///< every instance is free from this cycle on
 };
 
 } // namespace phls

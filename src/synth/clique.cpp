@@ -142,9 +142,9 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     const std::string name = design_name(g, constraints);
     result.dp = datapath(name, n);
     check(constraints.latency >= 1, "latency constraint must be positive");
-    // Candidate identities (blacklist + incremental store) pack node,
-    // instance and module ids into fixed-width fields; oversized inputs
-    // must fail loudly, never collide silently.
+    // Candidate identities (the blacklist) pack node, instance and
+    // module ids into fixed-width fields; oversized inputs must fail
+    // loudly, never collide silently.
     check(n < (1 << packed_node_bits) && lib.size() < (1 << packed_module_bits),
           "graph or library too large for packed candidate keys");
 
@@ -170,19 +170,27 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     st.committed.assign(static_cast<std::size_t>(n), 0);
     st.dp = datapath(name, n);
 
-    // The reversed graph palap schedules on is a pure invariant: an
-    // attached cache serves its copy; without one it is built once per
-    // partitioning instead of once per window recompute.
+    // The reversed graph palap schedules on and both topological orders
+    // are pure invariants: an attached cache serves its copies; without
+    // one they are built once per partitioning instead of once per
+    // window recompute.
     std::optional<graph> local_rev;
-    if (cache == nullptr) local_rev.emplace(reversed_graph(g));
+    std::vector<node_id> local_topo, local_rev_topo;
+    if (cache == nullptr) {
+        local_rev.emplace(reversed_graph(g));
+        local_topo = g.topo_order();
+        local_rev_topo = local_rev->topo_order();
+    }
     const graph& rev = cache ? cache->reversed_design() : *local_rev;
+    const std::vector<node_id>& topo = cache ? cache->topo_order() : local_topo;
+    const std::vector<node_id>& rev_topo = cache ? cache->reversed_topo_order() : local_rev_topo;
 
     // Every pasap/palap window computation -- the initial one and the
     // recompute after each commit -- goes through this one call.
     const auto recompute_windows = [&](const partition_state& s) {
         ++result.stats.window_recomputes;
         return power_windows(g, lib, s.assignment, cap, constraints.latency,
-                             {options.order, s.fixed, &rev});
+                             {options.order, s.fixed, &rev, &topo, &rev_topo});
     };
 
     // 2. Initial pasap/palap windows.
@@ -202,9 +210,9 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     candidate_store store;
 
     // Struct-of-arrays scoring arena (knobs.soa_arena): an engine of the
-    // incremental store, synced to the scheduling state before every
-    // store rebuild and every apply_accept.  Left detached otherwise so
-    // the reference paths run the reference scoring.
+    // candidate frontier, synced to the scheduling state before every
+    // pick.  Left detached otherwise so the frontier and the reference
+    // enumeration run the reference scoring.
     std::optional<synth_arena> arena_store;
     if (knobs.soa_arena && knobs.incremental_candidates) {
         arena_store.emplace();
@@ -214,8 +222,7 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
 
     // Locks every free operator to its current pasap start time (the
     // paper's backtrack remedy); the pasap schedule itself witnesses
-    // feasibility.  Every window and fixed time moves at once, so the
-    // incremental store rebuilds from scratch afterwards.
+    // feasibility.
     const auto lock_all = [&](partition_state& s) {
         for (node_id v : g.node_ids())
             if (s.fixed[v.index()] < 0) s.fixed[v.index()] = s.windows.s_min[v.index()];
@@ -226,7 +233,6 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         const time_windows w = recompute_windows(s);
         check(w.feasible, "internal: locking to the pasap schedule failed: " + w.reason);
         s.windows = w;
-        store.invalidate();
     };
 
     if (options.lock_from_start) lock_all(st);
@@ -294,18 +300,16 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         in.locked = locked;
         in.arena = arena;
 
-        // Pick the best candidate: either incrementally maintained
-        // across iterations, or the reference full re-enumeration.
+        // Pick the best candidate: a best-first walk of the current
+        // state's equal-saving buckets, or the reference full
+        // re-enumeration.
         merge_candidate chosen;
         bool have = false;
         if (knobs.incremental_candidates) {
             const scoped_ns timer(candidates_acc);
-            if (!store.built()) {
-                if (arena != nullptr) arena->sync(in);
-                store.rebuild(in);
-            }
-            const merge_candidate* c = store.best(blacklist);
-            if (c != nullptr) {
+            if (arena != nullptr) arena->sync(in);
+            store.rebuild(in);
+            if (const std::optional<merge_candidate> c = store.best(blacklist)) {
                 chosen = *c;
                 have = true;
             }
@@ -323,7 +327,7 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         }
         if (knobs.incremental_candidates && knobs.cross_check) {
             // Testing aid: the reference pipeline must agree with the
-            // store, decision for decision.  The reference enumeration
+            // frontier, decision for decision.  The reference enumeration
             // runs with the arena detached, so cross_check genuinely
             // compares arena scoring against reference scoring.
             compat_inputs ref_in = in;
@@ -334,14 +338,13 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
             });
             const int bi = best_candidate(candidates);
             check((bi >= 0) == have,
-                  "incremental candidate store disagrees with the reference "
-                  "enumeration about candidate existence");
+                  "candidate frontier disagrees with the reference enumeration "
+                  "about candidate existence");
             if (have) {
                 const merge_candidate& ref = candidates[static_cast<std::size_t>(bi)];
                 check(ref.packed_key() == chosen.packed_key() && ref.t_a == chosen.t_a &&
                           ref.t_b == chosen.t_b && ref.saving == chosen.saving,
-                      "incremental candidate store disagrees with the reference "
-                      "enumeration: " +
+                      "candidate frontier disagrees with the reference enumeration: " +
                           ref.key() + " vs " + chosen.key());
             }
         }
@@ -362,21 +365,15 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
             commit_op(st, chosen.a, chosen.instance, chosen.t_a);
         }
 
-        const time_windows w2 = recompute_windows(st);
+        time_windows w2 = recompute_windows(st);
         if (w2.feasible) {
-            const time_windows previous = std::move(st.windows);
-            st.windows = w2;
+            st.windows = std::move(w2);
             ++result.stats.merges;
             if (is_pair)
                 ++result.stats.pair_merges;
             else
                 ++result.stats.join_merges;
             blacklist.clear();
-            if (knobs.incremental_candidates && store.built()) {
-                const scoped_ns timer(candidates_acc);
-                if (arena != nullptr) arena->sync(in);
-                store.apply_accept(in, chosen, previous);
-            }
             log_debug() << "accepted " << chosen.key() << " saving " << chosen.saving;
             continue;
         }

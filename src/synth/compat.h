@@ -30,8 +30,7 @@ namespace phls {
 class synth_arena;
 
 /// Field widths of the packed candidate identity used by the merge
-/// loop's blacklist and the incremental candidate store:
-/// [pair-bit | a | b-or-instance | module].  run_clique_partitioning
+/// loop's blacklist: [pair-bit | a | b-or-instance | module].  run_clique_partitioning
 /// rejects problems that do not fit these widths, so packed keys never
 /// collide silently.
 inline constexpr int packed_node_bits = 24;
@@ -106,18 +105,12 @@ double standalone_area(const compat_inputs& in, node_id v);
 double mux_penalty(const fu_module& m, const cost_model& costs);
 
 /// Busy intervals [start, end) of the operations bound to `inst`, sorted.
-/// The incremental candidate store maintains these per instance on bind;
-/// enumerate_candidates rebuilds them once per instance per call.
+/// enumerate_candidates builds them once per instance per call, the
+/// candidate frontier once per instance it times a join onto.
 std::vector<std::pair<int, int>> busy_intervals(const compat_inputs& in,
                                                 const fu_instance& inst);
 
-/// One scored decision.  The incremental store's power-dirtiness test
-/// needs no extra footprint: within one partitioning run the committed
-/// power profile only grows, so a cached candidate's minimal slots can
-/// only move later -- its score changes iff a new reservation overlaps
-/// the execution intervals of its cached start times (candidates that
-/// failed to time stay failed until a window / neighbour / instance
-/// change re-scores them anyway).
+/// One scored decision.
 struct candidate_score {
     bool ok = false; ///< a timed candidate exists (saving may still be < 0)
     merge_candidate cand;

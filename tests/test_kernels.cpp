@@ -1,65 +1,41 @@
 // Byte-identity of the optimised synthesis kernels against the
 // retained reference implementations, across the kernel_knobs()
-// ablation matrix: skip-ahead power probing, incremental candidate
-// maintenance, undo-log rollback, the SoA synthesis arena, dense
-// power probing and intra-point parallel scoring must change wall
-// time only -- never a schedule, a datapath, a counter or a
-// diagnostic.
+// ablation matrix: skip-ahead power probing, the best-first candidate
+// frontier, undo-log rollback, the SoA synthesis arena and dense power
+// probing must change wall time only -- never a schedule, a datapath,
+// a counter or a diagnostic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cdfg/analysis.h"
 #include "cdfg/benchmarks.h"
+#include "cdfg/builder.h"
 #include "cdfg/random_dag.h"
 #include "flow/flow.h"
+#include "sched/pasap.h"
 #include "support/kernels.h"
 #include "support/strings.h"
+#include "synth/arena.h"
+#include "synth/candidates.h"
 #include "synth/synthesizer.h"
+#include "ten_k_reference.h"
 
 namespace phls {
 namespace {
 
-const module_library& lib()
-{
-    static const module_library l = table1_library();
-    return l;
-}
+const module_library& lib() { return reference_library(); }
 
 /// Restores the global knobs on scope exit so tests cannot leak state.
 struct knob_guard {
     kernel_tuning saved = kernel_knobs();
     ~knob_guard() { kernel_knobs() = saved; }
 };
-
-kernel_tuning all_reference()
-{
-    kernel_tuning k;
-    k.skip_probe = false;
-    k.incremental_candidates = false;
-    k.undo_log = false;
-    k.soa_arena = false;
-    k.dense_power = false;
-    k.intra_threads = 1;
-    return k;
-}
-
-/// Canonical rendering of a synthesis result: the full datapath report
-/// (instances, binding, times, area) plus every heuristic counter.
-std::string render(const graph& g, const synthesis_result& r)
-{
-    std::string out = r.feasible ? "feasible\n" : "infeasible: " + r.reason + '\n';
-    if (r.feasible) out += r.dp.report(g, lib());
-    out += strf("merges=%d pair=%d join=%d rejected=%d recomputes=%d locked=%d "
-                "lock_at=%d rebinds=%d fallbacks=%d\n",
-                r.stats.merges, r.stats.pair_merges, r.stats.join_merges,
-                r.stats.rejected, r.stats.window_recomputes, r.stats.locked ? 1 : 0,
-                r.stats.merges_before_lock, r.stats.finalize_rebinds,
-                r.stats.finalize_fallbacks);
-    return out;
-}
 
 std::string run_with(const kernel_tuning& knobs, const graph& g,
                      const synthesis_constraints& c, const synthesis_options& o = {})
@@ -183,8 +159,8 @@ TEST(kernels, thousand_op_dag_identical_across_every_knob)
     // Mid-scale anchor for the large-graph path: a 1000-op DAG from the
     // bench_kernels synthetic family, attempt-bounded, compared against
     // the seed-era reference for the all-optimised default, each
-    // optimisation toggled alone, and the PR-5 kernel set (incremental
-    // store without the SoA arena).
+    // optimisation toggled alone, and the candidate frontier without the
+    // SoA arena or the dense power ledger.
     random_dag_params params;
     params.operations = 1000;
     params.inputs = 83; // the bench family's n/12 input ratio
@@ -209,7 +185,7 @@ TEST(kernels, thousand_op_dag_identical_across_every_knob)
         if (knob == 0) k.skip_probe = false;
         if (knob == 1) k.incremental_candidates = false;
         if (knob == 2) k.undo_log = false;
-        if (knob == 3) { // the PR-5 kernel set
+        if (knob == 3) { // frontier, reference folds and power ledger
             k.soa_arena = false;
             k.dense_power = false;
         }
@@ -223,43 +199,27 @@ TEST(kernels, ten_k_op_dag_identical_across_threads)
 {
     // The data-oriented rewrite targets graphs two orders of magnitude
     // beyond the paper benchmarks.  Run an attempt-bounded prefix of the
-    // merge loop on a 10k-operation DAG and demand byte-identity between
-    // the seed-era reference kernels and the SoA arena path at 1, 2 and
-    // 8 intra-point threads.  (The PR-5 kernel set is compared against
-    // the arena path at this scale by bench_kernels' 10k-op row; the
-    // mid-scale anchor above covers it in-suite.)
-    random_dag_params params;
-    params.operations = 10000;
-    params.inputs = 833; // the bench family's n/12 input ratio
-    params.layers = 10;
-    params.mult_fraction = 0.0;
-    const graph g = random_dag(params, 777 + 10000);
-    const module_assignment fast = fastest_assignment(g, lib(), unbounded_power);
-    const int cp = critical_path_length(
-        g, [&](node_id v) { return lib().module(fast[v.index()]).latency; });
-
-    synthesis_options o;
-    o.lock_from_start = true;
-    o.try_both_prospects = false;
-    o.verify_result = false; // a truncated loop may miss the area target
-    o.max_merge_attempts = 2;
-    const synthesis_constraints c{cp + 4, unbounded_power};
-
-    const std::string reference = run_with(all_reference(), g, c, o);
+    // merge loop on a 10k-operation DAG and demand that the optimised
+    // kernels at 1, 2 and 8 intra-point threads render byte-identically
+    // to the seed-era reference.  The reference render is represented
+    // by its committed digest: recomputing it takes about 100 s and
+    // 5 GB, so the ten_k_reference program checks that half in a CI job
+    // of its own (see tests/ten_k_reference.h).
+    const ten_k_workload w = make_ten_k_workload();
     for (const int threads : {1, 2, 8}) {
         kernel_tuning k;
         k.intra_threads = threads;
-        EXPECT_EQ(run_with(k, g, c, o), reference)
+        EXPECT_EQ(render_digest(run_ten_k(w, k)), ten_k_reference_digest)
             << threads << " intra-point threads diverge on the 10k-op DAG";
     }
 }
 
 TEST(kernels, cross_check_validates_arena_scoring_on_random_dags)
 {
-    // Like the incremental-store fuzz above, but aimed at the SoA arena
-    // and the parallel scorer: cross_check re-runs the reference
-    // enumeration (arena detached) after every rebuild and accept, so a
-    // single mis-scored combo anywhere in a run aborts the synthesis.
+    // Like the frontier fuzz above, but aimed at the SoA arena:
+    // cross_check re-runs the reference enumeration (arena detached)
+    // after every pick, so a single mis-scored combo anywhere in a run
+    // aborts the synthesis.
     const knob_guard guard;
     for (const int threads : {1, 8}) {
         kernel_knobs() = kernel_tuning{};
@@ -286,6 +246,182 @@ TEST(kernels, cross_check_validates_arena_scoring_on_random_dags)
                     EXPECT_GE(r.stats.merges, 0);
                 }
             }
+        }
+    }
+}
+
+/// Table 1's modules with add/sub/comp served by the ALU alone: every
+/// ALU op has one standalone area, so all ALU pairs and joins share one
+/// saving level and the frontier's order inside that level decides
+/// every pick.
+const module_library& single_area_lib()
+{
+    static const module_library l = [] {
+        module_library m("single_area");
+        m.add(make_module("ALU", {op_kind::add, op_kind::sub, op_kind::comp}, 97, 1, 2.5));
+        m.add(make_module("mult_ser", {op_kind::mult}, 103, 4, 2.7));
+        m.add(make_module("input", {op_kind::input}, 16, 1, 0.2));
+        m.add(make_module("output", {op_kind::output}, 16, 1, 1.7));
+        return m;
+    }();
+    return l;
+}
+
+TEST(kernels, cross_check_stresses_frontier_order_on_single_area_dags)
+{
+    // ALU-only random DAGs: one level of over a thousand equal-saving
+    // pairs.  cross_check re-runs the reference enumeration after every
+    // pick, with the arena attached and detached, locked from the start
+    // and not, and under caps tight enough that rejected decisions land
+    // on the blacklist the frontier must skip.
+    const knob_guard guard;
+    const module_library& alu = single_area_lib();
+    int blacklisted = 0;
+    for (const bool arena : {true, false}) {
+        for (const std::uint64_t seed : {7ull, 11ull}) {
+            random_dag_params params;
+            params.operations = 60;
+            params.inputs = 5;
+            params.layers = 10;
+            params.mult_fraction = 0.0;
+            params.comp_fraction = 0.2;
+            const graph g = random_dag(params, seed);
+            for (const double cap : {20.25, 10.1, 7.6}) {
+                const pasap_result lo = pasap(g, alu, fastest_assignment(g, alu, cap), cap);
+                ASSERT_TRUE(lo.feasible) << lo.reason;
+                const synthesis_constraints c{lo.sched.latency(alu) + 2, cap};
+                for (const int variant : {0, 1, 2}) {
+                    synthesis_options o;
+                    o.try_both_prospects = false;
+                    o.lock_from_start = variant == 1;
+                    o.enable_backtrack_lock = variant != 2;
+                    kernel_knobs() = kernel_tuning{};
+                    kernel_knobs().soa_arena = arena;
+                    kernel_knobs().cross_check = true;
+                    const synthesis_result r = synthesize(g, alu, c, o);
+                    ASSERT_TRUE(r.feasible) << r.reason;
+                    // Only the rejection that triggers the backtrack lock
+                    // skips the blacklist.
+                    const bool lock_by_rejection =
+                        o.enable_backtrack_lock && !o.lock_from_start && r.stats.locked;
+                    blacklisted += r.stats.rejected - (lock_by_rejection ? 1 : 0);
+                }
+            }
+        }
+    }
+    EXPECT_GT(blacklisted, 0) << "no pick ran with a non-empty blacklist";
+}
+
+/// The reference pick: enumerate_candidates() with the arena detached,
+/// minus negative and blacklisted entries, then best_candidate().
+std::optional<merge_candidate> reference_pick(compat_inputs in,
+                                              const std::unordered_set<std::uint64_t>& blacklist)
+{
+    in.arena = nullptr;
+    std::vector<merge_candidate> cands = enumerate_candidates(in);
+    std::erase_if(cands, [&](const merge_candidate& c) {
+        return c.saving < 0.0 || blacklist.count(c.packed_key()) > 0;
+    });
+    const int bi = best_candidate(cands);
+    if (bi < 0) return std::nullopt;
+    return cands[static_cast<std::size_t>(bi)];
+}
+
+TEST(kernels, frontier_pick_matches_reference_on_a_hand_built_state)
+{
+    // Independent ALU ops a < b < c beside e, committed at cycle 5 on
+    // instance 0.  One standalone area, so every ALU pair and every
+    // join onto instance 0 ties on saving 97 - mux.  Windows: a [5, 5],
+    // b [1, 3], c [6, 7].
+    //   * The top-bound pair (a, b) times only as (b, a), and that exact
+    //     key loses to the later bound (a, c), which times in order.
+    //   * Joins go first on the tie: (a, 0) collides with e, (b, 0)
+    //     times and is the pick while no join is blacklisted.
+    const module_library& alu = single_area_lib();
+    graph_builder bld("hand");
+    const node_id i0 = bld.input("i0");
+    const node_id i1 = bld.input("i1");
+    const node_id a = bld.add("a", i0, i1);
+    const node_id b = bld.sub("b", i0, i1);
+    const node_id c = bld.add("c", i0, i1);
+    const node_id e = bld.add("e", i0, i1);
+    for (const node_id v : {a, b, c, e}) bld.output("o_" + std::to_string(v.value()), v);
+    const graph g = bld.build();
+    const int n = g.node_count();
+    const module_id alu_m(0), in_m(2), out_m(3);
+
+    time_windows w;
+    w.feasible = true;
+    w.s_min.assign(static_cast<std::size_t>(n), 9); // outputs
+    w.s_max.assign(static_cast<std::size_t>(n), 9);
+    module_assignment assignment(static_cast<std::size_t>(n), out_m);
+    for (const node_id v : {i0, i1}) {
+        w.s_min[v.index()] = w.s_max[v.index()] = 0;
+        assignment[v.index()] = in_m;
+    }
+    const std::vector<std::pair<node_id, std::pair<int, int>>> alu_windows{
+        {a, {5, 5}}, {b, {1, 3}}, {c, {6, 7}}, {e, {5, 5}}};
+    for (const auto& [v, win] : alu_windows) {
+        w.s_min[v.index()] = win.first;
+        w.s_max[v.index()] = win.second;
+        assignment[v.index()] = alu_m;
+    }
+    std::vector<int> fixed(static_cast<std::size_t>(n), -1);
+    std::vector<char> committed(static_cast<std::size_t>(n), 0);
+    fixed[e.index()] = 5;
+    committed[e.index()] = 1;
+    const std::vector<fu_instance> instances{{0, alu_m, {e}}};
+    const double cap = 5.0;
+    power_tracker power(cap);
+    power.reserve(5, 1, 2.5);
+    const reachability reach(g);
+    const cost_model costs;
+
+    compat_inputs in;
+    in.g = &g;
+    in.lib = &alu;
+    in.costs = &costs;
+    in.reach = &reach;
+    in.max_power = cap;
+    in.windows = &w;
+    in.fixed = &fixed;
+    in.committed = &committed;
+    in.instances = &instances;
+    in.committed_power = &power;
+    in.assignment = &assignment;
+
+    // The scenario holds: (a, b) times reversed, (a, c) in order.
+    EXPECT_EQ(score_pair(in, a, b, alu_m).cand.a, b);
+    EXPECT_EQ(score_pair(in, a, c, alu_m).cand.a, a);
+
+    const merge_candidate join_b = score_join(in, b, instances[0], {{5, 6}}).cand;
+    const merge_candidate join_c = score_join(in, c, instances[0], {{5, 6}}).cand;
+    const merge_candidate pair_ac = score_pair(in, a, c, alu_m).cand;
+    const struct {
+        std::unordered_set<std::uint64_t> blacklist;
+        std::string expected;
+    } cases[] = {
+        {{}, join_b.key()},
+        {{join_b.packed_key(), join_c.packed_key()}, pair_ac.key()},
+        {{join_b.packed_key(), join_c.packed_key(), pair_ac.packed_key()},
+         score_pair(in, a, b, alu_m).cand.key()},
+    };
+    synth_arena arena;
+    arena.build(g, alu);
+    arena.sync(in);
+    for (const bool attached : {false, true}) {
+        in.arena = attached ? &arena : nullptr;
+        for (const auto& tc : cases) {
+            candidate_store store;
+            store.rebuild(in);
+            const std::optional<merge_candidate> got = store.best(tc.blacklist);
+            const std::optional<merge_candidate> ref = reference_pick(in, tc.blacklist);
+            ASSERT_TRUE(got.has_value() && ref.has_value());
+            EXPECT_EQ(ref->key(), tc.expected) << "arena " << attached;
+            EXPECT_EQ(got->key(), ref->key()) << "arena " << attached;
+            EXPECT_EQ(got->t_a, ref->t_a);
+            EXPECT_EQ(got->t_b, ref->t_b);
+            EXPECT_EQ(got->saving, ref->saving);
         }
     }
 }

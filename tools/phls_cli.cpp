@@ -916,7 +916,7 @@ int run(const std::vector<std::string>& argv)
     args.add_option("--points", "", "sweep grid size", "20");
     args.add_option("--threads", "", "sweep worker threads (0 = all cores)", "0");
     args.add_option("--intra-threads", "",
-                    "threads for intra-point candidate scoring (>= 1)", "1");
+                    "accepted for compatibility; changes no result or timing (>= 1)", "1");
     args.add_option("--alg", "", "scheduler for 'schedule'", "pasap");
     args.add_option("--synth", "", "synthesizer strategy for 'synth'", "greedy");
     args.add_option("--beta", "", "Rakhmatov diffusion parameter", "0.1");
@@ -998,9 +998,9 @@ int run(const std::vector<std::string>& argv)
         return args.positionals().empty() && !args.has("--help") ? 2 : 0;
     }
 
-    // Intra-point parallelism is a process-global kernel knob: one huge
-    // graph fans its candidate scoring out even when the sweep itself is
-    // single-threaded.  Results are byte-identical at any value.
+    // kernel_tuning::intra_threads no longer changes any computation (a
+    // candidate pick times a handful of combos; nothing fans out).  The
+    // option stays so existing command lines keep working.
     const int intra_threads = args.get_int("--intra-threads");
     check(intra_threads >= 1, "--intra-threads must be >= 1");
     kernel_knobs().intra_threads = intra_threads;
