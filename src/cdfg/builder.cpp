@@ -20,8 +20,8 @@ node_id graph_builder::op(op_kind kind, const std::string& label,
                           const std::vector<node_id>& operands)
 {
     check(is_binary(kind), "graph_builder::op is for arithmetic kinds");
-    check(operands.size() >= 1 && operands.size() <= 2,
-          "operation '" + label + "' needs one or two operands");
+    if (operands.empty() || operands.size() > 2)
+        throw error("operation '" + label + "' needs one or two operands");
     const node_id n = g_.add_node(kind, label);
     for (node_id a : operands) g_.add_edge(a, n);
     return n;

@@ -22,14 +22,14 @@ graph::node& graph::at(node_id n)
 node_id graph::add_node(op_kind kind, const std::string& label)
 {
     check(!label.empty(), "node label must be non-empty");
-    check(!find(label).has_value(), "duplicate node label '" + label + "'");
+    if (find(label)) throw error("duplicate node label '" + label + "'");
     nodes_.push_back(node{kind, label, {}, {}});
     return node_id(static_cast<int>(nodes_.size()) - 1);
 }
 
 void graph::add_edge(node_id from, node_id to)
 {
-    check(from != to, "self-loop on node '" + at(from).label + "'");
+    if (from == to) throw error("self-loop on node '" + at(from).label + "'");
     at(from).succs.push_back(to);
     at(to).preds.push_back(from);
     ++edge_count_;
@@ -110,33 +110,33 @@ std::vector<node_id> graph::topo_order() const
         for (node_id s : nodes_[static_cast<std::size_t>(v)].succs)
             if (--indegree[s.index()] == 0) ready.push(s.value());
     }
-    check(static_cast<int>(order.size()) == node_count(),
-          "graph '" + name_ + "' contains a cycle");
+    if (static_cast<int>(order.size()) != node_count())
+        throw error("graph '" + name_ + "' contains a cycle");
     return order;
 }
 
 void graph::validate() const
 {
-    check(is_acyclic(), "graph '" + name_ + "' contains a cycle");
+    if (!is_acyclic()) throw error("graph '" + name_ + "' contains a cycle");
     for (int i = 0; i < node_count(); ++i) {
         const node& nd = nodes_[static_cast<std::size_t>(i)];
-        const auto where = "node '" + nd.label + "' in graph '" + name_ + "'";
         const int np = static_cast<int>(nd.preds.size());
         const int ns = static_cast<int>(nd.succs.size());
+        const char* bad = nullptr;
         switch (nd.kind) {
         case op_kind::input:
-            check(np == 0, where + ": input must have no predecessors");
+            if (np != 0) bad = "input must have no predecessors";
             break;
         case op_kind::output:
-            check(np == 1, where + ": output must have exactly one predecessor");
-            check(ns == 0, where + ": output must have no successors");
+            if (np != 1) bad = "output must have exactly one predecessor";
+            else if (ns != 0) bad = "output must have no successors";
             break;
         default:
-            check(np >= 1 && np <= 2,
-                  where + ": binary operation must have one or two predecessors");
-            check(ns >= 1, where + ": operation result is never consumed");
+            if (np < 1 || np > 2) bad = "binary operation must have one or two predecessors";
+            else if (ns < 1) bad = "operation result is never consumed";
             break;
         }
+        if (bad) throw error("node '" + nd.label + "' in graph '" + name_ + "': " + bad);
     }
 }
 

@@ -9,8 +9,8 @@ namespace phls::dse {
 
 std::vector<int> latency_range::values() const
 {
-    check(step > 0, strf("latency_range step must be positive, got %d", step));
-    check(hi >= lo, strf("latency_range is empty: lo %d > hi %d", lo, hi));
+    if (step <= 0) throw error(strf("latency_range step must be positive, got %d", step));
+    if (hi < lo) throw error(strf("latency_range is empty: lo %d > hi %d", lo, hi));
     std::vector<int> out;
     for (int t = lo; t <= hi; t += step) out.push_back(t);
     return out;
@@ -18,7 +18,7 @@ std::vector<int> latency_range::values() const
 
 std::vector<double> power_range::values() const
 {
-    check(count >= 1, strf("power_range count must be >= 1, got %d", count));
+    if (count < 1) throw error(strf("power_range count must be >= 1, got %d", count));
     std::vector<double> out;
     out.reserve(static_cast<std::size_t>(count));
     if (count == 1) {

@@ -13,7 +13,7 @@ namespace phls {
 module_id module_library::add(fu_module m)
 {
     validate_module(m);
-    check(!find(m.name).has_value(), "duplicate module name '" + m.name + "'");
+    if (find(m.name)) throw error("duplicate module name '" + m.name + "'");
     modules_.push_back(std::move(m));
     return module_id(static_cast<int>(modules_.size()) - 1);
 }
@@ -87,11 +87,11 @@ std::optional<double> module_library::min_power_for(op_kind k) const
 
 void module_library::check_covers(const graph& g) const
 {
-    for (node_id v : g.nodes()) {
+    for (node_id v : g.node_ids()) {
         const op_kind k = g.kind(v);
-        check(!candidates_for(k).empty(),
-              "library '" + name_ + "' has no module for operation kind '" +
-                  std::string(op_kind_name(k)) + "' (node '" + g.label(v) + "')");
+        if (!min_power_for(k)) // no module supports k
+            throw error("library '" + name_ + "' has no module for operation kind '" +
+                        std::string(op_kind_name(k)) + "' (node '" + g.label(v) + "')");
     }
 }
 

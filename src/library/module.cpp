@@ -41,17 +41,18 @@ fu_module make_module(const std::string& name, std::initializer_list<op_kind> ki
 void validate_module(const fu_module& m)
 {
     check(!m.name.empty(), "module name must be non-empty");
-    check(m.ops.any(), "module '" + m.name + "' implements no operation kind");
-    check(m.latency >= 1, "module '" + m.name + "' must take at least one cycle");
-    check(m.area >= 0.0, "module '" + m.name + "' has negative area");
-    check(m.power >= 0.0, "module '" + m.name + "' has negative power");
     const bool has_io = m.supports(op_kind::input) || m.supports(op_kind::output);
     const bool has_arith = m.supports(op_kind::add) || m.supports(op_kind::sub) ||
                            m.supports(op_kind::mult) || m.supports(op_kind::comp);
-    check(!(has_io && has_arith),
-          "module '" + m.name + "' mixes interface and arithmetic kinds");
-    check(!(m.supports(op_kind::input) && m.supports(op_kind::output)),
-          "module '" + m.name + "' mixes input and output kinds");
+    const char* bad = nullptr;
+    if (!m.ops.any()) bad = "implements no operation kind";
+    else if (m.latency < 1) bad = "must take at least one cycle";
+    else if (!(m.area >= 0.0)) bad = "has negative area";
+    else if (!(m.power >= 0.0)) bad = "has negative power";
+    else if (has_io && has_arith) bad = "mixes interface and arithmetic kinds";
+    else if (m.supports(op_kind::input) && m.supports(op_kind::output))
+        bad = "mixes input and output kinds";
+    if (bad) throw error("module '" + m.name + "' " + bad);
 }
 
 } // namespace phls

@@ -39,8 +39,8 @@ interconnect_stats estimate_interconnect(const graph& g, const module_library& l
         const std::vector<node_id>& operands = g.preds(v);
         for (std::size_t port = 0; port < operands.size(); ++port) {
             const auto src = source_of_producer.find(operands[port].value());
-            check(src != source_of_producer.end(),
-                  "operand of '" + g.label(v) + "' has no recorded source");
+            if (src == source_of_producer.end())
+                throw error("operand of '" + g.label(v) + "' has no recorded source");
             port_sources[{inst, static_cast<int>(port)}].insert(src->second);
         }
     }

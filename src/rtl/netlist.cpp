@@ -29,10 +29,10 @@ netlist build_netlist(const std::string& design_name, const graph& g,
     }
     for (node_id v : g.nodes()) {
         const int inst = instance_of[v.index()];
-        check(inst >= 0 && inst < static_cast<int>(nl.fus.size()),
-              "node '" + g.label(v) + "' bound to invalid instance");
-        check(instance_modules[static_cast<std::size_t>(inst)] == s.module_of(v),
-              "node '" + g.label(v) + "' module disagrees with its instance");
+        if (inst < 0 || inst >= static_cast<int>(nl.fus.size()))
+            throw error("node '" + g.label(v) + "' bound to invalid instance");
+        if (instance_modules[static_cast<std::size_t>(inst)] != s.module_of(v))
+            throw error("node '" + g.label(v) + "' module disagrees with its instance");
         nl.fus[static_cast<std::size_t>(inst)].ops.push_back(v);
     }
     for (netlist::fu& f : nl.fus)

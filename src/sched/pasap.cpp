@@ -38,8 +38,8 @@ pasap_result run_core(const core_inputs& in)
     long total_delay = 0;
     for (node_id v : in.g.node_ids()) {
         const fu_module& m = in.lib.module(in.assignment[v.index()]);
-        check(m.supports(in.g.kind(v)),
-              "module '" + m.name + "' cannot execute '" + in.g.label(v) + "'");
+        if (!m.supports(in.g.kind(v)))
+            throw error("module '" + m.name + "' cannot execute '" + in.g.label(v) + "'");
         delay[v.index()] = m.latency;
         power[v.index()] = m.power;
         total_delay += m.latency;

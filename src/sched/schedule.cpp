@@ -71,24 +71,24 @@ void validate_schedule(const graph& g, const module_library& lib, const schedule
 {
     check(s.node_count() == g.node_count(), "schedule size does not match graph");
     for (node_id v : g.node_ids()) {
-        check(s.scheduled(v), "operation '" + g.label(v) + "' is unscheduled");
+        if (!s.scheduled(v)) throw error("operation '" + g.label(v) + "' is unscheduled");
         const module_id m = s.module_of(v);
-        check(m.valid(), "operation '" + g.label(v) + "' has no module");
-        check(lib.module(m).supports(g.kind(v)),
-              "module '" + lib.module(m).name + "' cannot execute '" + g.label(v) + "'");
+        if (!m.valid()) throw error("operation '" + g.label(v) + "' has no module");
+        if (!lib.module(m).supports(g.kind(v)))
+            throw error("module '" + lib.module(m).name + "' cannot execute '" + g.label(v) +
+                        "'");
     }
     for (node_id v : g.node_ids())
         for (node_id succ : g.succs(v))
-            check(s.start(succ) >= s.finish(v, lib),
-                  strf("dependency violated: '%s' (finish %d) -> '%s' (start %d)",
-                       g.label(v).c_str(), s.finish(v, lib), g.label(succ).c_str(),
-                       s.start(succ)));
-    if (max_latency >= 0)
-        check(s.latency(lib) <= max_latency,
-              strf("latency %d exceeds constraint %d", s.latency(lib), max_latency));
+            if (s.start(succ) < s.finish(v, lib))
+                throw error(strf("dependency violated: '%s' (finish %d) -> '%s' (start %d)",
+                                 g.label(v).c_str(), s.finish(v, lib), g.label(succ).c_str(),
+                                 s.start(succ)));
+    if (max_latency >= 0 && s.latency(lib) > max_latency)
+        throw error(strf("latency %d exceeds constraint %d", s.latency(lib), max_latency));
     const double peak = s.profile(lib).peak();
-    check(peak <= max_power + power_tracker::tolerance,
-          strf("peak power %.3f exceeds constraint %.3f", peak, max_power));
+    if (!(peak <= max_power + power_tracker::tolerance))
+        throw error(strf("peak power %.3f exceeds constraint %.3f", peak, max_power));
 }
 
 } // namespace phls

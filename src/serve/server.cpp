@@ -160,8 +160,8 @@ server::server(const server_options& opts) : opts_(opts)
     std::signal(SIGPIPE, SIG_IGN);
     check(opts_.max_clients >= 1, "server max_clients must be >= 1");
     if (!opts_.socket_path.empty()) {
-        check(opts_.socket_path.size() < sizeof(sockaddr_un{}.sun_path),
-              "unix socket path too long: " + opts_.socket_path);
+        if (opts_.socket_path.size() >= sizeof(sockaddr_un{}.sun_path))
+            throw error("unix socket path too long: " + opts_.socket_path);
         listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
         check(listen_fd_ >= 0, "cannot create unix socket");
         sockaddr_un addr{};

@@ -85,15 +85,15 @@ bool arg_parser::parse(const std::vector<std::string>& args)
 bool arg_parser::has(const std::string& name) const
 {
     const spec* s = find_registered(name);
-    check(s != nullptr, "argparse: '" + name + "' was never registered");
+    if (!s) throw phls::error("argparse: '" + name + "' was never registered");
     return s->present;
 }
 
 std::string arg_parser::get(const std::string& name) const
 {
     const spec* s = find_registered(name);
-    check(s != nullptr, "argparse: '" + name + "' was never registered");
-    check(!s->is_flag, "argparse: '" + name + "' is a flag, not an option");
+    if (!s) throw phls::error("argparse: '" + name + "' was never registered");
+    if (s->is_flag) throw phls::error("argparse: '" + name + "' is a flag, not an option");
     return s->present ? s->value : s->fallback;
 }
 

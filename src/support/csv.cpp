@@ -46,7 +46,7 @@ void csv_writer::print(std::ostream& os) const
 void csv_writer::save(const std::string& path) const
 {
     std::ofstream os(path);
-    check(static_cast<bool>(os), "cannot open '" + path + "' for writing");
+    if (!os) throw error("cannot open '" + path + "' for writing");
     print(os);
 }
 

@@ -40,13 +40,13 @@ void arm_locked(fault_registry& r, const std::string& spec)
         start = comma == std::string::npos ? spec.size() + 1 : comma + 1;
         if (entry.empty()) continue;
         const std::size_t colon = entry.rfind(':');
-        check(colon != std::string::npos && colon > 0 && colon + 1 < entry.size(),
-              "malformed fault spec '" + entry + "' (want site:nth)");
+        if (colon == std::string::npos || colon == 0 || colon + 1 >= entry.size())
+            throw error("malformed fault spec '" + entry + "' (want site:nth)");
         const std::string site = entry.substr(0, colon);
         char* end = nullptr;
         const long nth = std::strtol(entry.c_str() + colon + 1, &end, 10);
-        check(end && *end == '\0' && nth >= 1,
-              "malformed fault spec '" + entry + "': nth must be an integer >= 1");
+        if (!end || *end != '\0' || nth < 1)
+            throw error("malformed fault spec '" + entry + "': nth must be an integer >= 1");
         r.sites[site].fire_on = static_cast<std::size_t>(nth);
         ++armed;
     }

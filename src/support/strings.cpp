@@ -83,8 +83,8 @@ int parse_int(std::string_view s, const std::string& what)
     s = trim(s);
     int value = 0;
     const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    check(ec == std::errc() && ptr == s.data() + s.size(),
-          "expected integer for " + what + ", got '" + std::string(s) + "'");
+    if (ec != std::errc() || ptr != s.data() + s.size())
+        throw error("expected integer for " + what + ", got '" + std::string(s) + "'");
     return value;
 }
 
@@ -95,8 +95,8 @@ double parse_double(std::string_view s, const std::string& what)
     // strtod fallback-free implementation for clarity.
     double value = 0.0;
     const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    check(ec == std::errc() && ptr == s.data() + s.size(),
-          "expected number for " + what + ", got '" + std::string(s) + "'");
+    if (ec != std::errc() || ptr != s.data() + s.size())
+        throw error("expected number for " + what + ", got '" + std::string(s) + "'");
     return value;
 }
 

@@ -23,9 +23,9 @@ void ascii_table::set_align(std::size_t col, align a)
 
 void ascii_table::add_row(std::vector<std::string> cells)
 {
-    check(cells.size() == headers_.size(),
-          "ascii_table::add_row: expected " + std::to_string(headers_.size()) + " cells, got " +
-              std::to_string(cells.size()));
+    if (cells.size() != headers_.size())
+        throw error("ascii_table::add_row: expected " + std::to_string(headers_.size()) +
+                    " cells, got " + std::to_string(cells.size()));
     rows_.push_back(row{false, std::move(cells)});
 }
 

@@ -10,7 +10,6 @@
 #include "sched/mobility.h"
 #include "support/errors.h"
 #include "support/kernels.h"
-#include "support/log.h"
 #include "support/strings.h"
 #include "synth/arena.h"
 #include "synth/candidates.h"
@@ -231,7 +230,8 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         if (result.stats.merges_before_lock < 0)
             result.stats.merges_before_lock = result.stats.merges;
         const time_windows w = recompute_windows(s);
-        check(w.feasible, "internal: locking to the pasap schedule failed: " + w.reason);
+        if (!w.feasible)
+            throw error("internal: locking to the pasap schedule failed: " + w.reason);
         s.windows = w;
     };
 
@@ -342,10 +342,10 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
                   "about candidate existence");
             if (have) {
                 const merge_candidate& ref = candidates[static_cast<std::size_t>(bi)];
-                check(ref.packed_key() == chosen.packed_key() && ref.t_a == chosen.t_a &&
-                          ref.t_b == chosen.t_b && ref.saving == chosen.saving,
-                      "candidate frontier disagrees with the reference enumeration: " +
-                          ref.key() + " vs " + chosen.key());
+                if (ref.packed_key() != chosen.packed_key() || ref.t_a != chosen.t_a ||
+                    ref.t_b != chosen.t_b || ref.saving != chosen.saving)
+                    throw error("candidate frontier disagrees with the reference enumeration: " +
+                                ref.key() + " vs " + chosen.key());
             }
         }
         if (!have) break;
@@ -374,7 +374,6 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
             else
                 ++result.stats.join_merges;
             blacklist.clear();
-            log_debug() << "accepted " << chosen.key() << " saving " << chosen.saving;
             continue;
         }
 
@@ -383,7 +382,6 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         // pasap schedule.
         rollback_state(rp);
         ++result.stats.rejected;
-        log_debug() << "rejected " << chosen.key() << ": " << w2.reason;
         if (!locked && options.enable_backtrack_lock)
             lock_all(st);
         else

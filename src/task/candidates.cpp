@@ -28,7 +28,7 @@ int fastest_critical_path(const task_spec& t)
 {
     return critical_path_length(t.g, [&](node_id v) {
         const auto m = t.lib.fastest_for(t.g.kind(v), unbounded_power);
-        check(m.has_value(), "task '" + t.name + "': library does not cover the graph");
+        if (!m) throw error("task '" + t.name + "': library does not cover the graph");
         return t.lib.module(*m).latency;
     });
 }
@@ -41,7 +41,7 @@ double peak_floor(const task_spec& t)
     double floor_power = 0.0;
     for (node_id v : t.g.nodes()) {
         const auto p = t.lib.min_power_for(t.g.kind(v));
-        check(p.has_value(), "task '" + t.name + "': library does not cover the graph");
+        if (!p) throw error("task '" + t.name + "': library does not cover the graph");
         floor_power = std::max(floor_power, *p);
     }
     return floor_power;
@@ -232,10 +232,9 @@ power_profile iteration_profile(const task_spec& t, const task_impl& impl,
 {
     const flow_report r =
         task_flow(t).constraints(impl.point).reuse(session.cache()).run();
-    check(r.st.ok() && r.has_design,
-          "task '" + t.name +
-              "': recomputing the chosen implementation failed: " +
-              r.st.to_string());
+    if (!r.st.ok() || !r.has_design)
+        throw error("task '" + t.name + "': recomputing the chosen implementation failed: " +
+                    r.st.to_string());
     return r.dp.sched.profile(t.lib);
 }
 

@@ -1,5 +1,6 @@
 #include "task/set.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <istream>
@@ -44,7 +45,7 @@ graph load_task_graph(const std::string& ref)
 {
     if (ends_with(ref, ".cdfg")) {
         std::ifstream is(ref);
-        check(is.good(), "cannot open CDFG file '" + ref + "'");
+        if (!is.good()) throw error("cannot open CDFG file '" + ref + "'");
         return parse_cdfg(is);
     }
     return benchmark_by_name(ref);
@@ -53,7 +54,7 @@ graph load_task_graph(const std::string& ref)
 module_library load_task_library(const std::string& path)
 {
     std::ifstream is(path);
-    check(is.good(), "cannot open library file '" + path + "'");
+    if (!is.good()) throw error("cannot open library file '" + path + "'");
     return parse_library(is);
 }
 
@@ -66,7 +67,7 @@ task_spec parse_task_line(const std::vector<std::string>& tok)
     t.lib = table1_library();
     bool saw_deadline = false;
     for (std::size_t i = 3; i < tok.size(); i += 2) {
-        check(i + 1 < tok.size(), "task attribute '" + tok[i] + "' needs a value");
+        if (i + 1 >= tok.size()) throw error("task attribute '" + tok[i] + "' needs a value");
         const std::string& key = tok[i];
         const std::string& value = tok[i + 1];
         if (key == "deadline") {
@@ -90,14 +91,15 @@ task_spec parse_task_line(const std::vector<std::string>& tok)
             throw error("unknown task attribute '" + key + "'");
         }
     }
-    check(saw_deadline, "task '" + t.name + "' has no deadline");
+    if (!saw_deadline) throw error("task '" + t.name + "' has no deadline");
     return t;
 }
 
 void parse_battery_line(const std::vector<std::string>& tok, lifetime_spec& battery)
 {
     for (std::size_t i = 1; i < tok.size(); i += 2) {
-        check(i + 1 < tok.size(), "battery attribute '" + tok[i] + "' needs a value");
+        if (i + 1 >= tok.size())
+            throw error("battery attribute '" + tok[i] + "' needs a value");
         const std::string& key = tok[i];
         const std::string& value = tok[i + 1];
         if (key == "beta") {
@@ -122,7 +124,7 @@ bool is_finite_positive(double x) { return std::isfinite(x) && x > 0.0; }
 
 void check_task_set(const task_set& set)
 {
-    check(!set.tasks.empty(), "task set '" + set.name + "' has no tasks");
+    if (set.tasks.empty()) throw error("task set '" + set.name + "' has no tasks");
     check(set.envelope > 0.0, "task set envelope must be positive");
     check(is_finite_positive(set.battery.beta), "battery beta must be positive");
     check(is_finite_positive(set.battery.voltage), "battery voltage must be positive");
@@ -131,20 +133,23 @@ void check_task_set(const task_set& set)
     check(set.battery.idle_cycles >= 0, "battery idle cycles must be >= 0");
     std::set<std::string> names;
     for (const task_spec& t : set.tasks) {
-        const std::string where = "task '" + t.name + "': ";
         check(!t.name.empty() && split_ws(t.name).size() == 1 &&
                   trim(t.name).size() == t.name.size(),
               "task names must be single non-empty tokens");
-        check(names.insert(t.name).second, where + "duplicate task name");
-        check(t.release >= 0, where + "release must be >= 0");
-        check(t.deadline > t.release, where + "deadline must exceed the release");
-        check(t.iterations >= 1, where + "iterations must be >= 1");
-        check(t.caps >= 1, where + "caps must be >= 1");
-        for (int lat : t.latencies) check(lat >= 1, where + "latencies must be >= 1");
+        const char* bad = nullptr;
+        if (!names.insert(t.name).second) bad = "duplicate task name";
+        else if (t.release < 0) bad = "release must be >= 0";
+        else if (t.deadline <= t.release) bad = "deadline must exceed the release";
+        else if (t.iterations < 1) bad = "iterations must be >= 1";
+        else if (t.caps < 1) bad = "caps must be >= 1";
+        else if (std::any_of(t.latencies.begin(), t.latencies.end(),
+                             [](int lat) { return lat < 1; }))
+            bad = "latencies must be >= 1";
+        if (bad) throw error("task '" + t.name + "': " + bad);
         try {
             t.lib.check_covers(t.g);
         } catch (const error& e) {
-            throw error(where + e.what());
+            throw error("task '" + t.name + "': " + e.what());
         }
     }
 }
@@ -205,10 +210,12 @@ std::string write_task_set_string(const task_set& set)
     for (const task_spec& t : set.tasks) {
         bool known = false;
         for (const std::string& b : benchmark_names()) known = known || b == t.g.name();
-        check(known, "task '" + t.name + "': only built-in benchmark graphs can be "
-                     "written by name (graph '" + t.g.name() + "' is not one)");
-        check(write_library_string(t.lib) == table1,
-              "task '" + t.name + "': only the default Table 1 library can be written");
+        if (!known)
+            throw error("task '" + t.name + "': only built-in benchmark graphs can be "
+                        "written by name (graph '" + t.g.name() + "' is not one)");
+        if (write_library_string(t.lib) != table1)
+            throw error("task '" + t.name +
+                        "': only the default Table 1 library can be written");
         os << "task " << t.name << ' ' << t.g.name() << " deadline " << t.deadline;
         if (t.release != 0) os << " release " << t.release;
         if (t.iterations != 1) os << " iterations " << t.iterations;
@@ -224,10 +231,10 @@ std::string write_task_set_string(const task_set& set)
             for (std::size_t i = 1; i < t.latencies.size(); ++i)
                 arithmetic =
                     arithmetic && t.latencies[i] - t.latencies[i - 1] == step;
-            check(arithmetic && step >= 1,
-                  "task '" + t.name +
-                      "': explicit latencies must form an increasing arithmetic "
-                      "progression to be written as LO..HI..STEP");
+            if (!arithmetic || step < 1)
+                throw error("task '" + t.name +
+                            "': explicit latencies must form an increasing arithmetic "
+                            "progression to be written as LO..HI..STEP");
             if (t.latencies.size() == 1)
                 os << t.latencies.front();
             else

@@ -1,0 +1,108 @@
+// Allocation gates: a passing check() and the per-merge window recompute
+// must not allocate per node.  A replaced global operator new counts the
+// calls made on the measuring thread inside a measured scope only.
+//
+// ASan and TSan own operator new, so the replacement is compiled out under
+// them and the gates skip.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "cdfg/random_dag.h"
+#include "sched/mobility.h"
+#include "support/errors.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PHLS_COUNT_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PHLS_COUNT_ALLOCATIONS 0
+#endif
+#endif
+#ifndef PHLS_COUNT_ALLOCATIONS
+#define PHLS_COUNT_ALLOCATIONS 1
+#endif
+
+namespace {
+/// operator new calls on this thread; negative while not counting.
+thread_local long counted_allocations = -1;
+} // namespace
+
+#if PHLS_COUNT_ALLOCATIONS
+// The standard library's array and nothrow forms forward to these.
+void* operator new(std::size_t size)
+{
+    if (counted_allocations >= 0) ++counted_allocations;
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
+namespace phls {
+namespace {
+
+/// operator new calls made on this thread while `f` runs.
+template <typename F>
+long allocations_in(F&& f)
+{
+    counted_allocations = 0;
+    f();
+    const long n = counted_allocations;
+    counted_allocations = -1;
+    return n;
+}
+
+TEST(allocations, passing_checks_allocate_nothing)
+{
+    if (!PHLS_COUNT_ALLOCATIONS) GTEST_SKIP() << "the sanitizer runtime owns operator new";
+    const long n = allocations_in([] {
+        for (int i = 0; i < 100; ++i)
+            check(i >= 0, "a message longer than the small-string buffer");
+    });
+    EXPECT_EQ(n, 0);
+}
+
+/// Allocations of one power_windows() call as the clique partitioner makes
+/// it: reversed graph and both topological orders hoisted, every other
+/// operation committed at its pasap start.
+long window_recompute_allocations(int operations)
+{
+    const graph g = random_dag({operations, operations / 12, 10, 0.0, 0.05, 0.8}, 7);
+    const module_library lib = table1_library();
+    const double cap = 10.0;
+    const module_assignment a = fastest_assignment(g, lib, cap);
+    const graph rev = reversed_graph(g);
+    const std::vector<node_id> topo = g.topo_order();
+    const std::vector<node_id> rev_topo = rev.topo_order();
+    pasap_options opts{pasap_order::critical_path, {}, &rev, &topo, &rev_topo};
+    const pasap_result free_run = pasap(g, lib, a, cap, opts);
+    EXPECT_TRUE(free_run.feasible) << free_run.reason;
+    opts.fixed_starts.assign(static_cast<std::size_t>(g.node_count()), -1);
+    for (node_id v : g.node_ids())
+        if (v.index() % 2 == 0) opts.fixed_starts[v.index()] = free_run.sched.start(v);
+
+    time_windows w;
+    const long n = allocations_in([&] { w = power_windows(g, lib, a, cap, 1000, opts); });
+    EXPECT_TRUE(w.feasible) << w.reason;
+    EXPECT_LT(n, g.node_count()) << "per-node allocations in a " << g.node_count()
+                                 << "-node window recompute";
+    return n;
+}
+
+TEST(allocations, window_recompute_does_not_allocate_per_node)
+{
+    if (!PHLS_COUNT_ALLOCATIONS) GTEST_SKIP() << "the sanitizer runtime owns operator new";
+    const long small = window_recompute_allocations(100); // 134 nodes
+    const long large = window_recompute_allocations(400); // 543 nodes
+    RecordProperty("allocations_134_nodes", static_cast<int>(small));
+    RecordProperty("allocations_543_nodes", static_cast<int>(large));
+    EXPECT_LE(large, small + 8) << "small " << small << ", large " << large;
+}
+
+} // namespace
+} // namespace phls
