@@ -17,6 +17,7 @@
 #include "flow/flow.h"
 #include "support/strings.h"
 #include "support/table.h"
+#include "../tests/sweep_util.h"
 
 namespace {
 
@@ -62,11 +63,11 @@ int main()
         const graph g = benchmark_by_name(bench);
         const flow f = flow::on(g).with_library(lib).latency(T);
         // A challenging but feasible cap: 25 % above the feasibility
-        // cliff found on the default power grid (batch-evaluated).
+        // cliff found on the default power grid (explored on a session).
         std::vector<synthesis_constraints> grid;
         for (double cap : f.power_grid(16)) grid.push_back({T, cap});
         double cliff = -1.0;
-        for (const flow_report& r : f.run_batch(grid)) {
+        for (const flow_report& r : explore_all(f, grid)) {
             if (r.st.ok()) {
                 cliff = r.constraints.max_power;
                 break;

@@ -17,6 +17,7 @@
 #include "flow/flow.h"
 #include "support/strings.h"
 #include "support/table.h"
+#include "../tests/sweep_util.h"
 
 int main()
 {
@@ -37,7 +38,7 @@ int main()
         std::vector<synthesis_constraints> grid;
         for (double c : f.power_grid(16)) grid.push_back({T, c});
         double cliff = -1.0;
-        for (const flow_report& r : f.run_batch(grid)) {
+        for (const flow_report& r : explore_all(f, grid)) {
             if (r.st.ok()) {
                 cliff = r.constraints.max_power;
                 break;

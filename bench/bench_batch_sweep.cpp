@@ -1,12 +1,12 @@
-// Batch sweep scaling and cache reuse: flow::run_batch over a
-// Figure-2-style power grid at several worker-pool sizes, cached vs
-// uncached, plus a 2-D (T, Pmax) grid with duplicate points exercising
-// the explore_cache's report memo.
+// Sweep scaling and cache reuse: dse::session::explore over a
+// Figure-2-style power grid at several worker-pool sizes against the
+// uncached sequential flow::run() reference, plus a 2-D (T, Pmax) grid
+// with duplicate points exercising the explore_cache's report memo.
 //
 // Checks and gates:
 //   * determinism -- reports are byte-identical for every thread count
-//     AND with the explore_cache disabled (each point is claimed by
-//     exactly one worker and written to its own slot, synthesis is
+//     AND to the uncached sequential reference (each point is claimed by
+//     exactly one worker and delivered at its own index, synthesis is
 //     deterministic, and every cached value is a pure function of the
 //     problem);
 //   * cache reuse -- a >= 24-point sweep over one (graph, lib) serves
@@ -15,8 +15,9 @@
 //   * report memo -- a 120-point 2-D grid with duplicates must take
 //     whole-report hits and stay byte-identical cached and uncached and
 //     across thread counts;
-//   * incremental Pareto -- the front streamed by run_batch_pareto must
-//     equal the front computed post-hoc from the final vector;
+//   * incremental Pareto -- the front streamed through a session's front
+//     channel must equal the front computed post-hoc from the collected
+//     reports;
 //   * scaling -- wall-clock time drops as workers are added.  The
 //     4-worker elliptic sweep must beat the uncached sequential
 //     reference by >= 2x (hard gate) on a host with >= 4 hardware
@@ -25,14 +26,14 @@
 //     speedup is reported but not gated (a single-core host is ~1x by
 //     construction, and a few-millisecond sweep is timing noise);
 //   * dse::session -- a cold, unbounded session explore over the same
-//     duplicate-heavy grid is byte-identical to run_batch; replaying the
-//     streamed front *deltas* reconstructs the final front; a session
-//     warm-started from a save()d cache file answers every point at the
-//     metric level, matches the reference metrics and front, and beats
-//     the cold wall time; a memo-bounded session never holds more full
-//     reports than its capacity while still serving evicted duplicates
-//     as metric records; dse::refine evaluates a subset of the lattice
-//     yet lands on the same final front as the eager grid;
+//     duplicate-heavy grid is byte-identical to the sequential reference;
+//     replaying the streamed front *deltas* reconstructs the final front;
+//     a session warm-started from a save()d cache file answers every
+//     point at the metric level, matches the reference metrics and front,
+//     and beats the cold wall time; a memo-bounded session never holds
+//     more full reports than its capacity while still serving evicted
+//     duplicates as metric records; dse::refine evaluates a subset of
+//     the lattice yet lands on the same final front as the eager grid;
 //   * guided exploration -- explore_guided over a 10^4-point (T, Pmax)
 //     plane must land on the EXACT eager front while evaluating at most
 //     25% of the plane, its counters must partition the space, and the
@@ -47,7 +48,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +59,7 @@
 #include "flow/pareto_stream.h"
 #include "support/strings.h"
 #include "support/table.h"
+#include "../tests/sweep_util.h"
 
 namespace {
 
@@ -104,7 +105,7 @@ int main()
     const module_library lib = table1_library();
     const unsigned cores = std::thread::hardware_concurrency();
 
-    std::cout << "=== flow::run_batch scaling on a 24-point power grid ===\n";
+    std::cout << "=== dse::session scaling on a 24-point power grid ===\n";
     std::cout << "hardware threads: " << cores << "\n\n";
 
     bool all_identical = true;
@@ -120,18 +121,17 @@ int main()
 
         // Uncached sequential reference (the pre-cache engine behaviour).
         std::vector<flow_report> reference;
-        const flow uncached = flow::on(g).with_library(lib).latency(T).caching(false);
-        const double ms_uncached = run_ms([&] { reference = uncached.run_batch(grid, 1); });
+        const double ms_uncached = run_ms([&] { reference = run_each(f, grid); });
 
-        // Cached sequential run on an explicit shared cache: must be
-        // byte-identical, with every point past the first hitting it.
-        const std::shared_ptr<explore_cache> cache = f.build_cache();
-        const flow cached = flow::on(g).with_library(lib).latency(T).reuse(cache);
+        // A one-worker session over its cache: must be byte-identical,
+        // with every point past the first hitting the cache.
+        dse::session cached(f);
         std::vector<flow_report> with_cache;
-        const double ms_cached = run_ms([&] { with_cache = cached.run_batch(grid, 1); });
+        const double ms_cached =
+            run_ms([&] { cached.explore(dse::list(grid), collector(with_cache), 1); });
         const bool cache_identical = identical(with_cache, reference);
         all_identical = all_identical && cache_identical;
-        const explore_cache::counters cc = cache->stats();
+        const explore_cache::counters cc = cached.cache()->stats();
         all_hit = all_hit && cc.hits > 0;
 
         ascii_table t({"threads", "cache", "wall (ms)", "per point (ms)", "speedup",
@@ -144,7 +144,7 @@ int main()
                    cache_identical ? "yes" : "NO"});
         for (int threads : {2, 4, 8}) {
             std::vector<flow_report> reports;
-            const double ms = run_ms([&] { reports = f.run_batch(grid, threads); });
+            const double ms = run_ms([&] { reports = explore_all(f, grid, threads); });
             const bool same = identical(reports, reference);
             all_identical = all_identical && same;
             if (threads == 4 && bench == std::string("elliptic")) {
@@ -184,39 +184,32 @@ int main()
     grid2.insert(grid2.end(), once.begin(), once.end());   // exact duplicates
     std::cout << grid2.size() << " points (" << distinct << " distinct)\n\n";
 
+    const flow plain2 = flow::on(g2).with_library(lib);
     std::vector<flow_report> ref2;
-    const double ms2_off = run_ms([&] {
-        ref2 = flow::on(g2).with_library(lib).caching(false).run_batch(grid2, 1);
-    });
+    const double ms2_off = run_ms([&] { ref2 = run_each(plain2, grid2); });
 
-    const std::shared_ptr<explore_cache> cache2 = base2.build_cache();
+    dse::session cached2(plain2);
     std::vector<flow_report> rep2;
-    const double ms2_cached = run_ms([&] {
-        rep2 = flow::on(g2).with_library(lib).reuse(cache2).run_batch(grid2, 1);
-    });
-    const explore_cache::counters c2 = cache2->stats();
+    const double ms2_cached =
+        run_ms([&] { cached2.explore(dse::list(grid2), collector(rep2), 1); });
+    const explore_cache::counters c2 = cached2.cache()->stats();
 
     bool grid_identical = identical(ref2, rep2);
-    for (int threads : {2, 8}) {
-        const std::vector<flow_report> rep =
-            flow::on(g2).with_library(lib).run_batch(grid2, threads);
-        grid_identical = grid_identical && identical(ref2, rep);
-    }
+    for (int threads : {2, 8})
+        grid_identical = grid_identical && identical(ref2, explore_all(plain2, grid2, threads));
 
     // The streamed incremental front must equal the post-hoc one.
     std::size_t delivered = 0;
-    std::size_t front_changes = 0;
-    std::vector<front_point> streamed_front;
-    const std::vector<flow_report> rep_pareto =
-        flow::on(g2).with_library(lib).run_batch_pareto(
-            grid2,
-            [&](std::size_t, const flow_report&, const pareto_stream& front,
-                bool changed) {
-                ++delivered;
-                front_changes += changed ? 1 : 0;
-                streamed_front = front.front();
-            },
-            2);
+    std::vector<front_delta> front_changes;
+    std::vector<flow_report> rep_pareto(grid2.size());
+    dse::sink pareto_sink;
+    pareto_sink.on_result = [&](std::size_t i, const flow_report& r) {
+        ++delivered;
+        rep_pareto[i] = r;
+    };
+    pareto_sink.on_front = [&](const front_delta& d) { front_changes.push_back(d); };
+    dse::session(plain2).explore(dse::list(grid2), pareto_sink, 2);
+    const std::vector<front_point> streamed_front = replay_front(front_changes);
     const std::vector<front_point> posthoc_front = pareto_points(rep_pareto);
     const bool pareto_matches = streamed_front == posthoc_front &&
                                 delivered == grid2.size() &&
@@ -232,13 +225,12 @@ int main()
                       c2.hits, c2.misses, c2.report_hits, c2.report_misses);
     std::cout << strf("incremental Pareto front: %zu points, %zu changes over %zu "
                       "deliveries\n\n",
-                      streamed_front.size(), front_changes, delivered);
+                      streamed_front.size(), front_changes.size(), delivered);
 
     // ---- dse::session: delta streaming, persistence, bounded memo ----
     //
-    // The session is the new exploration surface (run_batch* remain thin
-    // wrappers over the same executor).  Cold + unbounded it must be
-    // byte-identical to run_batch; its persisted cache file must make a
+    // Cold + unbounded, a session must be byte-identical to the
+    // sequential reference; its persisted cache file must make a
     // second process-equivalent run answer every point at the metric
     // level, match the reference metrics and front, and beat the cold
     // wall time; a bounded memo must respect its capacity while evicted
@@ -263,18 +255,8 @@ int main()
     cold.save(cache_file);
 
     // Replaying the streamed deltas must reconstruct the final front.
-    std::vector<front_point> replay;
-    for (const front_delta& d : deltas) {
-        for (const front_point& p : d.left) std::erase(replay, p);
-        for (const front_point& p : d.entered) replay.push_back(p);
-    }
-    std::sort(replay.begin(), replay.end(), [](const front_point& a, const front_point& b) {
-        if (a.peak != b.peak) return a.peak < b.peak;
-        if (a.area != b.area) return a.area < b.area;
-        return a.index < b.index;
-    });
     const bool deltas_ok =
-        replay == cold_sum.front && cold_sum.front == pareto_points(ref2);
+        replay_front(deltas) == cold_sum.front && cold_sum.front == pareto_points(ref2);
 
     dse::session warm(flow::on(g2).with_library(lib));
     warm.load(cache_file);
@@ -417,7 +399,7 @@ int main()
               << (report_hit ? "YES" : "NO") << '\n';
     std::cout << "incremental Pareto front equals the post-hoc front: "
               << (pareto_matches ? "YES" : "NO") << '\n';
-    std::cout << "cold session explore is byte-identical to run_batch: "
+    std::cout << "cold session explore is byte-identical to sequential runs: "
               << (session_identical ? "YES" : "NO") << '\n';
     std::cout << "replayed front deltas reconstruct the final front: "
               << (deltas_ok ? "YES" : "NO") << '\n';

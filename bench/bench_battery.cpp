@@ -24,6 +24,7 @@
 #include "flow/flow.h"
 #include "support/strings.h"
 #include "support/table.h"
+#include "../tests/sweep_util.h"
 
 namespace {
 
@@ -57,14 +58,14 @@ int main()
         const double peak0 = base.peak;
 
         // Battery-aware design: tightest feasible cap below the baseline.
-        // The descending cap ladder is evaluated as one batch; the result
+        // The descending cap ladder is explored on one session; the result
         // is the last feasible rung before the first infeasible one.
         const flow f = flow::on(g).with_library(lib).latency(T);
         std::vector<synthesis_constraints> ladder;
         for (double cap = 0.9 * peak0; cap >= 0.10 * peak0; cap -= 0.05 * peak0)
             ladder.push_back({T, cap});
         flow_report capped;
-        for (const flow_report& r : f.run_batch(ladder)) {
+        for (const flow_report& r : explore_all(f, ladder)) {
             if (!r.st.ok()) break;
             capped = r;
         }

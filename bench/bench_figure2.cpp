@@ -25,6 +25,7 @@
 #include "support/strings.h"
 #include "support/table.h"
 #include "synth/explore.h"
+#include "../tests/sweep_util.h"
 
 namespace {
 
@@ -58,13 +59,13 @@ int main()
         const std::string curve_name = strf("%s (T=%d)", spec.bench, spec.latency);
         std::cout << "\n--- " << curve_name << " ---\n";
 
-        // The full cap grid for this curve runs through flow::run_batch
-        // (one worker per core; results are input-ordered).
+        // The full cap grid for this curve runs through a dse::session
+        // (one worker per core; reports are collected by grid index).
         const flow f = flow::on(g).with_library(lib).latency(spec.latency);
         std::vector<synthesis_constraints> grid;
         for (double cap : f.power_grid(24)) grid.push_back({spec.latency, cap});
         std::vector<sweep_point> raw;
-        for (const flow_report& r : f.run_batch(grid)) raw.push_back(to_sweep_point(r));
+        for (const flow_report& r : explore_all(f, grid)) raw.push_back(to_sweep_point(r));
         // Headline curve: best design found whose achieved peak satisfies
         // the cap (a tight-cap design is valid at looser caps too).
         const std::vector<sweep_point> points = monotone_envelope(raw);

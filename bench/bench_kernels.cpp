@@ -26,8 +26,8 @@
 //     default kernels at 1/2/8 intra-point threads must agree -- and the
 //     full 120-point duplicate-heavy (T, Pmax) grid must yield
 //     byte-identical flow_reports with every kernel optimised vs every
-//     kernel on the reference path, at 1/2/8 threads, cached and
-//     uncached;
+//     kernel on the reference path, uncached and sequential as well as
+//     on cached sessions at 1/2/8 threads;
 //   * memory (always hard): the 10k-op row's peak RSS, read before its
 //     reference run, must stay within 2 GB;
 //   * speedup (>= 2x per kernel on the 1000-op synthetic graph, >= 50x
@@ -57,6 +57,7 @@
 #include "support/strings.h"
 #include "support/table.h"
 #include "synth/clique.h"
+#include "../tests/sweep_util.h"
 
 namespace {
 
@@ -444,8 +445,9 @@ int main()
     //
     // The same duplicate-heavy 2-D (T, Pmax) grid bench_batch_sweep
     // gates its cache levels on: every kernel optimised vs every kernel
-    // on the reference path, 1/2/8 threads, cached and uncached, must
-    // serialise identically report for report.
+    // on the reference path, the uncached sequential run and cached
+    // sessions at 1/2/8 threads, must serialise identically report for
+    // report.
     std::cout << "=== byte-identity: 120-point grid, optimised vs reference ===\n";
     const graph hal = make_hal();
     const flow base = flow::on(hal).with_library(lib).latency(17);
@@ -457,25 +459,25 @@ int main()
         grid.insert(grid.end(), once.begin(), once.end());
     }
 
+    const flow hal_flow = flow::on(hal).with_library(lib);
     std::vector<flow_report> reference;
     {
         const knob_guard guard;
         kernel_knobs() = all_reference();
-        reference =
-            flow::on(hal).with_library(lib).caching(false).run_batch(grid, 1);
+        reference = run_each(hal_flow, grid);
     }
     bool grid_identical = true;
-    for (const bool cached : {false, true}) {
-        for (const int threads : {1, 2, 8}) {
-            const knob_guard guard;
-            kernel_knobs() = kernel_tuning{};
-            const std::vector<flow_report> reports =
-                flow::on(hal).with_library(lib).caching(cached).run_batch(grid, threads);
+    {
+        const knob_guard guard;
+        kernel_knobs() = kernel_tuning{};
+        const auto row = [&](int threads, bool cached, const std::vector<flow_report>& reports) {
             const bool same = identical_reports(reports, reference);
             grid_identical = grid_identical && same;
             std::cout << strf("  threads %d, cache %-3s: %s\n", threads,
                               cached ? "on" : "off", same ? "identical" : "DIVERGED");
-        }
+        };
+        row(1, false, run_each(hal_flow, grid));
+        for (const int threads : {1, 2, 8}) row(threads, true, explore_all(hal_flow, grid, threads));
     }
     identity_ok = identity_ok && grid_identical;
     std::cout << '\n';

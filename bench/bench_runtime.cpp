@@ -7,6 +7,7 @@
 #include "cdfg/analysis.h"
 #include "cdfg/benchmarks.h"
 #include "cdfg/random_dag.h"
+#include "dse/session.h"
 #include "flow/flow.h"
 #include "sched/mobility.h"
 #include "sched/pasap.h"
@@ -96,8 +97,8 @@ void bm_flow_batch(benchmark::State& state)
     std::vector<synthesis_constraints> grid;
     for (double cap : f.power_grid(20)) grid.push_back({22, cap});
     for (auto _ : state) {
-        const std::vector<flow_report> reports = f.run_batch(grid, threads);
-        benchmark::DoNotOptimize(reports.size());
+        const dse::explore_summary sum = dse::session(f).explore(dse::list(grid), {}, threads);
+        benchmark::DoNotOptimize(sum.evaluated);
     }
 }
 BENCHMARK(bm_flow_batch)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

@@ -1,13 +1,18 @@
 #include "dse/session.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <unordered_map>
 
 #include "support/errors.h"
 #include "support/memo_key.h"
+#include "support/strings.h"
 
 namespace phls::dse {
 
@@ -128,14 +133,14 @@ struct session::delivery_state {
     std::unordered_map<std::size_t, std::string> signatures; ///< space index -> region
     surrogate* model = nullptr;   ///< set only by explore_guided
     signature_grid* grid = nullptr; ///< set only by the guided walk
-    std::size_t computed = 0;     ///< deliveries from the executor
+    std::size_t computed = 0;     ///< deliveries from the worker pool
     std::size_t memo_served = 0;  ///< deliveries from the report-memo scan
     std::size_t trained_rows = 0; ///< rows folded into the surrogate
     /// Freshly delivered rows awaiting training, drained by train_fresh().
     std::vector<std::pair<std::size_t, metric_record>> fresh;
 
     /// Folds one finished report in and fans it out to the sink.  Called
-    /// serialised (scan loop or the executor's serialised callback).
+    /// serialised (scan loop or the worker pool's serialised delivery).
     void deliver(std::size_t index, const flow_report& report, delivery_source src)
     {
         ++summary.evaluated;
@@ -179,7 +184,6 @@ session::session(const flow& prototype, const session_options& opts)
 {
     check(opts_.chunk >= 1, "session chunk size must be >= 1");
     cache_->set_report_capacity(opts_.memo_limit);
-    flow_.reuse(cache_);
 }
 
 bool session::serve_from_memo(const space& s, std::size_t index,
@@ -208,30 +212,74 @@ bool session::serve_from_memo(const space& s, std::size_t index,
 void session::evaluate(const space& s, const std::vector<std::size_t>& indices,
                        delivery_state& state, int threads)
 {
-    // Scan: duplicate points whose full report is memoised are served as
-    // run_point would serve them (so a cold session is byte-identical to
-    // run_batch); points evicted to — or warm-started as — metric
-    // records answer at the metric level; everything else batches
-    // through the flow executor.
-    // A malformed worker count must fail *every* point with
-    // invalid_argument (the run_batch contract) — memo-warm points
-    // included, so skip the scan and let the executor fail them all.
+    // A negative worker count is a malformed request, not "use all
+    // cores" (that is spelled 0): every point fails with
+    // invalid_argument, memo-warm ones included, so the scan is skipped.
+    // Otherwise duplicate points whose full report is memoised are
+    // served as run_point would serve them (so a cold session is
+    // byte-identical to one flow::run() per point); points evicted to —
+    // or warm-started as — metric records answer at the metric level;
+    // everything else runs on the worker pool.
     const bool malformed = threads < 0;
-    std::vector<synthesis_constraints> compute_points;
-    std::vector<std::size_t> compute_indices;
-    for (const std::size_t index : indices) {
-        if (!malformed && serve_from_memo(s, index, state)) continue;
-        compute_points.push_back(s.at(index));
-        compute_indices.push_back(index);
+    std::vector<std::size_t> pending;
+    for (const std::size_t index : indices)
+        if (malformed || !serve_from_memo(s, index, state)) pending.push_back(index);
+
+    const status refused =
+        malformed ? status::invalid(strf(
+                        "thread count must be >= 0 (0 = hardware concurrency), got %d",
+                        threads))
+                  : status::success();
+    std::size_t workers = threads > 0 ? static_cast<std::size_t>(threads)
+                          : malformed ? 1
+                                      : std::max(1u, std::thread::hardware_concurrency());
+    workers = std::min(workers, pending.size());
+
+    // A report that names its point and strategy but never ran.
+    const auto failed = [this](const synthesis_constraints& c, const status& st) {
+        flow_report r;
+        r.strategy = flow_.synthesizer_name();
+        r.constraints = c;
+        r.st = st;
+        return r;
+    };
+    // Each point is claimed by exactly one worker.  run_point never
+    // throws, but the catch keeps even an allocation failure isolated to
+    // one point's report.  Deliveries are serialised under
+    // `deliver_mutex` in completion order; the first sink exception
+    // cancels the rest and is rethrown once every worker has drained.
+    std::atomic<std::size_t> next{0};
+    std::mutex deliver_mutex;
+    std::exception_ptr sink_error;
+    const auto drain = [&] {
+        for (std::size_t k = next.fetch_add(1); k < pending.size(); k = next.fetch_add(1)) {
+            const std::size_t index = pending[k];
+            const synthesis_constraints c = s.at(index);
+            flow_report report;
+            try {
+                report = malformed ? failed(c, refused) : flow_.run_point(c, cache_.get());
+            } catch (const std::exception& e) {
+                report = failed(c, status::internal(e.what()));
+            }
+            const std::lock_guard<std::mutex> lock(deliver_mutex);
+            if (sink_error) continue;
+            try {
+                state.deliver(index, report, delivery_source::computed);
+            } catch (...) {
+                sink_error = std::current_exception();
+            }
+        }
+    };
+    if (workers <= 1) {
+        drain();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
+        for (std::thread& t : pool) t.join();
     }
-    if (!compute_points.empty())
-        flow_.run_batch_stream(
-            compute_points,
-            [&](std::size_t local, const flow_report& r) {
-                state.deliver(compute_indices[local], r, delivery_source::computed);
-            },
-            threads);
-    // Fresh rows train *after* the batch in space-index order, so the
+    if (sink_error) std::rethrow_exception(sink_error);
+    // Fresh rows train *after* the pool in space-index order, so the
     // model is a function of the evaluated set alone, not of completion
     // order — adaptive (refine) corner evaluations flow through here
     // too, which is what makes refine+guided == refine+eager.
@@ -290,8 +338,8 @@ guided_summary session::explore_guided(const space& s, const guided_options& g,
         explore_adaptive(s, state, threads);
         skipped = state.summary.space_size - state.summary.evaluated;
     } else if (threads < 0) {
-        // run_batch contract: a malformed worker count fails every
-        // point — nothing may be pruned or memo-served.
+        // A malformed worker count fails every point (see evaluate()) —
+        // nothing may be pruned or memo-served.
         state.model = &model;
         explore_exhaustive(s, state, threads);
     } else {
@@ -403,9 +451,8 @@ guided_summary session::explore_guided(const space& s, const guided_options& g,
 explore_summary session::explore_exhaustive(const space& s, delivery_state& state,
                                             int threads)
 {
-    // Walk the space in bounded chunks: at most opts_.chunk points (plus
-    // the executor's result slots for the computed subset) exist at
-    // once, however large the space is.
+    // Walk the space in bounded chunks: at most opts_.chunk space
+    // indices exist at once, however large the space is.
     std::vector<std::size_t> chunk;
     chunk.reserve(std::min<std::size_t>(opts_.chunk, s.size()));
     s.enumerate([&](std::size_t index, const synthesis_constraints&) {
@@ -431,8 +478,8 @@ explore_summary session::explore_adaptive(const space& s, delivery_state& state,
     state.want_signatures = true;
 
     // Coarse-to-fine cell subdivision over the index lattice.  Each wave
-    // batch-evaluates every corner it is missing (one executor call, so
-    // the worker pool stays busy), then splits exactly the cells whose
+    // evaluates every corner it is missing (one pool round per chunk, so
+    // the workers stay busy), then splits exactly the cells whose
     // corners landed on different Pareto-front regions.
     struct cell {
         std::size_t i0, i1, j0, j1;

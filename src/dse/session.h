@@ -12,14 +12,12 @@
 //       {.on_result = ..., .on_front = ...});
 //   s.save("sweep.phlscache");              // persist for the next process
 //
-// explore() unifies the three flow::run_batch* shapes behind one sink:
-// the result channel streams each finished report (what
-// run_batch_stream's callback delivered), and the front channel streams
-// *envelope deltas* — the points that entered and left the incremental
-// Pareto front — instead of re-sending the whole front per completion
-// (what run_batch_pareto did).  The run_batch* functions remain as thin
-// wrappers over the same executor for eager vector callers; see
-// docs/FLOW_API.md for the migration table.
+// explore() is the one way to evaluate many points: it runs them on a
+// worker pool against the session's cache and delivers through one
+// sink.  The result channel streams each finished report, and the front
+// channel streams *envelope deltas* — the points that entered and left
+// the incremental Pareto front — instead of re-sending the whole front
+// per completion.
 //
 // The session's cache is bounded (memo_limit full reports, LRU) and
 // persistent: save()/load() serialise its metric records, so a repeated
@@ -62,7 +60,7 @@ struct session_options {
     /// Report-memo bound: max *full* reports held (LRU-evicted down to
     /// metric records beyond it); 0 = unbounded.
     std::size_t memo_limit = 0;
-    /// Max points materialised per executor call: a space is walked in
+    /// Points handed to the worker pool at a time: a space is walked in
     /// chunks of this size, so a 10^5-point plane never exists as one
     /// eager vector.  Must be >= 1.
     std::size_t chunk = 1024;
@@ -73,9 +71,15 @@ struct session_options {
     bool metric_answers = true;
 };
 
+/// Per-point report channel: (space index, finished report).
+using stream_callback = std::function<void(std::size_t index, const flow_report& report)>;
+
 /// The unified delivery interface of session::explore.  Both channels
-/// are optional; calls are serialised (never concurrent).  A throwing
-/// callback aborts the exploration and rethrows to the caller.
+/// are optional.  Calls are serialised (never concurrent), so a callback
+/// may touch shared state without locking; it should not block for long
+/// (it stalls the worker pool).  A throwing callback cancels every later
+/// delivery: the exploration stops once the running workers drain, and
+/// the first exception is rethrown to the caller.
 struct sink {
     /// Per-point channel: (space index, finished report), in completion
     /// order — memo-served points complete instantly, computed points as
@@ -130,7 +134,7 @@ struct guided_options {
 /// explore() meaning: `evaluated` counts *delivered* points — exact
 /// computations plus memo serves; skipped points are never delivered.
 struct guided_summary : explore_summary {
-    std::size_t computed = 0;    ///< points evaluated exactly (executor or refine corner)
+    std::size_t computed = 0;    ///< points evaluated exactly (worker pool or refine corner)
     std::size_t memo_served = 0; ///< points answered from the memo during the scan
     std::size_t skipped = 0;     ///< points pruned by the surrogate, never delivered
     std::size_t verified = 0;    ///< exact evaluations ordered by a *ready* model
@@ -174,10 +178,14 @@ public:
     std::size_t merge(const std::string& path) { return cache_->merge(path); }
 
     /// Evaluates every point of `s` (adaptively, when s.adaptive()) on
-    /// `threads` workers (0 = hardware concurrency), delivering through
-    /// `sk` and folding the incremental Pareto front.  Reports of a
-    /// cold, unbounded session are byte-identical to
-    /// flow::run_batch(s.materialize()); warm or evicted points are
+    /// `threads` workers, delivering through `sk` and folding the
+    /// incremental Pareto front.  `threads == 0` means hardware
+    /// concurrency; a negative count is a malformed request and fails
+    /// every point with invalid_argument, memo-warm ones included.
+    /// Reports of a cold, unbounded session are byte-identical to one
+    /// flow::run() per point of s.materialize(), for every thread
+    /// count; a failure in one point (even an escaped exception) is
+    /// isolated to that point's report.  Warm or evicted points are
     /// served as metric-only reports when metric_answers allows.
     explore_summary explore(const space& s, const sink& sk = {}, int threads = 0);
 
@@ -202,9 +210,9 @@ private:
     struct delivery_state;
 
     /// Evaluates `indices` (space indices into `s`), serving memo hits
-    /// and batching the rest through the flow executor.  When the state
-    /// carries a surrogate, the freshly delivered rows are trained in
-    /// space-index order before returning.
+    /// and running the rest on a pool of `threads` workers.  When the
+    /// state carries a surrogate, the freshly delivered rows are trained
+    /// in space-index order before returning.
     void evaluate(const space& s, const std::vector<std::size_t>& indices,
                   delivery_state& state, int threads);
 

@@ -3,9 +3,9 @@
 // A (T, Pmax) sweep evaluates many constraint points over ONE graph and
 // ONE module library, yet parts of every evaluation depend only on that
 // (graph, library) pair.  explore_cache holds exactly two kinds of state
-// and serves both to every batch point and worker thread; flow::
-// run_batch builds one automatically, and callers can share a cache
-// across several flows/batches with flow::reuse():
+// and serves both to every sweep point and worker thread; every
+// dse::session builds one for its problem, and callers can share a
+// cache across several flows with flow::reuse():
 //
 //   * graph invariants -- the transitive reachability relation behind
 //     the compatibility graph, the reversed graph palap schedules on,
@@ -135,7 +135,7 @@ struct cache_merge_stats {
 /// to one without.  Failed prospect selections are recomputed rather than
 /// memoised because their diagnostic text embeds the exact power cap.
 ///
-/// @see flow::reuse(), flow::build_cache(), flow::run_batch()
+/// @see flow::reuse(), flow::build_cache(), dse::session
 class explore_cache {
 public:
     /// Builds the cache for one design problem: validates `g`, checks
@@ -151,7 +151,7 @@ public:
 
     /// True iff (g, lib) serialise identically to the constructor inputs,
     /// i.e. every cached value is valid for this problem.  flow checks
-    /// this once per run()/run_batch() before trusting a shared cache.
+    /// this once per run() before trusting a shared cache.
     bool compatible(const graph& g, const module_library& lib) const;
 
     /// The transitive reachability relation of the graph (computed once

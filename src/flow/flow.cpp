@@ -1,15 +1,10 @@
 #include "flow/flow.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "battery/lifetime.h"
 #include "flow/explore_cache.h"
-#include "flow/pareto_stream.h"
 #include "support/errors.h"
 #include "support/memo_key.h"
 #include "support/strings.h"
@@ -128,12 +123,6 @@ flow& flow::estimate_lifetime(const lifetime_spec& spec)
 flow& flow::reuse(std::shared_ptr<const explore_cache> cache)
 {
     cache_ = std::move(cache);
-    return *this;
-}
-
-flow& flow::caching(bool enabled)
-{
-    caching_ = enabled;
     return *this;
 }
 
@@ -293,136 +282,6 @@ flow_report flow::run() const
         return report;
     }
     return run_point(constraints_, cache);
-}
-
-std::vector<flow_report>
-flow::run_batch(const std::vector<synthesis_constraints>& points, int threads) const
-{
-    return run_batch_stream(points, {}, threads);
-}
-
-std::vector<flow_report>
-flow::run_batch_stream(const std::vector<synthesis_constraints>& points,
-                       const stream_callback& on_result, int threads) const
-{
-    std::vector<flow_report> reports(points.size());
-    if (points.empty()) return reports;
-
-    // Malformed batch requests fail every point loudly with the same
-    // status instead of computing on wrong assumptions.  Callback
-    // semantics match the worker-pool path: a throwing consumer cancels
-    // further deliveries, every report is still filled in, and the
-    // exception is rethrown at the end.
-    const auto fail_all = [&](const status& st) {
-        std::exception_ptr consumer_error;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            reports[i].strategy = synth_name_;
-            reports[i].constraints = points[i];
-            reports[i].st = st;
-            if (!on_result || consumer_error) continue;
-            try {
-                on_result(i, reports[i]);
-            } catch (...) {
-                consumer_error = std::current_exception();
-            }
-        }
-        if (consumer_error) std::rethrow_exception(consumer_error);
-        return reports;
-    };
-
-    // A negative worker count is a malformed request, not "use all
-    // cores" (that is spelled 0).
-    if (threads < 0)
-        return fail_all(status::invalid(
-            strf("thread count must be >= 0 (0 = hardware concurrency), got %d",
-                 threads)));
-
-    // One compatibility check per batch, not per point.
-    const explore_cache* cache = nullptr;
-    if (const status st = shared_cache(&cache); !st.ok()) return fail_all(st);
-
-    // Without a shared cache, build one for this batch so every point
-    // reuses the (graph, lib) invariants.  A malformed problem cannot be
-    // cached; each point then reports invalid_argument through the
-    // normal uncached path.
-    std::shared_ptr<const explore_cache> batch_cache;
-    if (cache == nullptr && caching_) {
-        try {
-            batch_cache = build_cache();
-            cache = batch_cache.get();
-        } catch (const std::exception&) {
-            cache = nullptr;
-        }
-    }
-
-    std::size_t workers = threads > 0
-                              ? static_cast<std::size_t>(threads)
-                              : std::max(1u, std::thread::hardware_concurrency());
-    workers = std::min(workers, points.size());
-
-    // Each point is claimed by exactly one worker and written to its own
-    // slot, so results are in input order and independent of the worker
-    // count; run_point never throws, but the extra catch keeps even an
-    // allocation failure isolated to one point's report.  Streaming
-    // callbacks are serialised under `stream_mutex` and delivered in
-    // completion order; the first callback exception cancels the rest
-    // and is rethrown once every worker has drained.
-    std::atomic<std::size_t> next{0};
-    std::mutex stream_mutex;
-    std::exception_ptr stream_error;
-    const auto deliver = [&](std::size_t i) {
-        if (!on_result) return;
-        const std::lock_guard<std::mutex> lock(stream_mutex);
-        if (stream_error) return;
-        try {
-            on_result(i, reports[i]);
-        } catch (...) {
-            stream_error = std::current_exception();
-        }
-    };
-    const auto drain = [&]() {
-        for (std::size_t i = next.fetch_add(1); i < points.size();
-             i = next.fetch_add(1)) {
-            try {
-                reports[i] = run_point(points[i], cache);
-            } catch (const std::exception& e) {
-                reports[i] = flow_report{};
-                reports[i].strategy = synth_name_;
-                reports[i].constraints = points[i];
-                reports[i].st = status::internal(e.what());
-            }
-            deliver(i);
-        }
-    };
-
-    if (workers == 1) {
-        drain();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
-        for (std::thread& t : pool) t.join();
-    }
-    if (stream_error) std::rethrow_exception(stream_error);
-    return reports;
-}
-
-std::vector<flow_report>
-flow::run_batch_pareto(const std::vector<synthesis_constraints>& points,
-                       const pareto_callback& on_progress, int threads) const
-{
-    if (!on_progress) return run_batch(points, threads);
-    // run_batch_stream serialises callbacks, so the fold needs no lock;
-    // the front state is complete w.r.t. every previously delivered
-    // report when on_progress observes it.
-    pareto_stream front;
-    return run_batch_stream(
-        points,
-        [&front, &on_progress](std::size_t i, const flow_report& r) {
-            const bool changed = front.add(i, r);
-            on_progress(i, r, front, changed);
-        },
-        threads);
 }
 
 sched_outcome flow::run_schedule() const

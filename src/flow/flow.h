@@ -17,14 +17,12 @@
 //
 // Backends are pluggable by name through the strategy registry
 // (`.synthesizer("exact")`, `.scheduler("fds")` -- see strategy.h).
-// Batch exploration runs through `run_batch` / `run_batch_stream`: many
-// (T, Pmax) points on a worker pool with per-point isolation,
-// deterministic input-ordered results, per-(graph, lib) sub-results
-// shared through an explore_cache, and (for the streaming variant) a
-// callback that delivers each report as its point completes.
+// Sweeps over many (T, Pmax) points run through dse::session
+// (dse/session.h): it owns the worker pool and an explore_cache built
+// for this flow's problem, and evaluates every point with this flow's
+// configuration.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,7 +33,9 @@
 namespace phls {
 
 class explore_cache;
-class pareto_stream;
+namespace dse {
+class session;
+}
 
 /// Battery-lifetime stage parameters (see battery/battery.h for the
 /// underlying Rakhmatov-Vrudhula model).
@@ -87,27 +87,9 @@ struct flow_report {
     std::string to_string() const;
 };
 
-/// Streaming report channel for run_batch_stream: invoked once per batch
-/// point, with the point's input index and its finished report, in
-/// completion order.  Calls are serialised (never concurrent), so the
-/// callback may touch shared state without locking; it must not block
-/// for long (it stalls the worker pool) and should not throw -- a thrown
-/// exception cancels further callbacks and rethrows to the caller after
-/// the batch finishes.
-using stream_callback = std::function<void(std::size_t index, const flow_report& report)>;
-
-/// Progress channel for run_batch_pareto: like stream_callback, plus the
-/// incremental Pareto-front state after folding this report in and
-/// whether the front changed.  Same serialisation and exception
-/// semantics as stream_callback; `front` (and any pointer obtained from
-/// it) is only valid during the call.
-using pareto_callback = std::function<void(std::size_t index, const flow_report& report,
-                                           const pareto_stream& front, bool front_changed)>;
-
 /// Fluent builder + executor for one design problem.  The graph and
 /// library are copied in, so a flow outlives its inputs; a configured
-/// flow is immutable under run()/run_batch() and safe to share across
-/// threads.
+/// flow is immutable under run() and safe to share across threads.
 class flow {
 public:
     /// Starts a flow on a copy of `g` with the paper's Table 1 library.
@@ -136,21 +118,15 @@ public:
     /// Enables the battery stage: lifetime of the synthesised design.
     flow& estimate_lifetime(const lifetime_spec& spec = {});
 
-    /// Shares a pre-built explore_cache with this flow: run(), batch runs
-    /// and run_schedule() serve the graph invariants (reachability, the
-    /// reversed graph, prospect and fastest tables) and whole reports of
-    /// exactly-duplicate points from it instead of recomputing per point
-    /// (see explore_cache).  The cache must have been built for this
-    /// flow's (graph, library) -- see build_cache(); a mismatched cache
-    /// makes every run report invalid_argument rather than silently
-    /// computing on the wrong problem.
+    /// Shares a pre-built explore_cache with this flow: run(),
+    /// run_schedule() and power_grid() serve the graph invariants
+    /// (reachability, the reversed graph, prospect and fastest tables)
+    /// and whole reports of exactly-duplicate points from it instead of
+    /// recomputing per point (see explore_cache).  The cache must have
+    /// been built for this flow's (graph, library) -- see build_cache();
+    /// a mismatched cache makes every run report invalid_argument rather
+    /// than silently computing on the wrong problem.
     flow& reuse(std::shared_ptr<const explore_cache> cache);
-
-    /// Enables/disables the automatic per-batch cache (default enabled).
-    /// run_batch builds a fresh explore_cache per call when no shared one
-    /// was installed with reuse(); pass false to benchmark the uncached
-    /// path.  Results are byte-identical either way.
-    flow& caching(bool enabled);
 
     /// Builds an explore_cache for this flow's (graph, library), ready to
     /// pass to reuse() -- on this flow and on any other flow over the
@@ -162,37 +138,6 @@ public:
     /// back as status invalid_argument, impossible constraints as
     /// status infeasible.
     flow_report run() const;
-
-    /// Runs the configured pipeline once per (T, Pmax) point on a pool
-    /// of `threads` workers.  `threads == 0` means hardware concurrency;
-    /// a negative count is a malformed request and is reported as
-    /// invalid_argument on every point (like a stale cache).  Results
-    /// are in input order and bit-identical to `threads == 1`; a failure
-    /// in one point (including an escaped exception) is isolated to that
-    /// point's report.  Sub-results are shared across points through an
-    /// explore_cache (see reuse()/caching()).
-    std::vector<flow_report> run_batch(const std::vector<synthesis_constraints>& points,
-                                       int threads = 0) const;
-
-    /// run_batch with a streaming report channel: `on_result` is invoked
-    /// once per point as it completes (completion order, serialised --
-    /// see stream_callback), and the full input-ordered vector is still
-    /// returned at the end, byte-identical to run_batch.  An empty
-    /// callback degrades to plain run_batch.
-    std::vector<flow_report>
-    run_batch_stream(const std::vector<synthesis_constraints>& points,
-                     const stream_callback& on_result, int threads = 0) const;
-
-    /// run_batch_stream with an incremental Pareto front folded in: each
-    /// completed report is added to a pareto_stream over (peak, area,
-    /// lifetime when estimated) before `on_progress` sees it, so
-    /// consumers can render the partial front / Figure-2 envelope while
-    /// the sweep runs.  After the last point the front equals
-    /// pareto_points() of the returned vector, whatever the completion
-    /// order.  An empty callback degrades to plain run_batch.
-    std::vector<flow_report>
-    run_batch_pareto(const std::vector<synthesis_constraints>& points,
-                     const pareto_callback& on_progress, int threads = 0) const;
 
     /// Runs only the scheduling stage with the selected scheduler
     /// strategy (assignment: fastest modules under the cap).
@@ -239,8 +184,14 @@ public:
     const lifetime_spec& lifetime() const { return lifetime_; }
 
 private:
+    // The session evaluates sweep points through run_point on the cache
+    // it built from its own prototype, so no point re-checks the cache.
+    friend class dse::session;
+
     explicit flow(const graph& g);
 
+    /// The pipeline at point `c`, serving and storing through `cache`
+    /// when it is non-null; never throws.
     flow_report run_point(const synthesis_constraints& c,
                           const explore_cache* cache) const;
 
@@ -259,7 +210,6 @@ private:
     bool want_lifetime_ = false;
     lifetime_spec lifetime_;
     std::shared_ptr<const explore_cache> cache_;
-    bool caching_ = true;
 };
 
 } // namespace phls

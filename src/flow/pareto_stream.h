@@ -1,18 +1,17 @@
 // Incremental Pareto front / Figure-2 envelope over streamed reports.
 //
-// A batch sweep's interesting output is rarely the raw per-point vector:
-// it is the Pareto front in the (peak power, area, battery lifetime)
-// space and the paper's Figure-2 envelope (best area achievable under
-// each cap).  pareto_stream folds finished flow_reports in one at a time
-// — the shape run_batch_stream delivers them in — and maintains the
-// exact front incrementally, so a consumer can render partial results
-// while the sweep is still running.  The incremental front after the
-// last point equals the front computed post-hoc from the final vector
-// (pareto_points) regardless of completion order.
+// A sweep's interesting output is rarely the raw per-point vector: it
+// is the Pareto front in the (peak power, area, battery lifetime) space
+// and the paper's Figure-2 envelope (best area achievable under each
+// cap).  pareto_stream folds finished flow_reports in one at a time —
+// the shape a dse::sink's result channel delivers them in — and
+// maintains the exact front incrementally, so a consumer can render
+// partial results while the sweep is still running.  The incremental
+// front after the last point equals the front computed post-hoc from
+// the collected reports (pareto_points) regardless of completion order.
 //
-// flow::run_batch_pareto wires this into the batch executor: the
-// progress callback receives each report plus the front state the moment
-// the point completes.
+// dse::session::explore folds every delivered report into one and
+// streams its changes as front_deltas through the sink's front channel.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +43,8 @@ bool operator==(const front_point& a, const front_point& b);
 /// (so duplicate points keep one representative, deterministically).
 /// The index tiebreak is restricted to points with matching
 /// has_lifetime, keeping the relation a strict partial order even on
-/// mixed report sets; run_batch_pareto always feeds a uniform
-/// configuration, where every pair is fully comparable.
+/// mixed report sets; a session always feeds a uniform configuration,
+/// where every pair is fully comparable.
 bool front_dominates(const front_point& a, const front_point& b);
 
 /// The change one report made to the front: the points that entered and
@@ -64,8 +63,8 @@ struct front_delta {
 };
 
 /// Incremental Pareto-front accumulator.  Not thread-safe by itself;
-/// run_batch_stream serialises callbacks, which is where it is meant to
-/// be fed.
+/// a dse::sink's deliveries are serialised, which is where it is meant
+/// to be fed.
 class pareto_stream {
 public:
     /// Folds one finished report in; infeasible reports only advance the

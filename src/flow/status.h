@@ -6,7 +6,7 @@
 // phls::status: `ok` on success, `infeasible` for constraint
 // combinations with no solution (an *expected* outcome, per DESIGN.md),
 // `invalid_argument` for malformed requests, `unsupported` for unknown
-// strategy names, and `internal` for escaped exceptions inside a batch
+// strategy names, and `internal` for escaped exceptions inside a sweep
 // worker.
 #pragma once
 

@@ -48,7 +48,7 @@ struct sched_outcome {
 };
 
 /// A named scheduling backend.  Implementations must be stateless /
-/// thread-safe: `run` is called concurrently from batch workers.
+/// thread-safe: `run` is called concurrently from sweep workers.
 class scheduler_strategy {
 public:
     virtual ~scheduler_strategy() = default;

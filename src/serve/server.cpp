@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -115,7 +116,12 @@ bool run_job(channel& ch, const job_request& job, session_pool& pool,
         if (dropped) return;
         ch.send(frame_type::front, encode_front(d));
     };
-    const int threads = job.threads > 0 ? job.threads : limits.threads;
+    // limits.threads is the ceiling as well as the default: a job may
+    // ask for fewer workers than the server allows, never for more.
+    const int ceiling = limits.threads > 0
+                            ? limits.threads
+                            : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    const int threads = job.threads > 0 ? std::min(job.threads, ceiling) : ceiling;
     const dse::explore_summary sum = slot->session.explore(job.space, sk, threads);
     if (limits.allow_cache_save && !job.save_cache_path.empty())
         slot->session.save(job.save_cache_path);

@@ -41,8 +41,9 @@ namespace phls::serve {
 /// Evaluation policy of one serving endpoint (socket server, fork
 /// worker, stdio worker).
 struct serve_limits {
-    /// Worker threads per job when the job does not ask for a specific
-    /// count (job_request::threads == 0); 0 = hardware concurrency.
+    /// Worker threads per job: the count a job gets when it does not
+    /// ask for one (job_request::threads == 0), and the ceiling on what
+    /// it may ask for; 0 = hardware concurrency.
     int threads = 1;
     /// Full-report LRU bound for each pooled session (0 = unbounded).
     std::size_t memo_limit = 0;

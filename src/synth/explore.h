@@ -2,9 +2,9 @@
 // helpers behind Figure 2 and the DSE example.
 //
 // The sweeps themselves run through the flow engine -- build a grid with
-// `flow::power_grid`, evaluate it with `flow::run_batch` (or stream it
-// with `flow::run_batch_stream`), then map each flow_report to the
-// sweep_point shape with `to_sweep_point` and post-process here.  The
+// `flow::power_grid`, evaluate it with `dse::session::explore` (which
+// streams each report through its sink), then map each flow_report to
+// the sweep_point shape with `to_sweep_point` and post-process here.  The
 // legacy sweep free functions were removed after one release as
 // deprecated shims; see docs/FLOW_API.md for the migration.
 #pragma once

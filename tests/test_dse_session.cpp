@@ -1,5 +1,5 @@
 // Tests for dse::session: the unified explore() sink, byte-identity
-// with the run_batch wrappers, front-delta streaming, the bounded
+// with sequential flow::run() calls, front-delta streaming, the bounded
 // report memo, cache-file persistence and adaptive refinement.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "flow/pareto_stream.h"
 #include "support/errors.h"
 #include "support/memo_key.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -38,17 +39,6 @@ std::vector<synthesis_constraints> duplicated_grid(int points)
     return grid;
 }
 
-/// Collects every delivered report, index-addressed.
-dse::sink collector(std::vector<flow_report>& out)
-{
-    dse::sink sk;
-    sk.on_result = [&out](std::size_t i, const flow_report& r) {
-        if (i >= out.size()) out.resize(i + 1);
-        out[i] = r;
-    };
-    return sk;
-}
-
 /// A scratch file path unique to the test, cleaned up by the caller.
 std::string scratch(const char* name)
 {
@@ -57,10 +47,10 @@ std::string scratch(const char* name)
 
 // -------------------------------------------------------- explore basics
 
-TEST(dse_session, cold_explore_is_byte_identical_to_run_batch)
+TEST(dse_session, cold_explore_is_byte_identical_to_sequential_runs)
 {
     const std::vector<synthesis_constraints> grid = duplicated_grid(8);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
 
     dse::session session(hal17());
     std::vector<flow_report> got;
@@ -78,7 +68,7 @@ TEST(dse_session, cold_explore_is_byte_identical_to_run_batch)
 TEST(dse_session, chunked_walk_is_byte_identical_too)
 {
     const std::vector<synthesis_constraints> grid = duplicated_grid(8);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
 
     // chunk = 3 forces duplicates into later chunks than their
     // originals: they must be served from the *full* report memo at scan
@@ -104,27 +94,14 @@ TEST(dse_session, front_deltas_replay_to_the_final_front)
     std::vector<synthesis_constraints> grid;
     for (double cap : hal17().power_grid(12)) grid.push_back({17, cap});
     const dse::explore_summary sum = session.explore(dse::list(grid), sk, 2);
-
-    std::vector<front_point> replay;
-    for (const front_delta& d : deltas) {
-        for (const front_point& p : d.left) std::erase(replay, p);
-        for (const front_point& p : d.entered) replay.push_back(p);
-    }
-    std::sort(replay.begin(), replay.end(),
-              [](const front_point& a, const front_point& b) {
-                  if (a.peak != b.peak) return a.peak < b.peak;
-                  if (a.area != b.area) return a.area < b.area;
-                  return a.index < b.index;
-              });
-    EXPECT_EQ(replay, sum.front);
+    EXPECT_EQ(replay_front(deltas), sum.front);
     EXPECT_FALSE(sum.front.empty());
 }
 
 TEST(dse_session, negative_threads_fail_every_point_even_when_warm)
 {
-    // The run_batch contract: a malformed worker count reports
-    // invalid_argument on every point.  A warm memo must not leak ok
-    // answers past the validation.
+    // A malformed worker count reports invalid_argument on every point.
+    // A warm memo must not leak ok answers past the validation.
     std::vector<synthesis_constraints> grid;
     for (double cap : hal17().power_grid(4)) grid.push_back({17, cap});
 
@@ -158,7 +135,7 @@ TEST(dse_session, sink_exception_aborts_and_rethrows)
 TEST(dse_session, bounded_memo_never_exceeds_capacity_and_serves_metrics)
 {
     const std::vector<synthesis_constraints> grid = duplicated_grid(10);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
 
     dse::session session(hal17(), {.memo_limit = 4, .chunk = 5});
     std::size_t max_full = 0;
@@ -188,7 +165,7 @@ TEST(dse_session, bounded_memo_never_exceeds_capacity_and_serves_metrics)
 TEST(dse_session, metric_answers_can_be_disabled)
 {
     const std::vector<synthesis_constraints> grid = duplicated_grid(6);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
 
     dse::session session(hal17(),
                          {.memo_limit = 2, .chunk = 4, .metric_answers = false});
@@ -207,7 +184,7 @@ TEST(dse_session, metric_answers_can_be_disabled)
 TEST(dse_session, save_load_round_trip_preserves_answers_and_counters)
 {
     const std::vector<synthesis_constraints> grid = duplicated_grid(8);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
     const std::string path = scratch("session_round_trip.phlscache");
 
     dse::session cold(hal17());
@@ -349,8 +326,8 @@ TEST(dse_session, session_cache_is_shareable_with_plain_flows)
     session.explore(dse::list(grid), {}, 1);
 
     const flow f = hal17().reuse(session.cache());
-    const std::vector<flow_report> direct = f.run_batch(grid, 1);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> direct = run_each(f, grid);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
     ASSERT_EQ(direct.size(), reference.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
         EXPECT_EQ(direct[i].to_string(), reference[i].to_string()) << i;
@@ -577,7 +554,7 @@ TEST(dse_session, merge_unions_disjoint_cache_files)
     EXPECT_EQ(replay.metric_served, grid.size());
 
     // And the replayed metrics match a cold evaluation exactly.
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
     std::vector<flow_report> got;
     dse::session check(hal17());
     check.merge(lo_path);

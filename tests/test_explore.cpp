@@ -6,6 +6,7 @@
 #include "flow/flow.h"
 #include "support/errors.h"
 #include "synth/explore.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -26,7 +27,7 @@ std::vector<sweep_point> sweep(const graph& g, int T, const std::vector<double>&
     for (double cap : caps) grid.push_back({T, cap});
     std::vector<sweep_point> out;
     for (const flow_report& r :
-         flow::on(g).with_library(lib()).latency(T).run_batch(grid, threads))
+         explore_all(flow::on(g).with_library(lib()).latency(T), grid, threads))
         out.push_back(to_sweep_point(r));
     return out;
 }

@@ -1,8 +1,10 @@
-// Tests for the batch explore_cache (shared per-(graph, lib) sub-results)
-// and the streaming batch report channel.
+// Tests for the explore_cache (shared per-(graph, lib) sub-results) and
+// the session's streaming report channel: every point delivered once,
+// deliveries serialised, sink exceptions rethrown after the pool drains.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <set>
@@ -15,6 +17,7 @@
 #include "support/errors.h"
 #include "synth/prospect.h"
 #include "synth/two_step.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -43,14 +46,11 @@ TEST(explore_cache, cached_batches_are_byte_identical_to_uncached_across_threads
     for (double cap : base.power_grid(16)) grid.push_back({15, cap});
 
     // The uncached sequential run is the pre-cache engine behaviour.
-    const std::vector<flow_report> reference =
-        flow::on(g).with_library(lib()).latency(15).caching(false).run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(base, grid);
     ASSERT_EQ(reference.size(), grid.size());
 
-    const auto cache = base.build_cache();
-    const flow cached = flow::on(g).with_library(lib()).latency(15).reuse(cache);
     for (int threads : {1, 2, 8}) {
-        const std::vector<flow_report> reports = cached.run_batch(grid, threads);
+        const std::vector<flow_report> reports = explore_all(base, grid, threads);
         ASSERT_EQ(reports.size(), reference.size()) << threads << " threads";
         for (std::size_t i = 0; i < reports.size(); ++i)
             EXPECT_EQ(reports[i].to_string(), reference[i].to_string())
@@ -60,12 +60,11 @@ TEST(explore_cache, cached_batches_are_byte_identical_to_uncached_across_threads
 
 TEST(explore_cache, hits_are_taken_on_a_16_point_sweep)
 {
-    const auto cache = std::make_shared<explore_cache>(make_hal(), lib());
-    const flow f = flow::on(make_hal()).with_library(lib()).latency(17).reuse(cache);
-    const std::vector<flow_report> reports = f.run_batch(hal_grid(16), 2);
-    ASSERT_EQ(reports.size(), 16u);
+    dse::session session(flow::on(make_hal()).with_library(lib()).latency(17));
+    const dse::explore_summary sum = session.explore(dse::list(hal_grid(16)), {}, 2);
+    ASSERT_EQ(sum.evaluated, 16u);
 
-    const explore_cache::counters c = cache->stats();
+    const explore_cache::counters c = session.cache()->stats();
     EXPECT_GT(c.hits, 0);
     // Every feasible point takes several hits (prospect tables from both
     // policies, reachability), so a 16-point sweep lands well past one
@@ -92,21 +91,6 @@ TEST(explore_cache, prospect_lookup_matches_direct_computation)
     EXPECT_GT(cache.stats().hits, 0); // buckets repeat across those caps
 }
 
-TEST(explore_cache, auto_cache_keeps_run_batch_output_stable)
-{
-    // run_batch builds a per-batch cache by default; disabling it must
-    // not change a single byte.
-    const graph g = make_hal();
-    const std::vector<synthesis_constraints> grid = hal_grid(12);
-    const std::vector<flow_report> with_cache =
-        flow::on(g).with_library(lib()).latency(17).run_batch(grid, 2);
-    const std::vector<flow_report> without_cache =
-        flow::on(g).with_library(lib()).latency(17).caching(false).run_batch(grid, 2);
-    ASSERT_EQ(with_cache.size(), without_cache.size());
-    for (std::size_t i = 0; i < with_cache.size(); ++i)
-        EXPECT_EQ(with_cache[i].to_string(), without_cache[i].to_string()) << i;
-}
-
 TEST(explore_cache, stale_cache_is_reported_not_silently_recomputed)
 {
     const auto cache = std::make_shared<explore_cache>(make_hal(), lib());
@@ -114,10 +98,6 @@ TEST(explore_cache, stale_cache_is_reported_not_silently_recomputed)
     const flow f = flow::on(make_cosine()).with_library(lib()).latency(15).reuse(cache);
     const flow_report single = f.run();
     EXPECT_EQ(single.st.code, status_code::invalid_argument);
-    const std::vector<flow_report> batch = f.run_batch({{15, 9.0}, {15, 20.0}}, 2);
-    ASSERT_EQ(batch.size(), 2u);
-    for (const flow_report& r : batch)
-        EXPECT_EQ(r.st.code, status_code::invalid_argument);
     const sched_outcome sched = f.run_schedule();
     EXPECT_EQ(sched.st.code, status_code::invalid_argument);
 }
@@ -172,17 +152,10 @@ TEST(explore_cache, two_step_shares_step_one_windows_across_a_cap_sweep)
     // must stay byte-identical to the uncached one at any thread count.
     const graph g = make_hal();
     const std::vector<synthesis_constraints> grid = hal_grid(8);
-    const std::vector<flow_report> reference = flow::on(g)
-                                                   .with_library(lib())
-                                                   .latency(17)
-                                                   .synthesizer("two_step")
-                                                   .caching(false)
-                                                   .run_batch(grid, 1);
-    const auto cache = std::make_shared<explore_cache>(g, lib());
-    const flow cached =
-        flow::on(g).with_library(lib()).latency(17).synthesizer("two_step").reuse(cache);
+    const flow two_step = flow::on(g).with_library(lib()).latency(17).synthesizer("two_step");
+    const std::vector<flow_report> reference = run_each(two_step, grid);
     for (int threads : {1, 8}) {
-        const std::vector<flow_report> reports = cached.run_batch(grid, threads);
+        const std::vector<flow_report> reports = explore_all(two_step, grid, threads);
         ASSERT_EQ(reports.size(), reference.size()) << threads << " threads";
         for (std::size_t i = 0; i < reports.size(); ++i)
             EXPECT_EQ(reports[i].to_string(), reference[i].to_string())
@@ -190,6 +163,7 @@ TEST(explore_cache, two_step_shares_step_one_windows_across_a_cap_sweep)
     }
 
     // The free function accepts the cache directly too.
+    const auto cache = std::make_shared<explore_cache>(g, lib());
     const two_step_result with = two_step_synthesize(g, lib(), {17, 9.0}, {}, cache.get());
     const two_step_result without = two_step_synthesize(g, lib(), {17, 9.0});
     ASSERT_EQ(with.feasible, without.feasible);
@@ -204,12 +178,11 @@ TEST(explore_cache, report_memo_serves_exact_duplicates_byte_identically)
     const graph g = make_hal();
     const std::vector<synthesis_constraints> grid = {
         {17, 9.0}, {17, 7.0}, {17, 9.0}, {17, 7.0}, {17, 9.0}};
-    const std::vector<flow_report> reference =
-        flow::on(g).with_library(lib()).caching(false).run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(flow::on(g).with_library(lib()), grid);
 
     const auto cache = std::make_shared<explore_cache>(g, lib());
     const flow f = flow::on(g).with_library(lib()).reuse(cache);
-    const std::vector<flow_report> cached = f.run_batch(grid, 1);
+    const std::vector<flow_report> cached = run_each(f, grid);
     ASSERT_EQ(cached.size(), reference.size());
     for (std::size_t i = 0; i < cached.size(); ++i)
         EXPECT_EQ(cached[i].to_string(), reference[i].to_string()) << i;
@@ -220,7 +193,7 @@ TEST(explore_cache, report_memo_serves_exact_duplicates_byte_identically)
     EXPECT_EQ(cache->stats().report_hits, 3);
 
     // A repeated sweep over the shared cache is served whole.
-    const std::vector<flow_report> again = f.run_batch(grid, 1);
+    const std::vector<flow_report> again = run_each(f, grid);
     for (std::size_t i = 0; i < again.size(); ++i)
         EXPECT_EQ(again[i].to_string(), reference[i].to_string()) << i;
     EXPECT_EQ(cache->stats().report_hits, 8);
@@ -275,7 +248,7 @@ TEST(explore_cache, save_writes_exactly_the_report_memo_records)
     const graph g = make_hal();
     const auto cache = std::make_shared<explore_cache>(g, lib());
     cache->set_report_capacity(3); // leaves full and metric-only entries
-    flow::on(g).with_library(lib()).reuse(cache).run_batch(hal_grid(8), 1);
+    run_each(flow::on(g).with_library(lib()).reuse(cache), hal_grid(8));
     const std::size_t held = cache->report_full_size() + cache->report_metric_size();
     EXPECT_EQ(cache->report_full_size(), 3u);
     EXPECT_EQ(held, 8u);
@@ -298,7 +271,7 @@ TEST(explore_cache, each_metric_snapshots_every_stored_record)
     const flow f = flow::on(g).with_library(lib()).latency(17);
     const std::vector<synthesis_constraints> grid = hal_grid(8);
     const auto cache = f.build_cache();
-    flow::on(g).with_library(lib()).latency(17).reuse(cache).run_batch(grid, 1);
+    run_each(flow::on(g).with_library(lib()).latency(17).reuse(cache), grid);
 
     std::size_t visited = 0;
     std::set<std::string> fingerprints;
@@ -329,24 +302,31 @@ TEST(explore_cache, each_metric_snapshots_every_stored_record)
 TEST(flow_stream, callback_sees_every_point_exactly_once)
 {
     const graph g = make_hal();
-    const flow f = flow::on(g).with_library(lib()).latency(17);
+    dse::session session(flow::on(g).with_library(lib()).latency(17));
     const std::vector<synthesis_constraints> grid = hal_grid(10);
 
+    // Deliveries are serialised: no two callbacks ever overlap, even
+    // though four workers finish points concurrently.
     std::set<std::size_t> seen;
     std::atomic<int> calls{0};
-    const std::vector<flow_report> reports = f.run_batch_stream(
-        grid,
-        [&](std::size_t i, const flow_report& r) {
-            ++calls;
-            EXPECT_TRUE(seen.insert(i).second) << "index " << i << " delivered twice";
-            ASSERT_LT(i, grid.size());
+    std::atomic<int> in_flight{0};
+    dse::sink sk;
+    sk.on_result = [&](std::size_t i, const flow_report& r) {
+        EXPECT_EQ(in_flight.fetch_add(1), 0) << "overlapping deliveries";
+        ++calls;
+        EXPECT_TRUE(seen.insert(i).second) << "index " << i << " delivered twice";
+        EXPECT_LT(i, grid.size());
+        if (i < grid.size()) {
             EXPECT_EQ(r.constraints.latency, grid[i].latency);
             EXPECT_DOUBLE_EQ(r.constraints.max_power, grid[i].max_power);
-        },
-        4);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        in_flight.fetch_sub(1);
+    };
+    const dse::explore_summary sum = session.explore(dse::list(grid), sk, 4);
     EXPECT_EQ(calls.load(), static_cast<int>(grid.size()));
     EXPECT_EQ(seen.size(), grid.size());
-    ASSERT_EQ(reports.size(), grid.size());
+    EXPECT_EQ(sum.evaluated, grid.size());
 }
 
 TEST(flow_stream, streamed_reports_match_the_final_vector)
@@ -357,45 +337,32 @@ TEST(flow_stream, streamed_reports_match_the_final_vector)
     for (double cap : f.power_grid(8)) grid.push_back({15, cap});
 
     std::vector<std::string> streamed(grid.size());
-    const std::vector<flow_report> reports = f.run_batch_stream(
-        grid,
-        [&](std::size_t i, const flow_report& r) { streamed[i] = r.to_string(); }, 3);
-    ASSERT_EQ(reports.size(), grid.size());
-    for (std::size_t i = 0; i < reports.size(); ++i)
-        EXPECT_EQ(streamed[i], reports[i].to_string()) << i;
+    dse::sink sk;
+    sk.on_result = [&](std::size_t i, const flow_report& r) { streamed[i] = r.to_string(); };
+    dse::session(f).explore(dse::list(grid), sk, 3);
 
-    // And the final vector is byte-identical to the non-streaming run.
-    const std::vector<flow_report> plain = f.run_batch(grid, 1);
-    for (std::size_t i = 0; i < reports.size(); ++i)
-        EXPECT_EQ(reports[i].to_string(), plain[i].to_string()) << i;
-}
-
-TEST(flow_stream, empty_callback_degrades_to_run_batch)
-{
-    const flow f = flow::on(make_hal()).with_library(lib()).latency(17);
-    const std::vector<synthesis_constraints> grid = {{17, 9.0}, {17, 1.0}};
-    const std::vector<flow_report> a = f.run_batch_stream(grid, {}, 2);
-    const std::vector<flow_report> b = f.run_batch(grid, 2);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].to_string(), b[i].to_string());
+    // What streamed is byte-identical to the sequential uncached run.
+    const std::vector<flow_report> reference = run_each(f, grid);
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        EXPECT_EQ(streamed[i], reference[i].to_string()) << i;
 }
 
 TEST(flow_stream, callback_exception_is_rethrown_after_the_batch_drains)
 {
-    const flow f = flow::on(make_hal()).with_library(lib()).latency(17);
+    dse::session session(flow::on(make_hal()).with_library(lib()).latency(17));
     const std::vector<synthesis_constraints> grid = hal_grid(6);
     std::atomic<int> calls{0};
-    EXPECT_THROW(f.run_batch_stream(
-                     grid,
-                     [&](std::size_t, const flow_report&) {
-                         ++calls;
-                         throw std::runtime_error("consumer failed");
-                     },
-                     3),
-                 std::runtime_error);
-    // The first throw cancels the remaining deliveries.
+    dse::sink sk;
+    sk.on_result = [&](std::size_t, const flow_report&) {
+        ++calls;
+        throw std::runtime_error("consumer failed");
+    };
+    EXPECT_THROW(session.explore(dse::list(grid), sk, 3), std::runtime_error);
+    // The first throw cancels the remaining deliveries ...
     EXPECT_EQ(calls.load(), 1);
+    // ... and is rethrown only after the workers drained: every point
+    // was still computed into the memo.
+    EXPECT_EQ(session.cache()->report_full_size(), grid.size());
 }
 
 TEST(flow_stream, single_worker_path_keeps_the_exception_contract)
@@ -403,72 +370,37 @@ TEST(flow_stream, single_worker_path_keeps_the_exception_contract)
     // workers == 1 bypasses the thread pool; the consumer contract must
     // not change: every point is still evaluated and delivered in input
     // order, the reports are filled, and the (first) exception is
-    // rethrown after the batch drains.
+    // rethrown after the pool drains.
     const flow f = flow::on(make_hal()).with_library(lib()).latency(17);
     const std::vector<synthesis_constraints> grid = hal_grid(5);
 
     std::vector<std::string> delivered;
-    EXPECT_THROW(f.run_batch_stream(
-                     grid,
-                     [&](std::size_t i, const flow_report& r) {
-                         EXPECT_EQ(i, delivered.size()); // input order at 1 worker
-                         delivered.push_back(r.to_string());
-                         if (delivered.size() == grid.size())
-                             throw std::runtime_error("consumer failed on the last point");
-                     },
-                     1),
-                 std::runtime_error);
+    dse::sink last;
+    last.on_result = [&](std::size_t i, const flow_report& r) {
+        EXPECT_EQ(i, delivered.size()); // input order at 1 worker
+        delivered.push_back(r.to_string());
+        if (delivered.size() == grid.size())
+            throw std::runtime_error("consumer failed on the last point");
+    };
+    EXPECT_THROW(dse::session(f).explore(dse::list(grid), last, 1), std::runtime_error);
     // Every report was computed and delivered filled before the throw.
     ASSERT_EQ(delivered.size(), grid.size());
-    const std::vector<flow_report> reference = f.run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(f, grid);
     for (std::size_t i = 0; i < grid.size(); ++i)
         EXPECT_EQ(delivered[i], reference[i].to_string()) << i;
 
-    // An exception on the FIRST delivery cancels the remaining ones.
+    // An exception on the FIRST delivery cancels the remaining ones; the
+    // lone worker still drains every point before rethrowing.
     int calls = 0;
-    EXPECT_THROW(f.run_batch_stream(
-                     grid,
-                     [&](std::size_t, const flow_report&) {
-                         ++calls;
-                         throw std::runtime_error("consumer failed immediately");
-                     },
-                     1),
-                 std::runtime_error);
+    dse::sink first;
+    first.on_result = [&](std::size_t, const flow_report&) {
+        ++calls;
+        throw std::runtime_error("consumer failed immediately");
+    };
+    dse::session session(f);
+    EXPECT_THROW(session.explore(dse::list(grid), first, 1), std::runtime_error);
     EXPECT_EQ(calls, 1);
-}
-
-TEST(flow_stream, stale_cache_path_keeps_the_exception_contract)
-{
-    // The stale-cache early return also bypasses the worker pool; it
-    // must fill every report with the stale status, deliver them, and
-    // rethrow the first consumer exception after the batch finishes.
-    const auto cache = std::make_shared<explore_cache>(make_hal(), lib());
-    const flow f = flow::on(make_cosine()).with_library(lib()).latency(15).reuse(cache);
-    const std::vector<synthesis_constraints> grid = {{15, 9.0}, {15, 12.0}, {15, 20.0}};
-
-    std::vector<status_code> codes;
-    EXPECT_THROW(f.run_batch_stream(
-                     grid,
-                     [&](std::size_t, const flow_report& r) {
-                         codes.push_back(r.st.code);
-                         if (codes.size() == grid.size())
-                             throw std::runtime_error("consumer failed on the last point");
-                     },
-                     2),
-                 std::runtime_error);
-    ASSERT_EQ(codes.size(), grid.size());
-    for (const status_code c : codes) EXPECT_EQ(c, status_code::invalid_argument);
-
-    int calls = 0;
-    EXPECT_THROW(f.run_batch_stream(
-                     grid,
-                     [&](std::size_t, const flow_report&) {
-                         ++calls;
-                         throw std::runtime_error("consumer failed immediately");
-                     },
-                     2),
-                 std::runtime_error);
-    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(session.cache()->report_full_size(), grid.size());
 }
 
 TEST(flow_stream, negative_thread_count_is_invalid_on_every_point)
@@ -477,7 +409,7 @@ TEST(flow_stream, negative_thread_count_is_invalid_on_every_point)
     const std::vector<synthesis_constraints> grid = {{17, 9.0}, {17, 7.0}, {17, 1.0}};
 
     for (const int threads : {-1, -8}) {
-        const std::vector<flow_report> reports = f.run_batch(grid, threads);
+        const std::vector<flow_report> reports = explore_all(f, grid, threads);
         ASSERT_EQ(reports.size(), grid.size()) << threads;
         for (std::size_t i = 0; i < reports.size(); ++i) {
             EXPECT_EQ(reports[i].st.code, status_code::invalid_argument) << i;
@@ -488,21 +420,18 @@ TEST(flow_stream, negative_thread_count_is_invalid_on_every_point)
         }
     }
 
-    // The streaming variant delivers the failed reports like the
-    // stale-cache path does.
+    // Every failed report is delivered once.
     std::size_t delivered = 0;
-    const std::vector<flow_report> streamed = f.run_batch_stream(
-        grid,
-        [&](std::size_t, const flow_report& r) {
-            ++delivered;
-            EXPECT_EQ(r.st.code, status_code::invalid_argument);
-        },
-        -2);
+    dse::sink sk;
+    sk.on_result = [&](std::size_t, const flow_report& r) {
+        ++delivered;
+        EXPECT_EQ(r.st.code, status_code::invalid_argument);
+    };
+    dse::session(f).explore(dse::list(grid), sk, -2);
     EXPECT_EQ(delivered, grid.size());
-    ASSERT_EQ(streamed.size(), grid.size());
 
     // 0 keeps meaning "hardware concurrency".
-    const std::vector<flow_report> auto_threads = f.run_batch(grid, 0);
+    const std::vector<flow_report> auto_threads = explore_all(f, grid, 0);
     EXPECT_TRUE(auto_threads[0].st.ok());
 }
 

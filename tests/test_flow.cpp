@@ -1,6 +1,6 @@
 // Tests for the flow engine: status type, strategy registry, the fluent
-// pipeline, strategy/implementation equivalence, and the batch
-// executor's determinism and per-point isolation.
+// pipeline, strategy/implementation equivalence, and the determinism and
+// per-point isolation of sweeps (run through dse::session).
 #include <gtest/gtest.h>
 
 #include "cdfg/analysis.h"
@@ -12,6 +12,7 @@
 #include "synth/explore.h"
 #include "synth/two_step.h"
 #include "synth/verify.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -245,10 +246,10 @@ TEST(flow_batch, reports_are_byte_identical_across_thread_counts)
     std::vector<synthesis_constraints> grid;
     for (double cap : f.power_grid(12)) grid.push_back({15, cap});
 
-    const std::vector<flow_report> reference = f.run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(f, grid);
     ASSERT_EQ(reference.size(), grid.size());
-    for (int threads : {2, 4, 7}) {
-        const std::vector<flow_report> reports = f.run_batch(grid, threads);
+    for (int threads : {1, 2, 4, 7, 8}) {
+        const std::vector<flow_report> reports = explore_all(f, grid, threads);
         ASSERT_EQ(reports.size(), reference.size()) << threads << " threads";
         for (std::size_t i = 0; i < reports.size(); ++i)
             EXPECT_EQ(reports[i].to_string(), reference[i].to_string())
@@ -261,9 +262,11 @@ TEST(flow_batch, results_follow_input_order_not_completion_order)
     const graph g = make_hal();
     const flow f = flow::on(g).with_library(lib()).latency(17);
     // Mixed workloads: cheap infeasible points interleaved with real ones.
+    // Each delivery carries its space index, whatever order the workers
+    // finish in.
     const std::vector<synthesis_constraints> grid = {
         {17, 9.0}, {17, 1.0}, {17, 12.0}, {17, 2.0}, {17, 7.0}};
-    const std::vector<flow_report> reports = f.run_batch(grid, 3);
+    const std::vector<flow_report> reports = explore_all(f, grid, 3);
     ASSERT_EQ(reports.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         EXPECT_EQ(reports[i].constraints.latency, grid[i].latency);
@@ -280,7 +283,7 @@ TEST(flow_batch, a_bad_point_is_isolated_from_the_rest)
     // Point 1 is malformed (latency 0 overrides the configured 17).
     const std::vector<synthesis_constraints> grid = {
         {17, 9.0}, {0, 9.0}, {17, unbounded_power}};
-    const std::vector<flow_report> reports = f.run_batch(grid, 2);
+    const std::vector<flow_report> reports = explore_all(f, grid, 2);
     ASSERT_EQ(reports.size(), 3u);
     EXPECT_TRUE(reports[0].st.ok());
     EXPECT_EQ(reports[1].st.code, status_code::invalid_argument);
@@ -289,8 +292,16 @@ TEST(flow_batch, a_bad_point_is_isolated_from_the_rest)
 
 TEST(flow_batch, empty_batch_returns_empty)
 {
-    EXPECT_TRUE(
-        flow::on(make_hal()).with_library(lib()).latency(17).run_batch({}, 4).empty());
+    dse::session session(flow::on(make_hal()).with_library(lib()).latency(17));
+    std::size_t delivered = 0;
+    dse::sink sk;
+    sk.on_result = [&](std::size_t, const flow_report&) { ++delivered; };
+    sk.on_front = [&](const front_delta&) { ++delivered; };
+    const dse::explore_summary sum = session.explore(dse::list({}), sk, 4);
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_EQ(sum.space_size, 0u);
+    EXPECT_EQ(sum.evaluated, 0u);
+    EXPECT_TRUE(sum.front.empty());
 }
 
 // ------------------------------------------------------------- power grid

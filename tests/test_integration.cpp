@@ -10,6 +10,7 @@
 #include "synth/synthesizer.h"
 #include "synth/two_step.h"
 #include "synth/verify.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -117,7 +118,7 @@ TEST(integration_extra, power_sweep_areas_are_monotone_in_cap_on_hal)
     std::vector<synthesis_constraints> grid;
     for (double cap : f.power_grid(8)) grid.push_back({17, cap});
     std::vector<sweep_point> pts;
-    for (const flow_report& r : f.run_batch(grid)) pts.push_back(to_sweep_point(r));
+    for (const flow_report& r : explore_all(f, grid)) pts.push_back(to_sweep_point(r));
     ASSERT_EQ(pts.size(), grid.size());
     // Not strictly monotone (heuristic), but the loosest cap should not
     // be more expensive than the tightest feasible one.

@@ -24,6 +24,7 @@
 #include "synth/arena.h"
 #include "synth/candidates.h"
 #include "synth/synthesizer.h"
+#include "sweep_util.h"
 #include "ten_k_reference.h"
 
 namespace phls {
@@ -435,20 +436,21 @@ TEST(kernels, eight_thread_batch_identical_across_knobs)
 
     const knob_guard guard;
     kernel_knobs() = all_reference();
-    const std::vector<flow_report> reference = f.run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(f, grid);
 
-    for (const bool cached : {true, false}) {
-        for (const int threads : {1, 8}) {
-            kernel_knobs() = kernel_tuning{};
-            const flow fo =
-                flow::on(g).with_library(lib()).latency(17).caching(cached);
-            const std::vector<flow_report> reports = fo.run_batch(grid, threads);
-            ASSERT_EQ(reports.size(), reference.size());
-            for (std::size_t i = 0; i < reports.size(); ++i)
-                EXPECT_EQ(reports[i].to_string(), reference[i].to_string())
-                    << "cached " << cached << " threads " << threads << " point " << i;
-        }
-    }
+    // Optimised kernels: the uncached sequential run, then cached
+    // sessions at 1 and 8 workers.
+    kernel_knobs() = kernel_tuning{};
+    const auto expect_reference = [&](const std::vector<flow_report>& reports,
+                                      const char* what) {
+        ASSERT_EQ(reports.size(), reference.size()) << what;
+        for (std::size_t i = 0; i < reports.size(); ++i)
+            EXPECT_EQ(reports[i].to_string(), reference[i].to_string())
+                << what << ", point " << i;
+    };
+    expect_reference(run_each(f, grid), "uncached");
+    expect_reference(explore_all(f, grid, 1), "1 thread");
+    expect_reference(explore_all(f, grid, 8), "8 threads");
 }
 
 TEST(kernels, two_step_strategy_identical_across_knobs)

@@ -11,6 +11,7 @@
 #include "sched/pasap.h"
 #include "synth/explore.h"
 #include "synth/synthesizer.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -28,7 +29,7 @@ std::vector<sweep_point> sweep(const graph& g, int T, int grid_points)
     std::vector<synthesis_constraints> grid;
     for (double cap : f.power_grid(grid_points)) grid.push_back({T, cap});
     std::vector<sweep_point> out;
-    for (const flow_report& r : f.run_batch(grid)) out.push_back(to_sweep_point(r));
+    for (const flow_report& r : explore_all(f, grid)) out.push_back(to_sweep_point(r));
     return out;
 }
 

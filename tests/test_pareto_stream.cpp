@@ -1,5 +1,5 @@
 // Tests for the incremental Pareto front (flow/pareto_stream.h) and the
-// flow::run_batch_pareto progress channel: the streamed front must equal
+// front channel of dse::session::explore: the streamed front must equal
 // the post-hoc front whatever the completion order, and must agree with
 // the legacy 2-D post-processing helpers on lifetime-free sweeps.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "flow/flow.h"
 #include "flow/pareto_stream.h"
 #include "synth/explore.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -47,7 +48,7 @@ std::vector<flow_report> hal_sweep(int points)
     const flow f = flow::on(make_hal()).with_library(lib()).latency(17);
     std::vector<synthesis_constraints> grid;
     for (double cap : f.power_grid(points)) grid.push_back({17, cap});
-    return f.run_batch(grid, 1);
+    return run_each(f, grid);
 }
 
 // -------------------------------------------------------------- dominance
@@ -174,9 +175,9 @@ TEST(pareto_stream, best_under_matches_the_monotone_envelope)
     }
 }
 
-// -------------------------------------------------------- run_batch_pareto
+// ---------------------------------------------------------- session front
 
-TEST(run_batch_pareto, streams_the_front_and_matches_the_final_vector)
+TEST(session_pareto, streams_the_front_and_matches_the_final_vector)
 {
     const flow f = flow::on(make_cosine()).with_library(lib()).latency(15);
     std::vector<synthesis_constraints> grid;
@@ -184,47 +185,31 @@ TEST(run_batch_pareto, streams_the_front_and_matches_the_final_vector)
     grid.push_back(grid[grid.size() / 2]); // one duplicate for good measure
 
     std::set<std::size_t> seen;
-    std::vector<front_point> last_front;
-    std::size_t changes = 0;
-    const std::vector<flow_report> reports = f.run_batch_pareto(
-        grid,
-        [&](std::size_t i, const flow_report& r, const pareto_stream& front,
-            bool changed) {
-            EXPECT_TRUE(seen.insert(i).second) << "index " << i << " delivered twice";
-            EXPECT_EQ(front.seen(), seen.size());
-            EXPECT_DOUBLE_EQ(r.constraints.max_power, grid[i].max_power);
-            if (changed)
-                ++changes;
-            else
-                EXPECT_EQ(front.front().size(), last_front.size());
-            last_front = front.front();
-        },
-        3);
+    std::vector<front_delta> deltas;
+    std::vector<flow_report> reports(grid.size());
+    dse::sink sk;
+    sk.on_result = [&](std::size_t i, const flow_report& r) {
+        EXPECT_TRUE(seen.insert(i).second) << "index " << i << " delivered twice";
+        EXPECT_DOUBLE_EQ(r.constraints.max_power, grid[i].max_power);
+        reports[i] = r;
+    };
+    sk.on_front = [&](const front_delta& d) {
+        EXPECT_TRUE(d.changed()); // only changes are delivered
+        EXPECT_TRUE(seen.count(d.index)); // after the report it folds
+        deltas.push_back(d);
+    };
+    const dse::explore_summary sum = dse::session(f).explore(dse::list(grid), sk, 3);
     EXPECT_EQ(seen.size(), grid.size());
-    EXPECT_GT(changes, 0u);
+    EXPECT_FALSE(deltas.empty());
 
-    // The front delivered with the last point is the post-hoc front of
-    // the returned vector, and the vector itself is byte-identical to a
-    // plain batch run.
+    // The streamed front is the post-hoc front of the collected reports,
+    // and the reports are byte-identical to the sequential run.
     const std::vector<front_point> posthoc = pareto_points(reports);
-    ASSERT_EQ(last_front.size(), posthoc.size());
-    for (std::size_t i = 0; i < posthoc.size(); ++i)
-        EXPECT_TRUE(last_front[i] == posthoc[i]) << i;
-    const std::vector<flow_report> plain = f.run_batch(grid, 1);
-    ASSERT_EQ(reports.size(), plain.size());
+    EXPECT_EQ(replay_front(deltas), posthoc);
+    EXPECT_EQ(sum.front, posthoc);
+    const std::vector<flow_report> plain = run_each(f, grid);
     for (std::size_t i = 0; i < reports.size(); ++i)
         EXPECT_EQ(reports[i].to_string(), plain[i].to_string()) << i;
-}
-
-TEST(run_batch_pareto, empty_callback_degrades_to_run_batch)
-{
-    const flow f = flow::on(make_hal()).with_library(lib()).latency(17);
-    const std::vector<synthesis_constraints> grid = {{17, 9.0}, {17, 1.0}};
-    const std::vector<flow_report> a = f.run_batch_pareto(grid, {}, 2);
-    const std::vector<flow_report> b = f.run_batch(grid, 2);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].to_string(), b[i].to_string());
 }
 
 TEST(pareto_stream, add_reports_exact_deltas)
@@ -266,7 +251,7 @@ TEST(pareto_stream, add_reports_exact_deltas)
     // (full delta-replay reconstruction is asserted in test_dse_session)
 }
 
-TEST(run_batch_pareto, lifetime_front_equals_posthoc_when_lifetime_streams)
+TEST(session_pareto, lifetime_front_equals_posthoc_when_lifetime_streams)
 {
     lifetime_spec cell;
     cell.beta = 0.15;
@@ -275,19 +260,15 @@ TEST(run_batch_pareto, lifetime_front_equals_posthoc_when_lifetime_streams)
     std::vector<synthesis_constraints> grid;
     for (double cap : f.power_grid(8)) grid.push_back({17, cap});
 
-    std::vector<front_point> last_front;
-    const std::vector<flow_report> reports = f.run_batch_pareto(
-        grid,
-        [&](std::size_t, const flow_report&, const pareto_stream& front, bool) {
-            last_front = front.front();
-        },
-        2);
+    std::vector<flow_report> reports;
+    dse::sink sk = collector(reports);
+    std::vector<front_delta> deltas;
+    sk.on_front = [&](const front_delta& d) { deltas.push_back(d); };
+    const dse::explore_summary sum = dse::session(f).explore(dse::list(grid), sk, 2);
     const std::vector<front_point> posthoc = pareto_points(reports);
-    ASSERT_EQ(last_front.size(), posthoc.size());
-    for (std::size_t i = 0; i < posthoc.size(); ++i) {
-        EXPECT_TRUE(last_front[i] == posthoc[i]) << i;
-        EXPECT_TRUE(posthoc[i].has_lifetime) << i;
-    }
+    EXPECT_EQ(replay_front(deltas), posthoc);
+    EXPECT_EQ(sum.front, posthoc);
+    for (const front_point& p : posthoc) EXPECT_TRUE(p.has_lifetime);
 }
 
 } // namespace

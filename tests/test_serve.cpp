@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,11 +56,20 @@ void expect_same_front(const std::vector<front_point>& got,
         EXPECT_TRUE(got[i] == want[i]) << "front point " << i;
 }
 
-/// A unix-socket server running for the duration of one test.
+/// Threads of this process right now (one /proc/self/task entry each).
+std::size_t live_threads()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+/// A unix-socket server running for the duration of one test, with
+/// `threads` workers per job (serve_limits::threads).
 struct test_server {
-    explicit test_server(const char* name)
+    explicit test_server(const char* name, int threads = 1)
     {
         server_options opts;
+        opts.limits.threads = threads;
         opts.socket_path = std::string(::testing::TempDir()) + name;
         std::remove(opts.socket_path.c_str());
         srv = std::make_unique<server>(opts);
@@ -195,6 +205,42 @@ TEST(serve, tcp_loopback_with_ephemeral_port)
     expect_same_front(done.front, want);
     srv.stop();
     srv.stop(); // idempotent
+}
+
+TEST(serve, job_threads_are_capped_at_the_server_limit)
+{
+    // A client may ask for any worker count; serve_limits::threads is
+    // the ceiling.  The result channel samples this process's threads
+    // while the server's pool runs the job.
+    const flow f = flow::on(make_elliptic()).with_library(lib()).latency(22);
+    std::vector<synthesis_constraints> grid;
+    for (double cap : f.power_grid(256)) grid.push_back({22, cap});
+    job_request job = make_job(f, dse::list(grid));
+
+    const auto run = [&](const char* name, int limit, int asked, long* extra) {
+        test_server ts(name, limit);
+        client c = ts.connect(); // the server's thread for it is running
+        const long before = static_cast<long>(live_threads());
+        std::vector<flow_report> reports(grid.size());
+        dse::sink sk;
+        sk.on_result = [&](std::size_t i, const flow_report& r) {
+            reports[i] = r;
+            *extra = std::max(*extra, static_cast<long>(live_threads()) - before);
+        };
+        job.threads = asked;
+        c.explore(job, sk);
+        c.bye();
+        return reports;
+    };
+    long extra = 0;
+    const std::vector<flow_report> capped = run("serve_cap.sock", 2, 64, &extra);
+    // At most the two workers the server allows, never the 64 asked for.
+    EXPECT_LE(extra, 2);
+
+    long unused = 0;
+    const std::vector<flow_report> single = run("serve_cap_one.sock", 1, 1, &unused);
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        EXPECT_EQ(capped[i].to_string(), single[i].to_string()) << i;
 }
 
 // ----------------------------------------------- graceful degradation

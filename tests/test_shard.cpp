@@ -19,6 +19,7 @@
 #include "flow/flow.h"
 #include "serve/shard.h"
 #include "support/errors.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -84,7 +85,7 @@ TEST(shard, every_shard_count_lands_on_the_single_process_front)
 TEST(shard, threads_mode_delivers_byte_identical_reports_at_global_indices)
 {
     const std::vector<synthesis_constraints> grid = duplicated_grid(4);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
 
     std::vector<flow_report> got(grid.size());
     std::set<std::size_t> seen;
@@ -108,7 +109,7 @@ TEST(shard, threads_mode_delivers_byte_identical_reports_at_global_indices)
 TEST(shard, forked_subprocess_workers_produce_the_same_front)
 {
     const std::vector<synthesis_constraints> grid = duplicated_grid(4);
-    const std::vector<flow_report> reference = hal17().run_batch(grid, 1);
+    const std::vector<flow_report> reference = run_each(hal17(), grid);
     const std::vector<front_point> want = reference_front(grid);
 
     std::vector<flow_report> got(grid.size());

@@ -537,7 +537,7 @@ TEST(guided, pretraining_can_be_disabled)
 
 TEST(guided, malformed_thread_count_fails_every_point)
 {
-    // The run_batch contract: threads < 0 fails every point with
+    // The explore contract: threads < 0 fails every point with
     // invalid_argument — guided must not prune or memo-serve around it.
     const dse::space s = dse::cross({17}, dse::power_range{2.0, 9.0, 8}.values());
     dse::session session(hal17());
