@@ -58,7 +58,8 @@ namespace phls::dse {
 /// Session-construction knobs.
 struct session_options {
     /// Report-memo bound: max *full* reports held (LRU-evicted down to
-    /// metric records beyond it); 0 = unbounded.
+    /// metric records beyond it), and max designs the cache's interval
+    /// table holds (LRU-dropped beyond it); 0 = unbounded.
     std::size_t memo_limit = 0;
     /// Points handed to the worker pool at a time: a space is walked in
     /// chunks of this size, so a 10^5-point plane never exists as one

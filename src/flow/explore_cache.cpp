@@ -329,11 +329,11 @@ struct explore_cache::report_memo {
     std::size_t capacity = 0;   ///< max full reports; 0 = unbounded
     std::size_t full_count = 0; ///< entries currently holding a full report
 
-    /// Installs `report` as `it`'s full report and makes it MRU.
-    void install(std::map<std::string, entry>::iterator it, const flow_report& report)
+    /// Installs `full` as `it`'s full report and makes it MRU.
+    void install(std::map<std::string, entry>::iterator it, std::unique_ptr<flow_report> full)
     {
-        it->second.full.reset(new flow_report(report));
-        it->second.metrics = project(report);
+        it->second.metrics = project(*full);
+        it->second.full = std::move(full);
         lru.push_front(it->first);
         it->second.lru_pos = lru.begin();
         ++full_count;
@@ -352,11 +352,52 @@ struct explore_cache::report_memo {
     }
 };
 
+/// The interval table.  Per (fingerprint without the cap, bucket), the
+/// stored spans are disjoint, so they are keyed by their lower end and
+/// the one span that can hold a limit is the last starting at or below
+/// it.  Reports are shared, immutable copies, so a lookup copies the
+/// pointer under the lock and the report outside it.
+struct explore_cache::interval_table {
+    struct entry {
+        cap_interval span;
+        std::shared_ptr<const flow_report> report;
+        std::list<std::pair<std::string, double>>::iterator lru_pos;
+    };
+    using spans = std::map<double, entry>; ///< by the span's lower end
+
+    std::mutex mutex;
+    std::map<std::string, spans> keys;
+    /// (key, lower end) of every entry; front = MRU.
+    std::list<std::pair<std::string, double>> lru;
+    std::size_t capacity = 0; ///< max entries; 0 = unbounded
+
+    /// The entry of `s` whose span holds `limit`, or s.end().
+    static spans::iterator holding(spans& s, double limit)
+    {
+        auto it = s.upper_bound(limit);
+        if (it == s.begin()) return s.end();
+        --it;
+        return it->second.span.contains(limit) ? it : s.end();
+    }
+
+    /// Drops least-recently-used entries until the bound holds (with
+    /// the lock held).
+    void evict_over_capacity()
+    {
+        while (capacity > 0 && lru.size() > capacity) {
+            const auto victim = keys.find(lru.back().first);
+            victim->second.erase(lru.back().second);
+            if (victim->second.empty()) keys.erase(victim);
+            lru.pop_back();
+        }
+    }
+};
+
 explore_cache::explore_cache(const graph& g, const module_library& lib)
     : g_(g), lib_(lib), reach_(checked(g_, lib_)), rev_(reversed_graph(g_)),
       topo_(g_.topo_order()), rev_topo_(rev_.topo_order()),
       graph_text_(write_cdfg_string(g_)), lib_text_(write_library_string(lib_)),
-      reports_(new report_memo)
+      reports_(new report_memo), intervals_(new interval_table)
 {
     misses_.store(1, std::memory_order_relaxed); // the eager reachability build
 
@@ -451,6 +492,9 @@ bool explore_cache::report_lookup(const std::string& fingerprint, flow_report* o
 void explore_cache::report_store(const std::string& fingerprint,
                                  const flow_report& report) const
 {
+    // Copied before taking the lock, so workers storing at once queue
+    // only for the insert.
+    auto full = std::make_unique<flow_report>(report);
     const std::lock_guard<std::mutex> lock(reports_->mutex);
     const auto [it, inserted] = reports_->entries.try_emplace(fingerprint);
     if (!inserted && it->second.full) {
@@ -462,7 +506,7 @@ void explore_cache::report_store(const std::string& fingerprint,
     // Fresh key, or a metric-only entry (evicted or loaded from a cache
     // file) whose full report was genuinely recomputed: either way a
     // real computation happened, so it counts as the miss.
-    reports_->install(it, report);
+    reports_->install(it, std::move(full));
     report_misses_.fetch_add(1, std::memory_order_relaxed);
     reports_->evict_over_capacity();
 }
@@ -478,11 +522,70 @@ bool explore_cache::metric_lookup(const std::string& fingerprint,
     return true;
 }
 
+bool explore_cache::interval_lookup(const std::string& key, double cap,
+                                    flow_report* out) const
+{
+    const std::string full_key = interval_key(key, cap);
+    std::shared_ptr<const flow_report> served;
+    {
+        const std::lock_guard<std::mutex> lock(intervals_->mutex);
+        const auto k = intervals_->keys.find(full_key);
+        if (k == intervals_->keys.end()) return false;
+        const auto it = interval_table::holding(k->second, cap_test(cap).limit());
+        if (it == k->second.end()) return false;
+        intervals_->lru.splice(intervals_->lru.begin(), intervals_->lru,
+                               it->second.lru_pos);
+        served = it->second.report;
+    }
+    interval_served_.fetch_add(1, std::memory_order_relaxed);
+    *out = *served;
+    return true;
+}
+
+void explore_cache::interval_store(const std::string& key, double cap,
+                                   const cap_interval& span,
+                                   const flow_report& report) const
+{
+    std::string full_key = interval_key(key, cap);
+    auto stored = std::make_shared<const flow_report>(report);
+    const std::lock_guard<std::mutex> lock(intervals_->mutex);
+    interval_table::spans& spans = intervals_->keys[full_key];
+    if (interval_table::holding(spans, cap_test(cap).limit()) != spans.end()) {
+        // A racing worker stored this span first.
+        interval_served_.fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    const auto [it, inserted] =
+        spans.try_emplace(span.below, interval_table::entry{span, std::move(stored), {}});
+    if (!inserted) return;
+    intervals_->lru.emplace_front(std::move(full_key), span.below);
+    it->second.lru_pos = intervals_->lru.begin();
+    intervals_->evict_over_capacity();
+}
+
+std::string explore_cache::interval_key(const std::string& key, double cap) const
+{
+    std::string full = key;
+    key_int(full, bucket(cap));
+    return full;
+}
+
+std::size_t explore_cache::interval_size() const
+{
+    const std::lock_guard<std::mutex> lock(intervals_->mutex);
+    return intervals_->lru.size();
+}
+
 void explore_cache::set_report_capacity(std::size_t max_full_reports)
 {
-    const std::lock_guard<std::mutex> lock(reports_->mutex);
-    reports_->capacity = max_full_reports;
-    reports_->evict_over_capacity();
+    {
+        const std::lock_guard<std::mutex> lock(reports_->mutex);
+        reports_->capacity = max_full_reports;
+        reports_->evict_over_capacity();
+    }
+    const std::lock_guard<std::mutex> lock(intervals_->mutex);
+    intervals_->capacity = max_full_reports;
+    intervals_->evict_over_capacity();
 }
 
 std::size_t explore_cache::report_capacity() const

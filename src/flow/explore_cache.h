@@ -2,8 +2,8 @@
 //
 // A (T, Pmax) sweep evaluates many constraint points over ONE graph and
 // ONE module library, yet parts of every evaluation depend only on that
-// (graph, library) pair.  explore_cache holds exactly two kinds of state
-// and serves both to every sweep point and worker thread; every
+// (graph, library) pair.  explore_cache holds three kinds of state and
+// serves them to every sweep point and worker thread; every
 // dse::session builds one for its problem, and callers can share a
 // cache across several flows with flow::reuse():
 //
@@ -17,7 +17,17 @@
 //     stages) plus the (T, Pmax) point, so distinct configurations never
 //     collide.  Dense 2-D grids and repeated CLI sweeps hit it.  Entries
 //     can be LRU-evicted down to metric records, and the metric records
-//     are what cache files persist.
+//     are what cache files persist;
+//   * the interval table -- feasible greedy reports, each kept with the
+//     span of caps over which its synthesis's every cap test answers
+//     the same (cap_interval, power/tracker.h).  A greedy run reads
+//     Pmax only through the admissible-module bucket and those tests,
+//     so a later point of the same configuration, latency and bucket
+//     whose limit Pmax + tolerance falls in the span would make the
+//     same decisions on the same sums: flow::run_point serves it the
+//     stored design, renamed for its own cap.  A dense Pmax sweep then
+//     costs one synthesis per span instead of one per point.  Held in
+//     memory only, LRU-bounded like the full reports.
 //
 // The pasap/palap windows are not memoised: every synthesis computes
 // its initial and per-merge windows itself, with or without a cache.
@@ -224,18 +234,39 @@ public:
     /// keep heavy entries alive).
     bool metric_lookup(const std::string& fingerprint, metric_record* out) const;
 
-    /// Bounds the number of *full* reports the report memo holds;
-    /// 0 (the default) means unbounded.  Beyond the bound the
-    /// least-recently-used report is dropped to its metric record, which
-    /// is retained (metric records are ~100 bytes, so a 10^5-point plane
-    /// costs megabytes, not the gigabytes of full datapaths).  Shrinking
-    /// the capacity evicts immediately.  Not thread-safe: call before
-    /// sharing the cache.
+    /// The interval table: a stored greedy report whose span holds
+    /// `cap`'s limit (cap + cap_test::tolerance), under `key` -- the
+    /// flow fingerprint without the cap (the latency included) -- and
+    /// `cap`'s admissible-module bucket.  Returns true and fills `*out`
+    /// with the report exactly as stored (its own point and design
+    /// name; the caller re-stamps them) and counts interval_served.  A
+    /// hit refreshes the entry's LRU position.  `cap` must be finite.
+    bool interval_lookup(const std::string& key, double cap, flow_report* out) const;
+
+    /// Stores the feasible report computed at `cap` with the span its
+    /// run recorded.  Two spans under one key and bucket are disjoint or
+    /// identical, so a store whose limit an entry already holds is a
+    /// racing duplicate: it stores nothing and counts interval_served,
+    /// as a lookup after the winner's store would have.  Beyond the
+    /// report capacity the least-recently-used entry is dropped whole.
+    void interval_store(const std::string& key, double cap, const cap_interval& span,
+                        const flow_report& report) const;
+
+    /// Bounds the number of *full* reports the report memo holds, and
+    /// the number of designs the interval table holds; 0 (the default)
+    /// means unbounded.  Beyond the bound the least-recently-used report
+    /// is dropped to its metric record, which is retained (metric
+    /// records are ~100 bytes, so a 10^5-point plane costs megabytes,
+    /// not the gigabytes of full datapaths), and the least-recently-used
+    /// interval design is dropped.  Shrinking the capacity evicts
+    /// immediately.  Not thread-safe: call before sharing the cache.
     void set_report_capacity(std::size_t max_full_reports);
     /// The configured full-report bound (0 = unbounded).
     std::size_t report_capacity() const;
     /// Full reports currently held by the report memo.
     std::size_t report_full_size() const;
+    /// Designs currently held by the interval table.
+    std::size_t interval_size() const;
     /// Metric-only records currently held (evicted or loaded entries).
     std::size_t report_metric_size() const;
 
@@ -319,12 +350,17 @@ public:
     ///   * metric_hits — metric_lookup() successes (served from a full
     ///     report, an evicted entry or a loaded record; misses fall
     ///     through to a real computation, which the other counters see).
+    ///   * interval_served — points the interval table served, plus
+    ///     racing duplicate stores (see interval_store).
     ///
     /// Counting is exact even under concurrent misses of one key: the
     /// thread whose insert wins counts the miss, every racing loser
     /// counts a hit, so for each table hits + misses equals the number
     /// of lookups and misses equals the number of stored entries (plus,
-    /// for the invariants, recomputed prospect failures).
+    /// for the invariants, recomputed prospect failures).  Likewise,
+    /// with nothing evicted, interval_served + interval_size() is the
+    /// number of feasible greedy points the table saw, whatever the
+    /// thread count.
     struct counters {
         long hits = 0;
         long misses = 0;
@@ -333,6 +369,7 @@ public:
         long report_hits = 0;
         long report_misses = 0;
         long metric_hits = 0;
+        long interval_served = 0;
     };
 
     /// Snapshot of the counters; safe to call concurrently with lookups.
@@ -342,7 +379,8 @@ public:
                 .misses = misses_.load(std::memory_order_relaxed),
                 .report_hits = report_hits_.load(std::memory_order_relaxed),
                 .report_misses = report_misses_.load(std::memory_order_relaxed),
-                .metric_hits = metric_hits_.load(std::memory_order_relaxed)};
+                .metric_hits = metric_hits_.load(std::memory_order_relaxed),
+                .interval_served = interval_served_.load(std::memory_order_relaxed)};
     }
 
 private:
@@ -350,6 +388,9 @@ private:
     /// distinct per-cycle power levels <= cap.  Module selection depends
     /// on `cap` only through this value.
     int bucket(double cap) const;
+
+    /// The interval-table key of `key` at `cap`: `key` plus bucket(cap).
+    std::string interval_key(const std::string& key, double cap) const;
 
     graph g_;
     module_library lib_;
@@ -369,11 +410,15 @@ private:
     /// flow.h (flow_report is incomplete here).
     struct report_memo;
     mutable std::unique_ptr<report_memo> reports_;
+    /// The interval table, behind a pimpl for the same reason.
+    struct interval_table;
+    mutable std::unique_ptr<interval_table> intervals_;
     mutable std::atomic<long> hits_{0};
     mutable std::atomic<long> misses_{0};
     mutable std::atomic<long> report_hits_{0};
     mutable std::atomic<long> report_misses_{0};
     mutable std::atomic<long> metric_hits_{0};
+    mutable std::atomic<long> interval_served_{0};
 };
 
 } // namespace phls

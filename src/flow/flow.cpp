@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <optional>
 
 #include "battery/lifetime.h"
 #include "flow/explore_cache.h"
 #include "support/errors.h"
 #include "support/memo_key.h"
 #include "support/strings.h"
+#include "synth/verify.h"
 
 namespace phls {
 namespace {
@@ -16,6 +19,25 @@ double elapsed_ms(std::chrono::steady_clock::time_point since)
 {
     const auto now = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(now - since).count();
+}
+
+/// `served`, a greedy report from the interval table, turned into the
+/// report of point `c` of graph `g`: the fields that name the cap are
+/// re-stamped, and with `verify` the design is re-checked at `c`.
+void restamp(flow_report& served, const synthesis_constraints& c, const graph& g,
+             const module_library& lib, const synthesis_options& options)
+{
+    served.constraints = c;
+    served.dp.name = design_name(g, c);
+    if (served.has_netlist) served.nl.design_name = served.dp.name;
+    if (!options.verify_result) return;
+    try {
+        check_datapath(g, lib, served.dp, c, options.costs);
+    } catch (const error& e) {
+        served.st = status::internal(
+            strf("interval memo served a design that fails at T=%d Pmax=%.6f: %s",
+                 c.latency, c.max_power, e.what()));
+    }
 }
 
 } // namespace
@@ -144,6 +166,13 @@ status flow::shared_cache(const explore_cache** out) const
 
 std::string flow::fingerprint(const synthesis_constraints& c) const
 {
+    std::string key = uncapped_fingerprint(c.latency);
+    key_double(key, c.max_power);
+    return key;
+}
+
+std::string flow::uncapped_fingerprint(int latency) const
+{
     // Every field that influences run_point's outcome (beyond the graph
     // and library, which are the cache's identity) is encoded, so flows
     // with distinct configurations never collide; the scheduler name is
@@ -175,8 +204,7 @@ std::string flow::fingerprint(const synthesis_constraints& c) const
     key_double(key, lifetime_.beta);
     key_double(key, lifetime_.alpha);
     key_double(key, lifetime_.max_seconds);
-    key_int(key, c.latency);
-    key_double(key, c.max_power);
+    key_int(key, latency);
     return key;
 }
 
@@ -189,13 +217,26 @@ flow_report flow::run_point(const synthesis_constraints& c,
     // sweeps over a shared cache) are served whole.  The stored report
     // is a deterministic pure function of the fingerprint, so serving it
     // is byte-identical to recomputing; only wall_ms (excluded from the
-    // canonical rendering) reflects the lookup instead.
+    // canonical rendering) reflects the lookup instead.  Then the
+    // interval table: a greedy design whose cap span holds this point's
+    // limit is what synthesis would return here, up to the fields that
+    // name the cap.  Non-finite caps have no span to fall in.
+    std::string span_key;
     std::string memo_key;
+    const bool use_spans = cache != nullptr && std::isfinite(c.max_power);
     if (cache != nullptr) {
-        memo_key = fingerprint(c);
+        span_key = uncapped_fingerprint(c.latency);
+        memo_key = span_key;
+        key_double(memo_key, c.max_power);
         flow_report memo;
         if (cache->report_lookup(memo_key, &memo)) {
             memo.wall_ms = elapsed_ms(started);
+            return memo;
+        }
+        if (use_spans && cache->interval_lookup(span_key, c.max_power, &memo)) {
+            restamp(memo, c, graph_, lib_, options_);
+            memo.wall_ms = elapsed_ms(started);
+            if (memo.st.ok()) cache->report_store(memo_key, memo);
             return memo;
         }
     }
@@ -203,6 +244,7 @@ flow_report flow::run_point(const synthesis_constraints& c,
     flow_report report;
     report.strategy = synth_name_;
     report.constraints = c;
+    std::optional<cap_interval> span;
     try {
         const synth_strategy* strategy =
             strategy_registry::instance().synthesizer(synth_name_);
@@ -227,6 +269,7 @@ flow_report flow::run_point(const synthesis_constraints& c,
         report.stats = outcome.stats;
         report.optimal = outcome.optimal;
         report.note = std::move(outcome.note);
+        span = outcome.cap_span;
         if (outcome.has_design) {
             report.dp = std::move(outcome.dp);
             report.area = report.dp.area.total();
@@ -268,6 +311,10 @@ flow_report flow::run_point(const synthesis_constraints& c,
     // codes are deterministic outcomes and safe to store.
     if (cache != nullptr && report.st.code != status_code::internal)
         cache->report_store(memo_key, report);
+    // Only feasible designs keep a span: an infeasible reason prints the
+    // cap, and infeasible points are cheap anyway.
+    if (use_spans && report.st.ok() && span)
+        cache->interval_store(span_key, c.max_power, *span, report);
     return report;
 }
 

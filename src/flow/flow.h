@@ -120,9 +120,10 @@ public:
 
     /// Shares a pre-built explore_cache with this flow: run(),
     /// run_schedule() and power_grid() serve the graph invariants
-    /// (reachability, the reversed graph, prospect and fastest tables)
-    /// and whole reports of exactly-duplicate points from it instead of
-    /// recomputing per point (see explore_cache).  The cache must have
+    /// (reachability, the reversed graph, prospect and fastest tables),
+    /// whole reports of exactly-duplicate points and greedy designs
+    /// whose cap span holds the point from it instead of recomputing
+    /// per point (see explore_cache).  The cache must have
     /// been built for this flow's (graph, library) -- see build_cache();
     /// a mismatched cache makes every run report invalid_argument rather
     /// than silently computing on the wrong problem.
@@ -194,6 +195,10 @@ private:
     /// when it is non-null; never throws.
     flow_report run_point(const synthesis_constraints& c,
                           const explore_cache* cache) const;
+
+    /// fingerprint() without the cap: the configuration and `latency`,
+    /// the interval table's key.
+    std::string uncapped_fingerprint(int latency) const;
 
     /// The shared cache when it is installed and matches this problem;
     /// a non-ok status when it is installed but stale.

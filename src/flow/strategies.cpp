@@ -223,8 +223,13 @@ public:
         return guarded([&]() -> synth_outcome {
             synth_outcome out;
             if (out.st = validate(r); !out.st.ok()) return out;
+            // Only a cache can use the span of caps this design holds
+            // over, so only a cached run records it.
+            std::optional<cap_recorder> recorder;
+            if (r.cache != nullptr) recorder.emplace(out.cap_span.emplace());
             const synthesis_result sr =
                 synthesize(*r.g, *r.lib, r.constraints, r.options, r.cache);
+            recorder.reset();
             out.stats = sr.stats;
             if (!sr.feasible) {
                 out.st = status::infeasible(sr.reason);
@@ -297,7 +302,7 @@ public:
                                    r.options.costs);
             out.has_design = true;
             const double peak = out.dp.peak_power(*r.lib);
-            if (peak > r.constraints.max_power + power_tracker::tolerance)
+            if (cap_test(r.constraints.max_power).over(peak))
                 out.st = status::infeasible(
                     strf("power-oblivious schedule peaks at %.2f, above the cap %.2f",
                          peak, r.constraints.max_power));
@@ -343,6 +348,9 @@ struct strategy_registry::impl {
     mutable std::mutex mutex;
     std::map<std::string, std::shared_ptr<scheduler_strategy>> schedulers;
     std::map<std::string, std::shared_ptr<synth_strategy>> synthesizers;
+    /// Strategies replaced by a same-named add(): callers may still hold
+    /// (and be running) the pointer scheduler()/synthesizer() lent them.
+    std::vector<std::shared_ptr<const void>> retired;
 };
 
 strategy_registry::strategy_registry() : impl_(new impl)
@@ -368,14 +376,18 @@ void strategy_registry::add(std::shared_ptr<scheduler_strategy> s)
 {
     check(s != nullptr && !s->name().empty(), "scheduler strategy must have a name");
     const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->schedulers[s->name()] = std::move(s);
+    std::shared_ptr<scheduler_strategy>& slot = impl_->schedulers[s->name()];
+    if (slot) impl_->retired.push_back(std::move(slot));
+    slot = std::move(s);
 }
 
 void strategy_registry::add(std::shared_ptr<synth_strategy> s)
 {
     check(s != nullptr && !s->name().empty(), "synth strategy must have a name");
     const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->synthesizers[s->name()] = std::move(s);
+    std::shared_ptr<synth_strategy>& slot = impl_->synthesizers[s->name()];
+    if (slot) impl_->retired.push_back(std::move(slot));
+    slot = std::move(s);
 }
 
 const scheduler_strategy* strategy_registry::scheduler(const std::string& name) const

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,13 @@ struct synth_outcome {
     synthesis_stats stats;   ///< heuristic counters
     bool optimal = false; ///< design proven minimal-area ("exact" strategy)
     std::string note;     ///< e.g. "optimal" or "search budget exhausted"
+    /// The span of limits Pmax' + tolerance over which every cap test of
+    /// this run answers as it did (see cap_recorder).  Filled only by
+    /// the greedy strategy, and only when a cache is attached to keep
+    /// it.  A strategy that fills it promises that, at any Pmax' of the
+    /// same admissible-module bucket inside the span, it would return
+    /// the same outcome with the design renamed design_name(g, Pmax').
+    std::optional<cap_interval> cap_span;
 };
 
 /// A named synthesis backend (schedule + allocation + binding under
@@ -105,7 +113,9 @@ public:
 /// Process-wide name -> strategy table.  Built-in strategies are
 /// registered on first use; user backends may be added at any time.
 /// Lookup returns borrowed pointers that stay valid for the process
-/// lifetime (strategies are never unregistered).
+/// lifetime (strategies are never unregistered, and one replaced by a
+/// same-named add() is kept alive, so a caller still running it is
+/// safe).
 class strategy_registry {
 public:
     /// The singleton, with built-ins registered.

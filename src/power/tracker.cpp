@@ -10,35 +10,35 @@ namespace phls {
 namespace {
 
 /// Rightmost leaf in [lo, hi) of the subtree `node` (covering
-/// [node_lo, node_hi)) whose value violates `value + power > limit`,
-/// or -1.  The subtree test is exact: the node holds the max of its
-/// leaves, that max is itself a leaf value, and IEEE rounding is
-/// monotone, so fl(max + power) > limit iff some leaf violates.
+/// [node_lo, node_hi)) whose value + power is over the cap, or -1.  The
+/// subtree test is exact: the node holds the max of its leaves, that
+/// max is itself a leaf value, and IEEE rounding is monotone, so
+/// fl(max + power) is over the limit iff some leaf violates.
 int rightmost_violation(const std::vector<double>& tree, int node, int node_lo,
-                        int node_hi, int lo, int hi, double power, double limit)
+                        int node_hi, int lo, int hi, double power, const cap_test& cap)
 {
     if (node_hi <= lo || hi <= node_lo) return -1;
-    if (!(tree[static_cast<std::size_t>(node)] + power > limit)) return -1;
+    if (!cap.over(tree[static_cast<std::size_t>(node)] + power)) return -1;
     if (node_lo + 1 == node_hi) return node_lo;
     const int mid = node_lo + (node_hi - node_lo) / 2;
     const int right =
-        rightmost_violation(tree, 2 * node + 1, mid, node_hi, lo, hi, power, limit);
+        rightmost_violation(tree, 2 * node + 1, mid, node_hi, lo, hi, power, cap);
     if (right >= 0) return right;
-    return rightmost_violation(tree, 2 * node, node_lo, mid, lo, hi, power, limit);
+    return rightmost_violation(tree, 2 * node, node_lo, mid, lo, hi, power, cap);
 }
 
-/// Leftmost leaf >= lo whose value satisfies `value + power <= limit`,
-/// or -1; exact by the same monotonicity argument over the min tree.
+/// Leftmost leaf >= lo whose value + power is not over the cap, or -1;
+/// exact by the same monotonicity argument over the min tree.
 int leftmost_clean(const std::vector<double>& tree, int node, int node_lo, int node_hi,
-                   int lo, double power, double limit)
+                   int lo, double power, const cap_test& cap)
 {
     if (node_hi <= lo) return -1;
-    if (tree[static_cast<std::size_t>(node)] + power > limit) return -1;
+    if (cap.over(tree[static_cast<std::size_t>(node)] + power)) return -1;
     if (node_lo + 1 == node_hi) return node_lo;
     const int mid = node_lo + (node_hi - node_lo) / 2;
-    const int left = leftmost_clean(tree, 2 * node, node_lo, mid, lo, power, limit);
+    const int left = leftmost_clean(tree, 2 * node, node_lo, mid, lo, power, cap);
     if (left >= 0) return left;
-    return leftmost_clean(tree, 2 * node + 1, mid, node_hi, lo, power, limit);
+    return leftmost_clean(tree, 2 * node + 1, mid, node_hi, lo, power, cap);
 }
 
 /// Iterative rightmost_violation over the canonical segment-tree
@@ -47,7 +47,7 @@ int leftmost_clean(const std::vector<double>& tree, int node, int node_lo, int n
 /// into the first one whose max violates.  Same predicate expression,
 /// same exactness argument, no recursion.
 int rightmost_violation_iter(const std::vector<double>& tree, int leaves, int lo,
-                             int hi, double power, double limit)
+                             int hi, double power, const cap_test& cap)
 {
     int lnodes[64];
     int rnodes[64];
@@ -65,13 +65,13 @@ int rightmost_violation_iter(const std::vector<double>& tree, int leaves, int lo
     // left-to-right; scan for the rightmost covering node that violates.
     int hit = -1;
     for (int i = 0; i < rn && hit < 0; ++i)
-        if (tree[static_cast<std::size_t>(rnodes[i])] + power > limit) hit = rnodes[i];
+        if (cap.over(tree[static_cast<std::size_t>(rnodes[i])] + power)) hit = rnodes[i];
     for (int i = ln - 1; i >= 0 && hit < 0; --i)
-        if (tree[static_cast<std::size_t>(lnodes[i])] + power > limit) hit = lnodes[i];
+        if (cap.over(tree[static_cast<std::size_t>(lnodes[i])] + power)) hit = lnodes[i];
     if (hit < 0) return -1;
     while (hit < leaves) {
         hit = 2 * hit + 1;
-        if (!(tree[static_cast<std::size_t>(hit)] + power > limit)) --hit;
+        if (!cap.over(tree[static_cast<std::size_t>(hit)] + power)) --hit;
     }
     return hit - leaves;
 }
@@ -79,14 +79,14 @@ int rightmost_violation_iter(const std::vector<double>& tree, int leaves, int lo
 /// Iterative leftmost_clean: climb from leaf `lo` over the subtrees to
 /// its right until one holds a clean leaf, then descend left-child-first.
 int leftmost_clean_iter(const std::vector<double>& tree, int leaves, int lo,
-                        double power, double limit)
+                        double power, const cap_test& cap)
 {
     int p = leaves + lo;
     while (true) {
-        if (!(tree[static_cast<std::size_t>(p)] + power > limit)) {
+        if (!cap.over(tree[static_cast<std::size_t>(p)] + power)) {
             while (p < leaves) {
                 p = 2 * p;
-                if (tree[static_cast<std::size_t>(p)] + power > limit) ++p;
+                if (cap.over(tree[static_cast<std::size_t>(p)] + power)) ++p;
             }
             return p - leaves;
         }
@@ -100,29 +100,30 @@ int leftmost_clean_iter(const std::vector<double>& tree, int leaves, int lo,
 
 bool power_tracker::fits(int start, int duration, double power) const
 {
-    if (power > cap_ + tolerance) return false;
+    const cap_test cap(cap_);
+    if (cap.over(power)) return false;
     if (kernel_knobs().dense_power) {
         // Scan the contiguous per-cycle slab directly instead of paying
         // profile_.at()'s bounds check + horizon branch per cycle.
         // Cycles past the horizon hold 0 and cannot violate (power alone
         // fits, checked above), so only the in-horizon prefix is probed.
         check(start >= 0 || duration <= 0, "power_profile::at: negative cycle");
-        const double limit = cap_ + tolerance;
         const std::vector<double>& v = profile_.values();
         const int end = std::min(start + duration, profile_.cycle_count());
         for (int c = start; c < end; ++c)
-            if (v[static_cast<std::size_t>(c)] + power > limit) return false;
+            if (cap.over(v[static_cast<std::size_t>(c)] + power)) return false;
         return true;
     }
     for (int c = start; c < start + duration; ++c)
-        if (profile_.at(c) + power > cap_ + tolerance) return false;
+        if (cap.over(profile_.at(c) + power)) return false;
     return true;
 }
 
 int power_tracker::next_fit(int start, int duration, double power) const
 {
     check(start >= 0, "power_tracker::next_fit: negative start");
-    if (power > cap_ + tolerance) return -1;
+    const cap_test cap(cap_);
+    if (cap.over(power)) return -1;
     if (duration <= 0) return start;
     ensure_tree();
     const int horizon = profile_.cycle_count();
@@ -130,33 +131,32 @@ int power_tracker::next_fit(int start, int duration, double power) const
     while (t < horizon) {
         // Cycles at or past the horizon hold 0 and cannot violate (power
         // itself fits the cap), so only [t, min(t+d, horizon)) is probed.
-        const int c = last_violation(t, std::min(t + duration, horizon), power);
+        const int c = last_violation(t, std::min(t + duration, horizon), power, cap);
         if (c < 0) return t;
         // Every start in (t, c] still covers cycle c, and starts beyond
         // it must begin on a cycle with headroom: leap the whole blocked
         // stretch in one descent.
-        t = first_clean(c + 1, power);
+        t = first_clean(c + 1, power, cap);
     }
     return t;
 }
 
-int power_tracker::last_violation(int lo, int hi, double power) const
+int power_tracker::last_violation(int lo, int hi, double power, const cap_test& cap) const
 {
     if (leaves_ == 0 || hi <= lo) return -1;
     if (kernel_knobs().dense_power)
         return rightmost_violation_iter(tree_max_, leaves_, lo, std::min(hi, leaves_),
-                                        power, cap_ + tolerance);
+                                        power, cap);
     return rightmost_violation(tree_max_, 1, 0, leaves_, lo, std::min(hi, leaves_), power,
-                               cap_ + tolerance);
+                               cap);
 }
 
-int power_tracker::first_clean(int from, double power) const
+int power_tracker::first_clean(int from, double power, const cap_test& cap) const
 {
     if (from >= leaves_) return from; // past the tree: free cycles
-    const int c =
-        kernel_knobs().dense_power
-            ? leftmost_clean_iter(tree_min_, leaves_, from, power, cap_ + tolerance)
-            : leftmost_clean(tree_min_, 1, 0, leaves_, from, power, cap_ + tolerance);
+    const int c = kernel_knobs().dense_power
+                      ? leftmost_clean_iter(tree_min_, leaves_, from, power, cap)
+                      : leftmost_clean(tree_min_, 1, 0, leaves_, from, power, cap);
     return c >= 0 ? c : leaves_;
 }
 

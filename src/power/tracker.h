@@ -20,6 +20,14 @@
 // expression, so their placement decisions are bit-identical (the tree
 // stores the exact profile values; IEEE rounding is monotone, so a
 // subtree-max test equals "some cycle in the subtree violates").
+//
+// Every test of a power value against the cap -- here, in the
+// schedulers and in the synthesizers -- goes through one predicate,
+// cap_test::over().  While a cap_recorder is installed on the calling
+// thread, the predicate also records the span of cap limits over which
+// each of its answers would stay the same; that span is what lets a
+// sweep serve a greedy design at many caps from one synthesis (see
+// explore_cache).
 #pragma once
 
 #include <limits>
@@ -28,6 +36,79 @@
 #include "power/profile.h"
 
 namespace phls {
+
+/// The span [below, above) of cap limits over which every cap test a
+/// run made answers as it did at the run's own limit: `below` is the
+/// largest value a test found within the limit, `above` the smallest it
+/// found over it.  A run's own limit always lies inside.
+struct cap_interval {
+    double below = -std::numeric_limits<double>::infinity();
+    double above = std::numeric_limits<double>::infinity();
+
+    /// True iff every recorded test answers the same against `limit`.
+    bool contains(double limit) const { return below <= limit && limit < above; }
+};
+
+/// The one spelling of "over the cap": `value > Pmax + tolerance`.
+///
+/// A test binds the calling thread's cap_recorder (if any) when it is
+/// constructed, so build it where the tests run, not ahead of time.
+/// With no recorder the predicate costs one compare and a predictable
+/// branch; with one, it also narrows the recorder's interval to keep
+/// each answer it gave.
+class cap_test {
+public:
+    /// Slack for exact decimal sums such as Table 1's.
+    static constexpr double tolerance = 1e-9;
+
+    /// The test against cap `cap` (may be infinity).
+    explicit cap_test(double cap) : limit_(cap + tolerance), span_(recording_) {}
+
+    /// The limit theta = cap + tolerance every test compares against.
+    double limit() const { return limit_; }
+
+    /// True iff `value` exceeds the limit.
+    bool over(double value) const
+    {
+        const bool hit = value > limit_;
+        if (span_ != nullptr) {
+            if (hit) {
+                if (value < span_->above) span_->above = value;
+            } else if (value > span_->below) {
+                span_->below = value;
+            }
+        }
+        return hit;
+    }
+
+private:
+    friend class cap_recorder;
+    static inline thread_local cap_interval* recording_ = nullptr;
+
+    double limit_;
+    cap_interval* span_;
+};
+
+/// Records every cap test the calling thread makes while it is in
+/// scope into `span`.  The recorder is per thread: this is sound
+/// because nothing under src/synth, src/sched or src/power starts a
+/// thread, so a synthesis makes all its tests on the thread that
+/// installed the recorder.  A nested scope saves the previous recorder
+/// and restores it on exit; the outer span does not see the inner
+/// scope's tests.
+class cap_recorder {
+public:
+    explicit cap_recorder(cap_interval& span) : previous_(cap_test::recording_)
+    {
+        cap_test::recording_ = &span;
+    }
+    ~cap_recorder() { cap_test::recording_ = previous_; }
+    cap_recorder(const cap_recorder&) = delete;
+    cap_recorder& operator=(const cap_recorder&) = delete;
+
+private:
+    cap_interval* previous_;
+};
 
 /// Reservation ledger against a per-cycle power cap.
 class power_tracker {
@@ -84,8 +165,8 @@ public:
 
     const power_profile& profile() const { return profile_; }
 
-    /// Tolerance used when comparing sums against the cap.
-    static constexpr double tolerance = 1e-9;
+    /// Tolerance used when comparing sums against the cap (cap_test's).
+    static constexpr double tolerance = cap_test::tolerance;
 
 private:
     /// Re-copies profile values of [start, end) into the tree leaves and
@@ -100,13 +181,13 @@ private:
     /// Builds the trees over the whole current profile if absent.
     void ensure_tree() const;
 
-    /// Rightmost cycle c in [lo, hi) with value(c) + power > cap + tol,
+    /// Rightmost cycle c in [lo, hi) with cap.over(value(c) + power),
     /// or -1 when the whole range fits.  Rightmost maximises the skip.
-    int last_violation(int lo, int hi, double power) const;
+    int last_violation(int lo, int hi, double power, const cap_test& cap) const;
 
-    /// Leftmost cycle >= from with value + power <= cap + tol (cycles at
-    /// or past the leaf capacity count as free).
-    int first_clean(int from, double power) const;
+    /// Leftmost cycle >= from whose value + power is not over the cap
+    /// (cycles at or past the leaf capacity count as free).
+    int first_clean(int from, double power, const cap_test& cap) const;
 
     double cap_;
     power_profile profile_;

@@ -36,6 +36,7 @@ pasap_result run_core(const core_inputs& in)
     std::vector<int> delay(static_cast<std::size_t>(n));
     std::vector<double> power(static_cast<std::size_t>(n));
     long total_delay = 0;
+    const cap_test cap(in.max_power);
     for (node_id v : in.g.node_ids()) {
         const fu_module& m = in.lib.module(in.assignment[v.index()]);
         if (!m.supports(in.g.kind(v)))
@@ -43,7 +44,7 @@ pasap_result run_core(const core_inputs& in)
         delay[v.index()] = m.latency;
         power[v.index()] = m.power;
         total_delay += m.latency;
-        if (m.power > in.max_power + power_tracker::tolerance) {
+        if (cap.over(m.power)) {
             result.reason = strf("operator '%s' needs %.3f power per cycle, cap is %.3f",
                                  in.g.label(v).c_str(), m.power, in.max_power);
             return result;

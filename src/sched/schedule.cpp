@@ -87,7 +87,7 @@ void validate_schedule(const graph& g, const module_library& lib, const schedule
     if (max_latency >= 0 && s.latency(lib) > max_latency)
         throw error(strf("latency %d exceeds constraint %d", s.latency(lib), max_latency));
     const double peak = s.profile(lib).peak();
-    if (!(peak <= max_power + power_tracker::tolerance))
+    if (cap_test(max_power).over(peak))
         throw error(strf("peak power %.3f exceeds constraint %.3f", peak, max_power));
 }
 

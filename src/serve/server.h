@@ -45,7 +45,8 @@ struct serve_limits {
     /// ask for one (job_request::threads == 0), and the ceiling on what
     /// it may ask for; 0 = hardware concurrency.
     int threads = 1;
-    /// Full-report LRU bound for each pooled session (0 = unbounded).
+    /// Full-report and interval-design LRU bound for each pooled
+    /// session (0 = unbounded).
     std::size_t memo_limit = 0;
     /// Honour job_request::save_cache_path.  Off by default for socket
     /// servers (a remote client choosing server-side file paths is a

@@ -62,11 +62,11 @@ void synth_arena::sync(const compat_inputs& in)
     // triggers once.  The comparison is the exact precheck of the
     // reference standalone_area loop.
     if (!screened_ || screened_cap_ != in.max_power) {
+        const cap_test cap(in.max_power);
         feasible_.assign(support_.size(), {});
         for (std::size_t k = 0; k < support_.size(); ++k)
             for (const mod_fit& m : support_[k])
-                if (!(m.power > in.max_power + power_tracker::tolerance))
-                    feasible_[k].push_back(m);
+                if (!cap.over(m.power)) feasible_[k].push_back(m);
         screened_cap_ = in.max_power;
         screened_ = true;
     }

@@ -168,6 +168,7 @@ void candidate_store::rebuild(const compat_inputs& in)
     // score_join() computes for every combo in it; negative buckets can
     // never yield a pick.
     const int n_groups = static_cast<int>(groups_.size());
+    const cap_test cap(in.max_power);
     for (int a = 0; a < n_groups; ++a) {
         const group& ga = groups_[static_cast<std::size_t>(a)];
         for (int mi = 0; mi < in.lib->size(); ++mi) {
@@ -177,7 +178,7 @@ void candidate_store::rebuild(const compat_inputs& in)
             if (!instances_of_[static_cast<std::size_t>(mi)].empty() && !(ga.area - mux < 0.0))
                 buckets_.push_back({ga.area - mux, true, a, a, module_id(mi)});
             // score_pair()'s static prechecks.
-            if (m.power > in.max_power + power_tracker::tolerance) continue;
+            if (cap.over(m.power)) continue;
             for (int b = a; b < n_groups; ++b) {
                 const group& gb = groups_[static_cast<std::size_t>(b)];
                 if (!m.supports(gb.kind) || (a == b && ga.ops.size() < 2)) continue;

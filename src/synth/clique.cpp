@@ -17,13 +17,13 @@
 
 namespace phls {
 
-namespace {
-
 std::string design_name(const graph& g, const synthesis_constraints& c)
 {
     if (c.max_power == unbounded_power) return strf("%s_T%d_Pinf", g.name().c_str(), c.latency);
     return strf("%s_T%d_P%.3g", g.name().c_str(), c.latency, c.max_power);
 }
+
+namespace {
 
 /// Everything the merge loop mutates, so a failed decision can roll back.
 struct partition_state {

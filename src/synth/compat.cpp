@@ -37,9 +37,10 @@ double standalone_area(const compat_inputs& in, node_id v)
     const int latency_budget = prospect_delay + mobility;
 
     double best = -1.0;
+    const cap_test cap(in.max_power);
     for (const fu_module& m : in.lib->modules()) {
         if (!m.supports(in.g->kind(v))) continue;
-        if (m.power > in.max_power + power_tracker::tolerance) continue;
+        if (cap.over(m.power)) continue;
         if (m.latency > latency_budget) continue;
         if (best < 0.0 || m.area < best) best = m.area;
     }
@@ -203,7 +204,7 @@ candidate_score score_pair(const compat_inputs& in, node_id a, node_id b, module
     candidate_score out;
     const fu_module& m = in.lib->module(mid);
     if (!m.supports(in.g->kind(a)) || !m.supports(in.g->kind(b))) return out;
-    if (m.power > in.max_power + power_tracker::tolerance) return out;
+    if (cap_test(in.max_power).over(m.power)) return out;
 
     const int d = m.latency;
     auto [la, ha] = window_of(in, a);

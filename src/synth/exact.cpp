@@ -110,9 +110,10 @@ private:
         const node_id v = order_[depth];
         const op_kind kind = g_.kind(v);
 
+        const cap_test cap(constraints_.max_power);
         for (module_id m : lib_.candidates_for(kind)) {
             const fu_module& mod = lib_.module(m);
-            if (mod.power > constraints_.max_power + power_tracker::tolerance) continue;
+            if (cap.over(mod.power)) continue;
             const int d = mod.latency;
 
             int ready = 0;

@@ -76,6 +76,10 @@ struct synthesis_result {
 
 class explore_cache;
 
+/// The name synthesize() gives its design at point `c`:
+/// "<graph>_T<latency>_P<cap>" (the cap as %.3g, "inf" when unbounded).
+std::string design_name(const graph& g, const synthesis_constraints& c);
+
 /// Runs the full algorithm: prospect modules -> pasap/palap windows ->
 /// greedy power-aware clique partitioning with backtrack-and-lock ->
 /// finalisation -> area accounting.  `cache` (optional) serves the

@@ -8,6 +8,9 @@ namespace phls {
 
 namespace {
 
+/// Slack when comparing one peak with another (never with the cap).
+constexpr double peak_tolerance = 1e-9;
+
 /// Legal start-time range of `v` holding everything else fixed.
 std::pair<int, int> slack_range(const graph& g, const module_library& lib,
                                 const datapath& dp, node_id v, int latency)
@@ -54,7 +57,7 @@ int reduce_peak_power(const graph& g, const module_library& lib, datapath& dp, i
             const double p = lib.module(dp.sched.module_of(v)).power;
             bool covers_peak = false;
             for (int c = dp.sched.start(v); c < dp.sched.start(v) + d; ++c)
-                if (profile.at(c) >= peak - power_tracker::tolerance) covers_peak = true;
+                if (profile.at(c) >= peak - peak_tolerance) covers_peak = true;
             if (!covers_peak) continue;
 
             const auto [lo, hi] = slack_range(g, lib, dp, v, latency);
@@ -66,7 +69,7 @@ int reduce_peak_power(const graph& g, const module_library& lib, datapath& dp, i
                 moved.withdraw(dp.sched.start(v), d, p);
                 moved.deposit(t, d, p);
                 const double new_peak = moved.peak();
-                if (new_peak < best_peak - power_tracker::tolerance) {
+                if (new_peak < best_peak - peak_tolerance) {
                     best_peak = new_peak;
                     best_v = v;
                     best_t = t;
@@ -105,8 +108,7 @@ two_step_result two_step_synthesize(const graph& g, const module_library& lib,
     result.moves =
         reduce_peak_power(g, lib, result.dp, constraints.latency, options.costs);
     result.peak_after = result.dp.peak_power(lib);
-    result.meets_power =
-        result.peak_after <= constraints.max_power + power_tracker::tolerance;
+    result.meets_power = !cap_test(constraints.max_power).over(result.peak_after);
     result.feasible = true;
     return result;
 }

@@ -81,7 +81,7 @@ std::vector<std::string> verify_datapath(const graph& g, const module_library& l
 
     // Power per clock cycle.
     const double peak = dp.sched.profile(lib).peak();
-    if (peak > constraints.max_power + power_tracker::tolerance)
+    if (cap_test(constraints.max_power).over(peak))
         complain(strf("peak power %.3f exceeds constraint %.3f", peak, constraints.max_power));
 
     // Area bookkeeping.

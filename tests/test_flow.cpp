@@ -82,6 +82,28 @@ TEST(flow_registry, custom_strategies_plug_in_without_touching_callers)
     EXPECT_EQ(r.st.message, "stub always declines T=17");
 }
 
+TEST(flow_registry, replaced_strategies_outlive_their_borrowers)
+{
+    static bool destroyed = false;
+    class doomed_synth final : public synth_strategy {
+    public:
+        ~doomed_synth() override { destroyed = true; }
+        std::string name() const override { return "test_replaced"; }
+        std::string description() const override { return "unit-test stub"; }
+        synth_outcome run(const synth_request&) const override { return {}; }
+    };
+    strategy_registry& registry = strategy_registry::instance();
+    registry.add(std::make_shared<doomed_synth>());
+    // A caller holds the lent pointer, e.g. flow::run_point mid-run.
+    const synth_strategy* borrowed = registry.synthesizer("test_replaced");
+    ASSERT_NE(borrowed, nullptr);
+
+    registry.add(std::make_shared<doomed_synth>());
+    EXPECT_FALSE(destroyed);
+    EXPECT_EQ(borrowed->name(), "test_replaced");
+    EXPECT_NE(registry.synthesizer("test_replaced"), borrowed);
+}
+
 // -------------------------------------------------------------------- runs
 
 TEST(flow_run, produces_a_verified_design_with_uniform_status)
