@@ -4,8 +4,10 @@
 // reference implementation retained behind kernel_knobs():
 //
 //   * probe    -- power-feasibility probing: a pasap-style placement
-//     sweep over a contended ledger, power_tracker::next_fit (skip-ahead
-//     via the headroom tree) vs the seed-era linear `++offset` scan;
+//     sweep over a contended ledger, power_tracker::next_fit (slab
+//     window scans that step over blocked cycles while the ledger is at
+//     most slab_probe_cycles long and leap them with a headroom tree
+//     past that) vs the seed-era linear `++offset` scan;
 //   * cands    -- candidate picks across merge-loop iterations: the
 //     best-first candidate frontier (synth/candidates.h) vs full
 //     enumerate_candidates() per iteration, measured by the
@@ -15,19 +17,28 @@
 //     undo log vs the full partition_state deep copy, same region-timer
 //     isolation.
 //
+// One layer is timed the same way: the pasap/palap window recompute,
+// one power_windows() call per state as the clique partitioner makes it
+// (reversed graph and topological orders hoisted), on hal and on the
+// 100- and 1000-op synthetic ALU DAGs, over states that commit 0-100%
+// of the operators at their pasap starts; the default kernels against
+// skip_probe = false.  Its ledger column shows which side of the probe's
+// slab/tree crossover each row sits on.  It is reported, not gated on
+// speed.
+//
 // Workloads: the paper benchmarks (trajectory rows) and a scaled
 // synthetic random-DAG family (100..1000 operations), plus a 10k-op
 // row timing the frontier against the seed-era reference enumeration.
 // Gates:
 //
 //   * identity (always hard): both paths must produce bit-identical
-//     placements / partitioning results -- including the 10k-op row,
-//     where the reference, the frontier with the arena detached and the
-//     default kernels at 1/2/8 intra-point threads must agree -- and the
-//     full 120-point duplicate-heavy (T, Pmax) grid must yield
-//     byte-identical flow_reports with every kernel optimised vs every
-//     kernel on the reference path, uncached and sequential as well as
-//     on cached sessions at 1/2/8 threads;
+//     placements / partitioning results / windows -- including the
+//     10k-op row, where the reference, the frontier with the arena
+//     detached and the default kernels at 1/2/8 intra-point threads must
+//     agree -- and the full 120-point duplicate-heavy (T, Pmax) grid must
+//     yield byte-identical flow_reports with every kernel optimised vs
+//     every kernel on the reference path, uncached and sequential as well
+//     as on cached sessions at 1/2/8 threads;
 //   * memory (always hard): the 10k-op row's peak RSS, read before its
 //     reference run, must stay within 2 GB;
 //   * speedup (>= 2x per kernel on the 1000-op synthetic graph, >= 50x
@@ -52,6 +63,7 @@
 #include "cdfg/random_dag.h"
 #include "flow/flow.h"
 #include "power/tracker.h"
+#include "sched/mobility.h"
 #include "sched/schedule.h"
 #include "support/kernels.h"
 #include "support/strings.h"
@@ -97,8 +109,8 @@ kernel_tuning all_reference()
 }
 
 /// The candidate frontier with the arena detached (reference per-node
-/// folds) and the scalar power ledger; the 10k-op row's identity gate
-/// includes it.
+/// folds); the 10k-op row's identity gate includes it.  dense_power no
+/// longer changes any computation.
 kernel_tuning pr5_kernels()
 {
     kernel_tuning k;
@@ -165,6 +177,75 @@ std::vector<int> place_all(const probe_workload& w, bool optimised)
         start[v.index()] = s;
     }
     return start;
+}
+
+// ----------------------------------------------------------- windows layer
+
+/// One windows-layer row: a graph under one cap and latency, a share of
+/// its operators committed at their pasap starts.
+struct windows_row {
+    std::string workload;
+    int ops = 0;
+    int ledger = 0; ///< the all-free pasap latency, in cycles
+    int committed_pct = 0;
+    double default_us = 0.0;
+    double linear_us = 0.0; ///< skip_probe = false
+    bool identical = false;
+};
+
+/// Wall time per call of `fn`: as many calls as fill ~20 ms, best of
+/// three such batches.
+double per_call_us(const std::function<void()>& fn)
+{
+    const double once = std::max(run_ms(fn), 1e-3);
+    const int calls = std::max(1, static_cast<int>(20.0 / once));
+    return best_ms([&] {
+               for (int i = 0; i < calls; ++i) fn();
+           }) *
+           1000.0 / calls;
+}
+
+bool same_windows(const time_windows& a, const time_windows& b)
+{
+    return a.feasible == b.feasible && a.reason == b.reason && a.s_min == b.s_min &&
+           a.s_max == b.s_max;
+}
+
+/// Rows at 0, 25, 50, 75 and 100% of the operators committed (every
+/// operator whose id mod 4 is below the quarter count).
+std::vector<windows_row> time_windows_layer(const std::string& name, const graph& g,
+                                            const module_library& lib, double cap)
+{
+    const module_assignment a = fastest_assignment(g, lib, cap);
+    const graph rev = reversed_graph(g);
+    const std::vector<node_id> topo = g.topo_order();
+    const std::vector<node_id> rev_topo = rev.topo_order();
+    pasap_options opts{pasap_order::critical_path, {}, &rev, &topo, &rev_topo};
+    const pasap_result free_run = pasap(g, lib, a, cap, opts);
+    if (!free_run.feasible) return {};
+    const int ledger = free_run.sched.latency(lib);
+    const int latency = ledger + 4;
+
+    std::vector<windows_row> rows;
+    kernel_tuning linear;
+    linear.skip_probe = false;
+    const knob_guard guard;
+    for (int quarters = 0; quarters <= 4; ++quarters) {
+        opts.fixed_starts.assign(static_cast<std::size_t>(g.node_count()), -1);
+        for (node_id v : g.node_ids())
+            if (v.value() % 4 < quarters) opts.fixed_starts[v.index()] = free_run.sched.start(v);
+        windows_row row{name, g.node_count(), ledger, 25 * quarters};
+        time_windows got, want;
+        kernel_knobs() = kernel_tuning{};
+        row.default_us =
+            per_call_us([&] { got = power_windows(g, lib, a, cap, latency, opts); });
+        kernel_knobs() = linear;
+        row.linear_us =
+            per_call_us([&] { want = power_windows(g, lib, a, cap, latency, opts); });
+        row.identical = same_windows(got, want);
+        rows.push_back(row);
+    }
+    return rows;
 }
 
 // --------------------------------------- candidates and rollback kernels
@@ -384,6 +465,32 @@ int main()
     clique_table.print(std::cout);
     std::cout << '\n';
 
+    // ------------------------------------------------------ windows layer
+    std::cout << "=== layer: pasap/palap windows (us per power_windows call) ===\n";
+    ascii_table windows_table({"workload", "ops", "ledger", "committed", "default (us)",
+                               "linear probe (us)", "identical"});
+    // hal at a paper cap; the synthetic rows take the clique family's
+    // graphs and cap.
+    std::vector<windows_row> windows_rows = time_windows_layer("hal", make_hal(), lib, 7.1);
+    for (const int n : {100, 1000}) {
+        const std::vector<windows_row> more = time_windows_layer(
+            strf("synthetic-%d", n),
+            random_dag({n, std::max(4, n / 12), 10, 0.0, 0.05, 0.8},
+                       777 + static_cast<std::uint64_t>(n)),
+            lib, 2.5 * pmax);
+        windows_rows.insert(windows_rows.end(), more.begin(), more.end());
+    }
+    bool windows_identical = true;
+    for (const windows_row& r : windows_rows) {
+        windows_identical = windows_identical && r.identical;
+        windows_table.add_row({r.workload, std::to_string(r.ops), std::to_string(r.ledger),
+                               strf("%d%%", r.committed_pct), strf("%.2f", r.default_us),
+                               strf("%.2f", r.linear_us), r.identical ? "yes" : "NO"});
+    }
+    identity_ok = identity_ok && windows_identical;
+    windows_table.print(std::cout);
+    std::cout << '\n';
+
     // ------------------------------------------- 10k-op candidates row
     //
     // The frontier's target scale: one 10k-operation ALU workload from
@@ -489,7 +596,7 @@ int main()
     const bool cand_gate_10k = cand_speedup_10k >= 50.0;
     const bool speedups_ok = probe_gate && cand_gate && roll_gate && cand_gate_10k;
 
-    std::cout << "identity gates (placements, partitioning prefix, 10k row, "
+    std::cout << "identity gates (placements, partitioning prefix, windows, 10k row, "
                  "120-point grid): "
               << (identity_ok ? "PASS" : "FAIL") << '\n';
     std::cout << strf("10k row peak RSS before its reference run: %.1f MB (gate <= 2048): %s\n",
@@ -529,7 +636,19 @@ int main()
         json << strf("  \"grid_identical\": %s,\n", grid_identical ? "true" : "false");
         json << strf("  \"identity_gates_passed\": %s,\n", identity_ok ? "true" : "false");
         json << strf("  \"speedup_gates_passed\": %s,\n", speedups_ok ? "true" : "false");
-        json << strf("  \"speedup_gates_hard\": %s\n", steady ? "true" : "false");
+        json << strf("  \"speedup_gates_hard\": %s,\n", steady ? "true" : "false");
+        json << strf("  \"windows_identical\": %s,\n", windows_identical ? "true" : "false");
+        json << "  \"windows\": [";
+        for (std::size_t i = 0; i < windows_rows.size(); ++i) {
+            const windows_row& r = windows_rows[i];
+            json << (i == 0 ? "\n" : ",\n")
+                 << strf("    {\"workload\": \"%s\", \"ops\": %d, \"ledger_cycles\": %d, "
+                         "\"committed_pct\": %d, \"default_us\": %.3f, "
+                         "\"linear_probe_us\": %.3f}",
+                         r.workload.c_str(), r.ops, r.ledger, r.committed_pct, r.default_us,
+                         r.linear_us);
+        }
+        json << "\n  ]\n";
         json << "}\n";
         std::cout << "wrote BENCH_kernels.json\n";
     }

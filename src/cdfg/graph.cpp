@@ -7,18 +7,6 @@
 
 namespace phls {
 
-const graph::node& graph::at(node_id n) const
-{
-    check(n.valid() && n.index() < nodes_.size(), "invalid node id");
-    return nodes_[n.index()];
-}
-
-graph::node& graph::at(node_id n)
-{
-    check(n.valid() && n.index() < nodes_.size(), "invalid node id");
-    return nodes_[n.index()];
-}
-
 node_id graph::add_node(op_kind kind, const std::string& label)
 {
     check(!label.empty(), "node label must be non-empty");

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cdfg/op.h"
+#include "support/errors.h"
 #include "support/ids.h"
 
 namespace phls {
@@ -112,8 +113,16 @@ private:
         std::vector<node_id> succs;
     };
 
-    const node& at(node_id n) const;
-    node& at(node_id n);
+    const node& at(node_id n) const
+    {
+        check(n.valid() && n.index() < nodes_.size(), "invalid node id");
+        return nodes_[n.index()];
+    }
+    node& at(node_id n)
+    {
+        check(n.valid() && n.index() < nodes_.size(), "invalid node id");
+        return nodes_[n.index()];
+    }
 
     std::string name_;
     std::vector<node> nodes_;

@@ -18,12 +18,6 @@ module_id module_library::add(fu_module m)
     return module_id(static_cast<int>(modules_.size()) - 1);
 }
 
-const fu_module& module_library::module(module_id id) const
-{
-    check(id.valid() && id.index() < modules_.size(), "invalid module id");
-    return modules_[id.index()];
-}
-
 std::optional<module_id> module_library::find(const std::string& name) const
 {
     for (int i = 0; i < size(); ++i)

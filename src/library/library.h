@@ -9,6 +9,7 @@
 
 #include "cdfg/graph.h"
 #include "library/module.h"
+#include "support/errors.h"
 #include "support/ids.h"
 
 namespace phls {
@@ -25,7 +26,11 @@ public:
     module_id add(fu_module m);
 
     int size() const { return static_cast<int>(modules_.size()); }
-    const fu_module& module(module_id id) const;
+    const fu_module& module(module_id id) const
+    {
+        check(id.valid() && id.index() < modules_.size(), "invalid module id");
+        return modules_[id.index()];
+    }
     const std::vector<fu_module>& modules() const { return modules_; }
 
     std::optional<module_id> find(const std::string& name) const;

@@ -18,7 +18,7 @@ struct core_inputs {
     const module_assignment& assignment;
     double max_power;
     pasap_order order;
-    std::vector<int> fixed; // -1 = free
+    const std::vector<int>& fixed; // -1 = free; empty = nothing fixed
     const std::vector<node_id>* topo; // g.topo_order(), or null to compute
 };
 
@@ -51,8 +51,9 @@ pasap_result run_core(const core_inputs& in)
         }
     }
 
-    const std::vector<int> fixed =
-        in.fixed.empty() ? std::vector<int>(static_cast<std::size_t>(n), -1) : in.fixed;
+    std::vector<int> none_fixed;
+    if (in.fixed.empty()) none_fixed.assign(static_cast<std::size_t>(n), -1);
+    const std::vector<int>& fixed = in.fixed.empty() ? none_fixed : in.fixed;
 
     power_tracker tracker(in.max_power);
     std::vector<int> start(static_cast<std::size_t>(n), -1);

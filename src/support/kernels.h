@@ -6,11 +6,13 @@
 // that times a handful of combos per pick instead of enumerating them
 // all) and merge rollback (the undo log in clique.cpp).  The candidate
 // scoring reads per-node facts from a struct-of-arrays arena
-// (synth/arena.h), and the power ledger answers probes from contiguous
-// cycle slabs with branch-free tree descents.  Every optimised path is
-// gated byte-identical to the seed-era reference implementation it
-// replaced; the reference paths are retained behind these knobs so
-// tests and bench_kernels can compare results and wall time.
+// (synth/arena.h), and the power ledger answers probes from its
+// contiguous cycle slab, leaping blocked stretches with a headroom tree
+// once it is long (power/tracker.h picks by ledger length; no knob
+// does).  Every optimised path is gated byte-identical to the seed-era
+// reference implementation it replaced; the reference paths are
+// retained behind these knobs so tests and bench_kernels can compare
+// results and wall time.
 //
 // The knobs are process-global mutable state: set them *before* starting
 // any flow/batch work and leave them alone while synthesis runs (they
@@ -24,8 +26,11 @@ namespace phls {
 /// Selects the optimised or the reference implementation per kernel.
 struct kernel_tuning {
     /// power_tracker::next_fit skip-ahead probing in pasap and in the
-    /// compatibility graph's find_slot.  Off = the seed-era linear
-    /// `++offset` / `++t` probes.
+    /// compatibility graph's find_slot: slab window scans that step over
+    /// blocked cycles on ledgers of at most
+    /// power_tracker::slab_probe_cycles and leap them with a headroom
+    /// tree past that.  Off = the seed-era linear `++offset` / `++t`
+    /// probes over fits(), the oracle both are gated against.
     bool skip_probe = true;
     /// The best-first candidate frontier (synth/candidates.h): each pick
     /// walks the current state's equal-saving buckets and times only the
@@ -42,10 +47,10 @@ struct kernel_tuning {
     /// Off = the reference per-combo neighbour walks and standalone
     /// folds.
     bool soa_arena = true;
-    /// Dense power-ledger queries: fits() scans the contiguous
-    /// per-cycle slab directly and the headroom-tree descents run
-    /// iteratively (branch-free child steps) instead of recursing.
-    /// Off = the at()-per-cycle scan and recursive descents.
+    /// No longer changes any computation: power_tracker always scans its
+    /// contiguous slab and descends its trees iteratively, and reads no
+    /// knob.  Kept so existing callers that assign it still compile;
+    /// every value gives the same results and the same work.
     bool dense_power = true;
     /// No longer changes any computation: a frontier pick reaches a
     /// handful of combos (4.4 on average on 100-op random DAGs) and

@@ -211,6 +211,24 @@ TEST(cap_interval, thread_counts_and_point_orders_agree)
     }
 }
 
+TEST(cap_interval, dense_hal_plane_keeps_its_reach)
+{
+    // A slice of the 10^4-point (T, Pmax) hal plane, explored cold in
+    // seeded order on one thread.  The spans come from whatever cap tests
+    // the power probes make, so a probe change that records more (or
+    // tighter) tests narrows them and quietly synthesises points the
+    // table used to serve; the floor is the count this grid served when
+    // the probes' tests were first recorded (667 of 835 feasible points
+    // from 168 spans).
+    const flow f = flow::on(make_hal()).with_library(lib());
+    std::vector<synthesis_constraints> points = plane({17, 21, 25, 29, 33}, 2.0, 20.0, 200);
+    shuffle(points, 29);
+    const sweep_result got = sweep(f, points, 1);
+    EXPECT_EQ(got.stats.interval_served + static_cast<long>(got.intervals),
+              finite_feasible(got.reports));
+    EXPECT_GE(got.stats.interval_served, 667) << got.intervals << " spans";
+}
+
 TEST(cap_interval, reference_knobs_and_netlists_are_identical)
 {
     const knob_guard guard;

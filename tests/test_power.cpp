@@ -197,15 +197,26 @@ TEST(tracker, next_fit_release_then_refit)
     EXPECT_EQ(t.next_fit(0, 2, 3.0), 10);
 }
 
-TEST(tracker, next_fit_matches_linear_probe_on_random_ledgers)
+/// The ledgers next_fit_matches_linear_probe_on_random_ledgers drives.
+enum class ledger_case {
+    short_slab,  ///< starts in [0, 60]: the slab probe answers
+    trees_first, ///< the same, on a tracker whose trees headroom() built
+    growing,     ///< starts drift past slab_probe_cycles mid-run
+};
+
+/// Reserves, releases and probes at random, checking every next_fit
+/// against the linear probe.  Returns how many probes had to skip past
+/// a violation (on the growing ledger: once it is past the crossover),
+/// or -1 at the first mismatch.
+int random_ledger_skips(ledger_case mode)
 {
     std::mt19937_64 rng(20260730);
+    int skips = 0;
     for (int trial = 0; trial < 20; ++trial) {
         const double cap = 4.0 + 0.5 * static_cast<double>(trial % 9);
         power_tracker t(cap);
         std::vector<std::tuple<int, int, double>> held;
 
-        std::uniform_int_distribution<int> start_d(0, 60);
         std::uniform_int_distribution<int> dur_d(0, 5);
         std::uniform_real_distribution<double> pow_d(0.1, cap);
         for (int step = 0; step < 120; ++step) {
@@ -219,16 +230,33 @@ TEST(tracker, next_fit_matches_linear_probe_on_random_ledgers)
                 t.release(s, d, p);
                 held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
             }
-            const int from = start_d(rng);
+            const int reach = mode == ledger_case::growing ? 60 + 4 * step : 60;
+            const int from = std::uniform_int_distribution<int>(0, reach)(rng);
+            // Once the ledger holds a cycle, this builds the trees.
+            if (mode == ledger_case::trees_first) t.headroom(0, 1);
             const int slot = t.next_fit(from, duration, power);
-            ASSERT_EQ(slot, linear_next_fit(t, from, duration, power))
-                << "trial " << trial << " step " << step;
+            if (slot != linear_next_fit(t, from, duration, power)) {
+                ADD_FAILURE() << "trial " << trial << " step " << step << ": next_fit "
+                              << slot << ", linear " << linear_next_fit(t, from, duration, power);
+                return -1;
+            }
+            if (slot > from && (mode != ledger_case::growing ||
+                                t.profile().cycle_count() > power_tracker::slab_probe_cycles))
+                ++skips;
             if (duration > 0 && step % 2 == 0) {
                 t.reserve(slot, duration, power);
                 held.emplace_back(slot, duration, power);
             }
         }
     }
+    return skips;
+}
+
+TEST(tracker, next_fit_matches_linear_probe_on_random_ledgers)
+{
+    EXPECT_GT(random_ledger_skips(ledger_case::short_slab), 0);
+    EXPECT_GT(random_ledger_skips(ledger_case::trees_first), 0);
+    EXPECT_GT(random_ledger_skips(ledger_case::growing), 0);
 }
 
 TEST(tracker, restore_interval_unwinds_reserve_bit_exactly)
