@@ -172,22 +172,15 @@ public:
         return reach_;
     }
 
-    /// The edge-reversed graph palap schedules on -- like reach(), a
-    /// pure graph invariant built once at construction and handed to
-    /// every window computation through pasap_options::reversed (it is
-    /// part of the same eager invariant build, so it does not move the
-    /// hit/miss counters).
-    const graph& reversed_design() const { return rev_; }
-
-    /// design().topo_order() and reversed_design().topo_order(), built
-    /// once at construction like reversed_design() and handed to every
-    /// window computation through pasap_options::topo / reversed_topo.
+    /// design().topo_order() -- like reach(), a pure graph invariant
+    /// built once at construction (part of the same eager invariant
+    /// build, so it does not move the hit/miss counters) and handed to
+    /// every partitioning's window engine.
     const std::vector<node_id>& topo_order() const { return topo_; }
-    const std::vector<node_id>& reversed_topo_order() const { return rev_topo_; }
 
     /// Nodes of the design of kind `k`, ascending id -- the
     /// graph::nodes_of_kind() buckets materialised once at construction
-    /// (an invariant like reach()/reversed_design()), so per-point code
+    /// (an invariant like reach()/topo_order()), so per-point code
     /// reads a stable vector instead of allocating a fresh one per call.
     const std::vector<node_id>& nodes_of_kind(op_kind k) const
     {
@@ -395,9 +388,7 @@ private:
     graph g_;
     module_library lib_;
     reachability reach_;
-    graph rev_; ///< reversed_graph(g_), served via pasap_options::reversed
-    std::vector<node_id> topo_;     ///< g_.topo_order()
-    std::vector<node_id> rev_topo_; ///< rev_.topo_order()
+    std::vector<node_id> topo_; ///< g_.topo_order()
     std::vector<std::vector<node_id>> kind_buckets_; ///< nodes per op kind
     std::string graph_text_;
     std::string lib_text_;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "power/tracker.h"
 #include "sched/pasap.h"
 
 namespace phls {
@@ -35,9 +36,83 @@ struct time_windows {
 /// being an independent greedy pass, only *widens* a window beyond the
 /// pasap time when it agrees; where it disagrees the window degenerates
 /// to the pasap time.  `options.fixed_starts` carries committed operators.
+/// Runs a one-shot window_engine, or the seed-era reference passes under
+/// kernel_knobs().skip_probe = false.
 time_windows power_windows(const graph& g, const module_library& lib,
                            const module_assignment& assignment, double max_power,
                            int latency, const pasap_options& options = {});
+
+/// pasap, palap and power_windows() for one graph and library, kept warm
+/// across calls.  The clique partitioner recomputes the windows after
+/// every merge decision on the same graph, library and, almost always,
+/// the same delays, so the engine holds what a one-shot call rebuilds:
+///   * the graph as flat CSR arrays; the reversed graph's successor
+///     lists are the producers in id order, as reversed_graph() builds
+///     them, so every diagnostic names the same operator;
+///   * each operator's delay and power under the last assignment; only
+///     operators whose module changed are validated again, with the
+///     same checks (graph and library never change under an engine);
+///   * both pick orders (see pasap.h): the topological orders of the
+///     graph and of its reverse, or the critical-path orders, which are
+///     re-sorted only after a delay changed;
+///   * the start and ledger buffers of its passes.
+/// Every answer, diagnostic and cap test is the one the seed-era
+/// reference (kernel_knobs().skip_probe = false) gives, except that free
+/// operators are placed with power_tracker::next_fit; tests/
+/// test_window_engine.cpp drives warm engines against that reference.
+/// Not thread-safe: one engine per partitioning.
+class window_engine {
+public:
+    /// `topo` / `reversed_topo`: optional g.topo_order() and
+    /// reversed_graph(g).topo_order(), copied (explore_cache serves
+    /// both); null = computed here when needed.
+    window_engine(const graph& g, const module_library& lib,
+                  pasap_order order = pasap_order::critical_path,
+                  const std::vector<node_id>* topo = nullptr,
+                  const std::vector<node_id>* reversed_topo = nullptr);
+
+    /// power_windows(g, lib, assignment, max_power, latency,
+    /// {order, fixed}), written into `out` (its buffers are reused).
+    void windows(const module_assignment& assignment, double max_power, int latency,
+                 const std::vector<int>& fixed, time_windows& out);
+
+    /// pasap(g, lib, assignment, max_power, {order, fixed}).
+    pasap_result pasap(const module_assignment& assignment, double max_power,
+                       const std::vector<int>& fixed);
+
+    /// palap(g, lib, assignment, max_power, latency, {order, fixed}).
+    pasap_result palap(const module_assignment& assignment, double max_power, int latency,
+                       const std::vector<int>& fixed);
+
+private:
+    bool load(const module_assignment& assignment, double max_power, std::string* reason);
+    bool run(bool reversed, const int* fixed, double max_power, std::string* reason,
+             bool mirrored = false);
+    const std::vector<int>& pick_order(bool reversed);
+    const std::string& label(int v) const { return g_.label(node_id(v)); }
+
+    const graph& g_;
+    const module_library& lib_;
+    pasap_order order_;
+    int n_;
+    std::vector<int> succ_off_, succ_; ///< successors, in g.succs() order
+    std::vector<int> pred_off_, pred_; ///< producers by id (the reversed successors)
+    std::vector<int> topo_;            ///< g.topo_order()
+    std::vector<module_id> module_;    ///< last validated module (invalid = none yet)
+    std::vector<int> delay_;
+    std::vector<double> power_;
+    long total_delay_ = 0;
+    double max_power_ = 0.0;
+    std::vector<int> orders_[2]; ///< pick orders of the forward and reversed passes
+    bool stale_[2] = {true, true};
+    std::vector<long> priority_;
+    std::vector<int> start_;
+    std::vector<int> rfixed_; ///< committed starts on the reversed clock
+    std::vector<double> committed_; ///< per-cycle sums of the last forward pass's commitments
+    std::vector<double> mirror_;    ///< the same, mirrored onto the reversed clock
+    int free_ = 0;            ///< free operators of the last pass
+    power_tracker ledger_;
+};
 
 /// Classic windows (no power cap) under `latency`, same reporting.
 time_windows classic_windows(const graph& g, const module_library& lib,

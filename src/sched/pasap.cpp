@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "power/tracker.h"
+#include "sched/mobility.h"
 #include "support/errors.h"
 #include "support/kernels.h"
 #include "support/strings.h"
@@ -11,6 +12,11 @@
 namespace phls {
 
 namespace {
+
+// The seed-era reference passes, selected by kernel_knobs().skip_probe =
+// false: per-call vectors and schedule, the critical-path ready list and
+// the linear `++offset` probe over fits().  window_engine (mobility.h)
+// gives the same schedules and diagnostics.
 
 struct core_inputs {
     const graph& g;
@@ -107,37 +113,20 @@ pasap_result run_core(const core_inputs& in)
     // Places one operator: earliest data-ready time + smallest offset at
     // which the whole execution interval has power available (paper
     // step 3).  Returns false and sets `reason` on heuristic failure.
-    const bool skip_probe = kernel_knobs().skip_probe;
     const auto place = [&](node_id v) -> bool {
         int ready = 0;
         for (node_id p : in.g.preds(v))
             ready = std::max(ready, start[p.index()] + delay[p.index()]);
-        int t;
-        if (skip_probe) {
-            // Skip-ahead: jump directly past the last violating cycle of
-            // each failed interval instead of advancing one offset at a
-            // time.  Bit-identical to the linear probe below (every op's
-            // power fits the cap, so a feasible slot always exists; the
-            // horizon check reports the same overrun).
-            t = tracker.next_fit(ready, delay[v.index()], power[v.index()]);
-            if (t > horizon) {
+        int offset = 0;
+        while (!tracker.fits(ready + offset, delay[v.index()], power[v.index()])) {
+            ++offset;
+            if (ready + offset > horizon) {
                 result.reason = "internal: no power-feasible slot below horizon for '" +
                                 in.g.label(v) + "'";
                 return false;
             }
-        } else {
-            int offset = 0;
-            while (!tracker.fits(ready + offset, delay[v.index()], power[v.index()])) {
-                ++offset;
-                if (ready + offset > horizon) {
-                    result.reason =
-                        "internal: no power-feasible slot below horizon for '" +
-                        in.g.label(v) + "'";
-                    return false;
-                }
-            }
-            t = ready + offset;
         }
+        const int t = ready + offset;
         tracker.reserve(t, delay[v.index()], power[v.index()]);
         start[v.index()] = t;
         result.sched.set_start(v, t);
@@ -214,6 +203,9 @@ pasap_result pasap(const graph& g, const module_library& lib,
                    const module_assignment& assignment, double max_power,
                    const pasap_options& options)
 {
+    if (kernel_knobs().skip_probe)
+        return window_engine(g, lib, options.order, options.topo, options.reversed_topo)
+            .pasap(assignment, max_power, options.fixed_starts);
     return run_core({g, lib, assignment, max_power, options.order, options.fixed_starts,
                      options.topo});
 }
@@ -222,6 +214,9 @@ pasap_result palap(const graph& g, const module_library& lib,
                    const module_assignment& assignment, double max_power, int latency,
                    const pasap_options& options)
 {
+    if (kernel_knobs().skip_probe)
+        return window_engine(g, lib, options.order, options.topo, options.reversed_topo)
+            .palap(assignment, max_power, latency, options.fixed_starts);
     check(latency >= 1, "palap needs a positive latency bound");
     const int n = g.node_count();
     check(static_cast<int>(assignment.size()) == n, "assignment size does not match graph");

@@ -18,7 +18,18 @@
 //   * topological   — operators in topological rank order, each driven to
 //                     completion before the next is considered;
 //   * critical_path — among data-ready operators, longest path to a sink
-//                     first (list-scheduling style packing).
+//                     first (list-scheduling style packing), ties by id.
+//
+// The critical-path pick needs no ready list: it is one static order,
+// every operator sorted by (priority desc, id asc), with the committed
+// ones skipped.  validate_module() rejects latencies below 1, so an
+// operator's priority (its delay plus the largest priority of its
+// successors) is strictly larger than every successor's.  The
+// highest-ranked unplaced free operator therefore has no unplaced free
+// predecessor, so it is data-ready and is exactly what the ready list
+// would pick.  window_engine (mobility.h) keeps that order across calls
+// and re-sorts it only after a delay changed; the seed-era ready list
+// remains the reference under kernel_knobs().skip_probe = false.
 //
 // Committed operators (already scheduled/bound by the clique partitioner)
 // enter through `fixed_starts`: their power is reserved up front and they
@@ -44,18 +55,18 @@ struct pasap_options {
     /// Per-node fixed start times (-1 = free).  Empty = all free.
     std::vector<int> fixed_starts;
     /// Optional pre-built reversed_graph() of the graph palap runs on --
-    /// a pure graph invariant that palap otherwise rebuilds on every
-    /// call.  Non-owning; must outlive the call and must equal
-    /// reversed_graph(g) exactly (explore_cache caches it per problem,
-    /// run_clique_partitioning hoists it per uncached partitioning).
-    /// Null = compute per call.  Ignored by pasap().
+    /// a pure graph invariant that the reference palap otherwise
+    /// rebuilds on every call.  Non-owning; must outlive the call and
+    /// must equal reversed_graph(g) exactly.  Null = compute per call.
+    /// Ignored by pasap() and by window_engine, which keeps the reversed
+    /// adjacency itself.
     const graph* reversed = nullptr;
     /// Optional pre-computed g.topo_order() (read by pasap) and
     /// reversed_graph(g).topo_order() (read by palap) -- pure graph
     /// invariants each call otherwise recomputes with a min-heap Kahn
     /// pass.  Non-owning; must outlive the call and must equal those
-    /// orders exactly (explore_cache serves both, run_clique_partitioning
-    /// hoists them per uncached partitioning).  Null = compute per call.
+    /// orders exactly (explore_cache serves the first).  Null = compute
+    /// per call.
     const std::vector<node_id>* topo = nullptr;
     const std::vector<node_id>* reversed_topo = nullptr;
 };
@@ -69,7 +80,9 @@ struct pasap_result {
 
 /// Power-constrained ASAP: minimises start times greedily subject to the
 /// per-cycle power cap.  Latency is *not* bounded here; the caller
-/// compares the result against its latency constraint.
+/// compares the result against its latency constraint.  Runs a one-shot
+/// window_engine, or the seed-era reference pass under
+/// kernel_knobs().skip_probe = false (pasap and palap alike).
 pasap_result pasap(const graph& g, const module_library& lib,
                    const module_assignment& assignment, double max_power,
                    const pasap_options& options = {});

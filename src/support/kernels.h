@@ -25,12 +25,17 @@ namespace phls {
 
 /// Selects the optimised or the reference implementation per kernel.
 struct kernel_tuning {
-    /// power_tracker::next_fit skip-ahead probing in pasap and in the
-    /// compatibility graph's find_slot: slab window scans that step over
-    /// blocked cycles on ledgers of at most
+    /// The window engine and power_tracker::next_fit skip-ahead probing:
+    /// pasap(), palap() and power_windows() run a window_engine
+    /// (sched/mobility.h; the clique partitioner keeps one per
+    /// partitioning), which places free operators with next_fit, and the
+    /// compatibility graph's find_slot probes with next_fit too (slab
+    /// window scans that step over blocked cycles on ledgers of at most
     /// power_tracker::slab_probe_cycles and leap them with a headroom
-    /// tree past that.  Off = the seed-era linear `++offset` / `++t`
-    /// probes over fits(), the oracle both are gated against.
+    /// tree past that).  Off = the whole seed-era pasap/palap (per-call
+    /// vectors and schedule, the critical-path ready list, the linear
+    /// `++offset` probe) and find_slot's linear `++t` probe, the oracles
+    /// both are gated against.
     bool skip_probe = true;
     /// The best-first candidate frontier (synth/candidates.h): each pick
     /// walks the current state's equal-saving buckets and times only the

@@ -169,31 +169,36 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     st.committed.assign(static_cast<std::size_t>(n), 0);
     st.dp = datapath(name, n);
 
-    // The reversed graph palap schedules on and both topological orders
-    // are pure invariants: an attached cache serves its copies; without
-    // one they are built once per partitioning instead of once per
-    // window recompute.
-    std::optional<graph> local_rev;
-    std::vector<node_id> local_topo, local_rev_topo;
-    if (cache == nullptr) {
-        local_rev.emplace(reversed_graph(g));
-        local_topo = g.topo_order();
-        local_rev_topo = local_rev->topo_order();
-    }
-    const graph& rev = cache ? cache->reversed_design() : *local_rev;
-    const std::vector<node_id>& topo = cache ? cache->topo_order() : local_topo;
-    const std::vector<node_id>& rev_topo = cache ? cache->reversed_topo_order() : local_rev_topo;
-
     // Every pasap/palap window computation -- the initial one and the
-    // recompute after each commit -- goes through this one call.
-    const auto recompute_windows = [&](const partition_state& s) {
+    // recompute after each commit -- goes through one window engine,
+    // built once per partitioning (an attached cache lends it the
+    // topological order).  Under knobs.skip_probe off each recompute
+    // runs the seed-era reference passes instead, on a reversed graph
+    // and topological orders built once here.
+    std::optional<window_engine> engine;
+    std::optional<graph> rev;
+    std::vector<node_id> topo, rev_topo;
+    if (knobs.skip_probe) {
+        engine.emplace(g, lib, options.order, cache ? &cache->topo_order() : nullptr);
+    } else {
+        rev.emplace(reversed_graph(g));
+        topo = g.topo_order();
+        rev_topo = rev->topo_order();
+    }
+    const auto recompute_windows = [&](const partition_state& s, time_windows& out) {
         ++result.stats.window_recomputes;
-        return power_windows(g, lib, s.assignment, cap, constraints.latency,
-                             {options.order, s.fixed, &rev, &topo, &rev_topo});
+        if (engine)
+            engine->windows(s.assignment, cap, constraints.latency, s.fixed, out);
+        else
+            out = power_windows(g, lib, s.assignment, cap, constraints.latency,
+                                {options.order, s.fixed, &*rev, &topo, &rev_topo});
     };
+    // The recompute after a decision lands here and is swapped in when
+    // it is feasible, so both buffers are reused.
+    time_windows next;
 
     // 2. Initial pasap/palap windows.
-    st.windows = recompute_windows(st);
+    recompute_windows(st, st.windows);
     if (!st.windows.feasible) {
         result.reason = st.windows.reason;
         return result;
@@ -229,10 +234,10 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         result.stats.locked = true;
         if (result.stats.merges_before_lock < 0)
             result.stats.merges_before_lock = result.stats.merges;
-        const time_windows w = recompute_windows(s);
-        if (!w.feasible)
-            throw error("internal: locking to the pasap schedule failed: " + w.reason);
-        s.windows = w;
+        recompute_windows(s, next);
+        if (!next.feasible)
+            throw error("internal: locking to the pasap schedule failed: " + next.reason);
+        std::swap(s.windows, next);
     };
 
     if (options.lock_from_start) lock_all(st);
@@ -365,9 +370,9 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
             commit_op(st, chosen.a, chosen.instance, chosen.t_a);
         }
 
-        time_windows w2 = recompute_windows(st);
-        if (w2.feasible) {
-            st.windows = std::move(w2);
+        recompute_windows(st, next);
+        if (next.feasible) {
+            std::swap(st.windows, next);
             ++result.stats.merges;
             if (is_pair)
                 ++result.stats.pair_merges;
@@ -410,9 +415,9 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         st.committed[v.index()] = 1;
         st.committed_power.reserve(t, lib.module(cheap).latency, lib.module(cheap).power);
         st.dp.bind(v, inst, t);
-        const time_windows w2 = recompute_windows(st);
-        if (w2.feasible) {
-            st.windows = w2;
+        recompute_windows(st, next);
+        if (next.feasible) {
+            std::swap(st.windows, next);
             ++result.stats.finalize_rebinds;
         } else {
             rollback_state(rp);

@@ -1,6 +1,7 @@
 // Allocation gates: a passing check() and the per-merge window recompute
-// must not allocate per node.  A replaced global operator new counts the
-// calls made on the measuring thread inside a measured scope only.
+// must not allocate per node (a warm window engine allocates nothing).
+// A replaced global operator new counts the calls made on the measuring
+// thread inside a measured scope only.
 //
 // ASan and TSan own operator new, so the replacement is compiled out under
 // them and the gates skip.
@@ -67,30 +68,31 @@ TEST(allocations, passing_checks_allocate_nothing)
     EXPECT_EQ(n, 0);
 }
 
-/// Allocations of one power_windows() call as the clique partitioner makes
-/// it: reversed graph and both topological orders hoisted, every other
-/// operation committed at its pasap start.
+/// Allocations of one window recompute as the clique partitioner makes
+/// it: a warm window_engine writing into the spare of two time_windows
+/// that take turns holding the current windows, every other operation
+/// committed at its pasap start.
 long window_recompute_allocations(int operations)
 {
     const graph g = random_dag({operations, operations / 12, 10, 0.0, 0.05, 0.8}, 7);
     const module_library lib = table1_library();
     const double cap = 10.0;
     const module_assignment a = fastest_assignment(g, lib, cap);
-    const graph rev = reversed_graph(g);
-    const std::vector<node_id> topo = g.topo_order();
-    const std::vector<node_id> rev_topo = rev.topo_order();
-    pasap_options opts{pasap_order::critical_path, {}, &rev, &topo, &rev_topo};
-    const pasap_result free_run = pasap(g, lib, a, cap, opts);
+    window_engine engine(g, lib);
+    const pasap_result free_run = engine.pasap(a, cap, {});
     EXPECT_TRUE(free_run.feasible) << free_run.reason;
-    opts.fixed_starts.assign(static_cast<std::size_t>(g.node_count()), -1);
+    std::vector<int> fixed(static_cast<std::size_t>(g.node_count()), -1);
     for (node_id v : g.node_ids())
-        if (v.index() % 2 == 0) opts.fixed_starts[v.index()] = free_run.sched.start(v);
+        if (v.index() % 2 == 0) fixed[v.index()] = free_run.sched.start(v);
 
-    time_windows w;
-    const long n = allocations_in([&] { w = power_windows(g, lib, a, cap, 1000, opts); });
-    EXPECT_TRUE(w.feasible) << w.reason;
-    EXPECT_LT(n, g.node_count()) << "per-node allocations in a " << g.node_count()
-                                 << "-node window recompute";
+    time_windows current, next;
+    for (int warm = 0; warm < 2; ++warm) {
+        engine.windows(a, cap, 1000, fixed, next);
+        std::swap(current, next);
+    }
+    const long n = allocations_in([&] { engine.windows(a, cap, 1000, fixed, next); });
+    EXPECT_TRUE(next.feasible) << next.reason;
+    EXPECT_EQ(next.s_min, current.s_min);
     return n;
 }
 
@@ -101,6 +103,10 @@ TEST(allocations, window_recompute_does_not_allocate_per_node)
     const long large = window_recompute_allocations(400); // 543 nodes
     RecordProperty("allocations_134_nodes", static_cast<int>(small));
     RecordProperty("allocations_543_nodes", static_cast<int>(large));
+    // A warm engine reuses every buffer of a feasible recompute.
+    constexpr long pinned = 0;
+    EXPECT_LE(small, pinned);
+    EXPECT_LE(large, pinned);
     EXPECT_LE(large, small + 8) << "small " << small << ", large " << large;
 }
 
