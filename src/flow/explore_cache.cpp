@@ -394,7 +394,7 @@ struct explore_cache::interval_table {
 };
 
 explore_cache::explore_cache(const graph& g, const module_library& lib)
-    : g_(g), lib_(lib), reach_(checked(g_, lib_)), topo_(g_.topo_order()),
+    : g_(g), lib_(lib), reach_(checked(g_, lib_)),
       graph_text_(write_cdfg_string(g_)), lib_text_(write_library_string(lib_)),
       reports_(new report_memo), intervals_(new interval_table)
 {

@@ -8,9 +8,9 @@
 // cache across several flows with flow::reuse():
 //
 //   * graph invariants -- the transitive reachability relation behind
-//     the compatibility graph, the reversed graph palap schedules on,
-//     the per-kind node buckets, and the prospect and fastest-assignment
-//     tables (one per admissible-module bucket of the power cap);
+//     the compatibility graph, the per-kind node buckets, and the
+//     prospect and fastest-assignment tables (one per admissible-module
+//     bucket of the power cap);
 //   * the report memo -- whole-flow_report memoisation for exactly-
 //     duplicate constraint points, keyed by a fingerprint of the
 //     complete flow configuration (strategy, every option, enabled
@@ -172,16 +172,10 @@ public:
         return reach_;
     }
 
-    /// design().topo_order() -- like reach(), a pure graph invariant
-    /// built once at construction (part of the same eager invariant
-    /// build, so it does not move the hit/miss counters) and handed to
-    /// every partitioning's window engine.
-    const std::vector<node_id>& topo_order() const { return topo_; }
-
     /// Nodes of the design of kind `k`, ascending id -- the
     /// graph::nodes_of_kind() buckets materialised once at construction
-    /// (an invariant like reach()/topo_order()), so per-point code
-    /// reads a stable vector instead of allocating a fresh one per call.
+    /// (an invariant like reach()), so per-point code reads a stable
+    /// vector instead of allocating a fresh one per call.
     const std::vector<node_id>& nodes_of_kind(op_kind k) const
     {
         return kind_buckets_[static_cast<std::size_t>(op_kind_index(k))];
@@ -388,7 +382,6 @@ private:
     graph g_;
     module_library lib_;
     reachability reach_;
-    std::vector<node_id> topo_; ///< g_.topo_order()
     std::vector<std::vector<node_id>> kind_buckets_; ///< nodes per op kind
     std::string graph_text_;
     std::string lib_text_;

@@ -30,9 +30,6 @@ public:
     /// Drops every cycle, keeping the buffer for later deposits.
     void clear() { cycles_.clear(); }
 
-    /// Replaces every cycle with `values`, reusing the buffer.
-    void assign(const std::vector<double>& values) { cycles_.assign(values.begin(), values.end()); }
-
     /// Overwrites [start, start+count) with previously captured values --
     /// the bit-exact unwind of deposits over that interval (withdraw()
     /// re-subtracts and can drift in the last ulp).  The interval must

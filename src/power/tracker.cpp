@@ -162,23 +162,6 @@ void power_tracker::reserve(int start, int duration, double power)
     sync_tree(start, start + duration);
 }
 
-bool power_tracker::try_reserve(int start, int duration, double power)
-{
-    if (!fits(start, duration, power)) return false;
-    profile_.deposit(start, duration, power);
-    sync_tree(start, start + duration);
-    return true;
-}
-
-int power_tracker::reserve_next_fit(int start, int duration, double power)
-{
-    const int t = next_fit(start, duration, power);
-    if (t < 0) return t;
-    profile_.deposit(t, duration, power);
-    sync_tree(t, t + duration);
-    return t;
-}
-
 void power_tracker::release(int start, int duration, double power)
 {
     profile_.withdraw(start, duration, power);

@@ -135,13 +135,6 @@ public:
         leaves_ = 0;
     }
 
-    /// reset(cap), then the per-cycle sums `cycles` as if reserved.
-    void reset(double cap, const std::vector<double>& cycles)
-    {
-        reset(cap);
-        profile_.assign(cycles);
-    }
-
     /// True if depositing `power` over [start, start+duration) keeps every
     /// cycle at or below the cap (within a small tolerance for exact
     /// decimal sums such as Table 1's).  Reference linear scan.
@@ -166,15 +159,6 @@ public:
 
     /// Records the reservation; call only after fits() (checked).
     void reserve(int start, int duration, double power);
-
-    /// fits() and, when it holds, the reservation, in one scan of the
-    /// window.  Returns whether it reserved.
-    bool try_reserve(int start, int duration, double power);
-
-    /// Reserves at next_fit(start, duration, power), in one probe, and
-    /// returns that start; -1 (nothing reserved) when `power` alone
-    /// exceeds the cap.
-    int reserve_next_fit(int start, int duration, double power);
 
     /// Removes a reservation previously made.  Re-subtracting can drift
     /// in the last ulp relative to the never-deposited state; rollback

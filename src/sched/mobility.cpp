@@ -196,8 +196,7 @@ const std::vector<int>& window_engine::pick_order(bool reversed)
     return order;
 }
 
-bool window_engine::run(bool reversed, const int* fixed, double max_power, std::string* reason,
-                        bool mirrored)
+bool window_engine::run(bool reversed, const int* fixed, double max_power, std::string* reason)
 {
     // The reversed graph's successors are the producers, its producers
     // the successors.
@@ -209,30 +208,21 @@ bool window_engine::run(bool reversed, const int* fixed, double max_power, std::
     const auto p = [&](int v) { return power_[static_cast<std::size_t>(v)]; };
 
     std::fill(start_.begin(), start_.end(), -1);
+    ledger_.reset(max_power);
     free_ = n_;
     int max_fixed_finish = 0;
-    if (mirrored) {
-        // palap after pasap (windows()): the commitments pasap reserved,
-        // already tested and mirrored into mirror_.
-        ledger_.reset(max_power, mirror_);
-        for (int v = 0; v < n_; ++v) {
-            if (fixed[v] < 0) continue;
-            --free_;
-            start_[static_cast<std::size_t>(v)] = fixed[v];
-            max_fixed_finish = std::max(max_fixed_finish, fixed[v] + d(v));
-        }
-    } else if (fixed != nullptr) {
-        ledger_.reset(max_power);
+    if (fixed != nullptr) {
         for (int v = 0; v < n_; ++v) {
             const int f = fixed[v];
             if (f < 0) continue;
             --free_;
-            if (!ledger_.try_reserve(f, d(v), p(v))) {
+            if (!ledger_.fits(f, d(v), p(v))) {
                 if (reason != nullptr)
                     *reason = "committed reservations exceed the power cap at operator '" +
                               label(v) + "'";
                 return false;
             }
+            ledger_.reserve(f, d(v), p(v));
             start_[static_cast<std::size_t>(v)] = f;
             max_fixed_finish = std::max(max_fixed_finish, f + d(v));
         }
@@ -253,10 +243,6 @@ bool window_engine::run(bool reversed, const int* fixed, double max_power, std::
                 }
             }
         }
-        if (!reversed) committed_ = ledger_.profile().values();
-    } else {
-        ledger_.reset(max_power);
-        committed_.clear();
     }
     if (free_ == 0) return true;
 
@@ -269,12 +255,13 @@ bool window_engine::run(bool reversed, const int* fixed, double max_power, std::
         // Every operator's power fits the cap (load() checked), so a
         // slot always exists; past the horizon the pass gives up as the
         // reference's linear probe does.
-        const int t = ledger_.reserve_next_fit(ready, d(v), p(v));
+        const int t = ledger_.next_fit(ready, d(v), p(v));
         if (t > horizon) {
             if (reason != nullptr)
                 *reason = "internal: no power-feasible slot below horizon for '" + label(v) + "'";
             return false;
         }
+        ledger_.reserve(t, d(v), p(v));
         start_[static_cast<std::size_t>(v)] = t;
         // A committed successor that would now start before this
         // operator finishes: the paper's "deletion of unscheduled
@@ -324,29 +311,16 @@ void window_engine::windows(const module_assignment& assignment, double max_powe
     // The reference palap repeats pasap's module checks and cap tests on
     // the same values, then reserves the same commitments in the same id
     // order on the reversed clock: its cycle c sums what cycle
-    // latency-1-c sums here, its cap tests test those sums (or a bare
-    // power, on a cycle only one of the two ledgers has reached yet) and
-    // its precedence checks test the same pairs.  So with no operator
-    // free every s_max equals s_min; otherwise palap starts from pasap's
-    // committed sums, mirrored, on a ledger as long as the reference's
-    // (the latest reversed finish, latency minus the earliest committed
-    // start), and only its placements run.
+    // latency-1-c sums here, so it makes the same cap tests and checks
+    // the same precedence pairs.  With no operator free it places
+    // nothing, so every s_max equals s_min.
     bool palap_ok = free_ > 0;
     if (palap_ok && committed != nullptr) {
         // Cannot fail: every commitment finishes by `finish`.
         to_reversed_clock(g_, fixed, latency, [&](std::size_t v) { return delay_[v]; },
                           rfixed_, nullptr);
-        int reach = 0;
-        for (const int f : fixed)
-            if (f >= 0) reach = std::max(reach, latency - f);
-        mirror_.assign(static_cast<std::size_t>(reach), 0.0);
-        for (int c = 0; c < reach; ++c) {
-            const std::size_t here = static_cast<std::size_t>(latency - 1 - c);
-            if (here < committed_.size()) mirror_[static_cast<std::size_t>(c)] = committed_[here];
-        }
     }
-    palap_ok = palap_ok && run(true, committed ? rfixed_.data() : nullptr, max_power, nullptr,
-                               committed != nullptr);
+    palap_ok = palap_ok && run(true, committed ? rfixed_.data() : nullptr, max_power, nullptr);
     if (!palap_ok) {
         out.s_max = out.s_min;
         return;

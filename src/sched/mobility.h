@@ -64,8 +64,9 @@ time_windows power_windows(const graph& g, const module_library& lib,
 class window_engine {
 public:
     /// `topo` / `reversed_topo`: optional g.topo_order() and
-    /// reversed_graph(g).topo_order(), copied (explore_cache serves
-    /// both); null = computed here when needed.
+    /// reversed_graph(g).topo_order(), copied (power_windows() passes
+    /// pasap_options::topo / reversed_topo); null = computed here when
+    /// needed.
     window_engine(const graph& g, const module_library& lib,
                   pasap_order order = pasap_order::critical_path,
                   const std::vector<node_id>* topo = nullptr,
@@ -86,8 +87,7 @@ public:
 
 private:
     bool load(const module_assignment& assignment, double max_power, std::string* reason);
-    bool run(bool reversed, const int* fixed, double max_power, std::string* reason,
-             bool mirrored = false);
+    bool run(bool reversed, const int* fixed, double max_power, std::string* reason);
     const std::vector<int>& pick_order(bool reversed);
     const std::string& label(int v) const { return g_.label(node_id(v)); }
 
@@ -108,8 +108,6 @@ private:
     std::vector<long> priority_;
     std::vector<int> start_;
     std::vector<int> rfixed_; ///< committed starts on the reversed clock
-    std::vector<double> committed_; ///< per-cycle sums of the last forward pass's commitments
-    std::vector<double> mirror_;    ///< the same, mirrored onto the reversed clock
     int free_ = 0;            ///< free operators of the last pass
     power_tracker ledger_;
 };

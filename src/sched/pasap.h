@@ -65,8 +65,8 @@ struct pasap_options {
     /// reversed_graph(g).topo_order() (read by palap) -- pure graph
     /// invariants each call otherwise recomputes with a min-heap Kahn
     /// pass.  Non-owning; must outlive the call and must equal those
-    /// orders exactly (explore_cache serves the first).  Null = compute
-    /// per call.
+    /// orders exactly (run_clique_partitioning hoists them for its
+    /// reference passes).  Null = compute per call.
     const std::vector<node_id>* topo = nullptr;
     const std::vector<node_id>* reversed_topo = nullptr;
 };

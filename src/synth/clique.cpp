@@ -171,15 +171,14 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
 
     // Every pasap/palap window computation -- the initial one and the
     // recompute after each commit -- goes through one window engine,
-    // built once per partitioning (an attached cache lends it the
-    // topological order).  Under knobs.skip_probe off each recompute
-    // runs the seed-era reference passes instead, on a reversed graph
-    // and topological orders built once here.
+    // built once per partitioning.  Under knobs.skip_probe off each
+    // recompute runs the seed-era reference passes instead, on a
+    // reversed graph and topological orders built once here.
     std::optional<window_engine> engine;
     std::optional<graph> rev;
     std::vector<node_id> topo, rev_topo;
     if (knobs.skip_probe) {
-        engine.emplace(g, lib, options.order, cache ? &cache->topo_order() : nullptr);
+        engine.emplace(g, lib, options.order);
     } else {
         rev.emplace(reversed_graph(g));
         topo = g.topo_order();
