@@ -27,6 +27,13 @@
 // false.  Its ledger column shows which side of the probe's slab/tree
 // crossover each row sits on.  It is reported, not gated on speed.
 //
+// The text readers are timed too: us per parse of synth-dag's 48 CDFG
+// texts (perfbench's generator, variant 0: 100 ALU ops, 8 inputs and
+// their outputs, about 130 nodes each), and ms to parse, and to build
+// with random_dag, the 10k-op DAG of make_ten_k_workload().  Every text
+// must parse back to its own bytes and the two 10k graphs must write
+// the same bytes; the times are reported, not gated.
+//
 // Workloads: the paper benchmarks (trajectory rows) and a scaled
 // synthetic random-DAG family (100..1000 operations), plus a 10k-op
 // row timing the frontier against the seed-era reference enumeration.
@@ -62,15 +69,18 @@
 
 #include "cdfg/benchmarks.h"
 #include "cdfg/random_dag.h"
+#include "cdfg/textio.h"
 #include "flow/flow.h"
 #include "power/tracker.h"
 #include "sched/mobility.h"
 #include "sched/schedule.h"
 #include "support/kernels.h"
+#include "support/rng.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "synth/clique.h"
 #include "../tests/sweep_util.h"
+#include "../tests/ten_k_reference.h"
 
 namespace {
 
@@ -96,18 +106,6 @@ struct knob_guard {
     kernel_tuning saved = kernel_knobs();
     ~knob_guard() { kernel_knobs() = saved; }
 };
-
-kernel_tuning all_reference()
-{
-    kernel_tuning k;
-    k.skip_probe = false;
-    k.incremental_candidates = false;
-    k.undo_log = false;
-    k.soa_arena = false;
-    k.dense_power = false;
-    k.intra_threads = 1;
-    return k;
-}
 
 /// The candidate frontier with the arena detached (reference per-node
 /// folds); the 10k-op row's identity gate includes it.  dense_power no
@@ -497,6 +495,50 @@ int main()
     windows_table.print(std::cout);
     std::cout << '\n';
 
+    // -------------------------------------------------- text readers
+    std::cout << "=== layer: text readers (CDFG parse, random_dag build) ===\n";
+    bool parse_identical = true;
+    double parse_us_130 = 0.0, parse_ms_10k = 0.0, build_ms_10k = 0.0;
+    {
+        std::vector<std::string> texts;
+        rng r(0x5eed0000ULL);
+        for (int i = 0; i < 48; ++i) {
+            graph g = random_dag({100, 8, 10, 0.0, 0.05, 0.8}, r.next());
+            g.set_name(strf("dag%d_v0", i));
+            texts.push_back(write_cdfg_string(g));
+        }
+        std::size_t bytes = 0;
+        for (const std::string& t : texts) {
+            bytes += t.size();
+            parse_identical = parse_identical && write_cdfg_string(parse_cdfg_string(t)) == t;
+        }
+        double best = 1e300;
+        for (int pass = 0; pass < 5; ++pass)
+            best = std::min(best, run_ms([&] {
+                                for (const std::string& t : texts) parse_cdfg_string(t);
+                            }));
+        parse_us_130 = 1000.0 * best / static_cast<double>(texts.size());
+
+        const std::string ten_k = write_cdfg_string(make_ten_k_workload().g);
+        graph parsed, built;
+        parse_ms_10k = best_ms([&] { parsed = parse_cdfg_string(ten_k); });
+        build_ms_10k = best_ms(
+            [&] { built = random_dag({10000, 833, 10, 0.0, 0.05, 0.8}, 777 + 10000); });
+        parse_identical = parse_identical && write_cdfg_string(parsed) == ten_k &&
+                          write_cdfg_string(built) == ten_k;
+
+        ascii_table parse_table({"workload", "texts", "bytes/text", "parse", "random_dag build"});
+        parse_table.add_row({"synth-dag (variant 0)", std::to_string(texts.size()),
+                             std::to_string(bytes / texts.size()),
+                             strf("%.1f us", parse_us_130), "-"});
+        parse_table.add_row({"ten-k", "1", std::to_string(ten_k.size()),
+                             strf("%.2f ms", parse_ms_10k), strf("%.2f ms", build_ms_10k)});
+        parse_table.print(std::cout);
+        std::cout << "parsed texts write their own bytes: " << (parse_identical ? "yes" : "NO")
+                  << "\n\n";
+    }
+    identity_ok = identity_ok && parse_identical;
+
     // ------------------------------------------- 10k-op candidates row
     //
     // The frontier's target scale: one 10k-operation ALU workload from
@@ -602,8 +644,8 @@ int main()
     const bool cand_gate_10k = cand_speedup_10k >= 50.0;
     const bool speedups_ok = probe_gate && cand_gate && roll_gate && cand_gate_10k;
 
-    std::cout << "identity gates (placements, partitioning prefix, windows, 10k row, "
-                 "120-point grid): "
+    std::cout << "identity gates (placements, partitioning prefix, windows, parsed bytes, "
+                 "10k row, 120-point grid): "
               << (identity_ok ? "PASS" : "FAIL") << '\n';
     std::cout << strf("10k row peak RSS before its reference run: %.1f MB (gate <= 2048): %s\n",
                       peak_rss_10k, memory_ok ? "PASS" : "FAIL");
@@ -644,6 +686,10 @@ int main()
         json << strf("  \"speedup_gates_passed\": %s,\n", speedups_ok ? "true" : "false");
         json << strf("  \"speedup_gates_hard\": %s,\n", steady ? "true" : "false");
         json << strf("  \"windows_identical\": %s,\n", windows_identical ? "true" : "false");
+        json << strf("  \"parse_identical\": %s,\n", parse_identical ? "true" : "false");
+        json << strf("  \"parse_us_synth_dag_130\": %.3f,\n", parse_us_130);
+        json << strf("  \"parse_ms_10000\": %.4f,\n", parse_ms_10k);
+        json << strf("  \"random_dag_build_ms_10000\": %.4f,\n", build_ms_10k);
         json << "  \"windows\": [";
         for (std::size_t i = 0; i < windows_rows.size(); ++i) {
             const windows_row& r = windows_rows[i];

@@ -4,15 +4,58 @@
 #include <queue>
 
 #include "support/errors.h"
+#include "support/strings.h"
 
 namespace phls {
 
-node_id graph::add_node(op_kind kind, const std::string& label)
+namespace {
+
+/// Smallest power-of-two slot count that keeps `nodes` labels at most
+/// half full.
+std::size_t slots_for(std::size_t nodes)
+{
+    std::size_t slots = 8;
+    while (slots < 2 * nodes) slots *= 2;
+    return slots;
+}
+
+} // namespace
+
+std::size_t graph::label_slot(std::string_view label) const
+{
+    const std::size_t mask = labels_.size() - 1;
+    const std::uint64_t h = fnv1a(label);
+    for (std::size_t i = static_cast<std::size_t>(h ^ (h >> 32)) & mask;; i = (i + 1) & mask) {
+        const int id = labels_[i];
+        if (id < 0 || nodes_[static_cast<std::size_t>(id)].label == label) return i;
+    }
+}
+
+void graph::rehash(std::size_t slots)
+{
+    labels_.assign(slots, -1);
+    for (int i = 0; i < node_count(); ++i)
+        labels_[label_slot(nodes_[static_cast<std::size_t>(i)].label)] = i;
+}
+
+void graph::reserve(int nodes)
+{
+    const std::size_t n = static_cast<std::size_t>(std::max(nodes, 0));
+    nodes_.reserve(n);
+    if (slots_for(n) > labels_.size()) rehash(slots_for(n));
+}
+
+node_id graph::add_node(op_kind kind, std::string_view label)
 {
     check(!label.empty(), "node label must be non-empty");
-    if (find(label)) throw error("duplicate node label '" + label + "'");
-    nodes_.push_back(node{kind, label, {}, {}});
-    return node_id(static_cast<int>(nodes_.size()) - 1);
+    if (find(label)) throw error("duplicate node label '" + std::string(label) + "'");
+    const int id = node_count();
+    nodes_.push_back(node{kind, std::string(label), {}, {}});
+    if (slots_for(nodes_.size()) > labels_.size())
+        rehash(slots_for(nodes_.size()));
+    else
+        labels_[label_slot(label)] = id;
+    return node_id(id);
 }
 
 void graph::add_edge(node_id from, node_id to)
@@ -31,11 +74,12 @@ std::vector<node_id> graph::nodes() const
     return out;
 }
 
-std::optional<node_id> graph::find(const std::string& label) const
+std::optional<node_id> graph::find(std::string_view label) const
 {
-    for (int i = 0; i < node_count(); ++i)
-        if (nodes_[static_cast<std::size_t>(i)].label == label) return node_id(i);
-    return std::nullopt;
+    if (labels_.empty()) return std::nullopt;
+    const int id = labels_[label_slot(label)];
+    if (id < 0) return std::nullopt;
+    return node_id(id);
 }
 
 std::vector<node_id> graph::nodes_of_kind(op_kind k) const

@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdfg/op.h"
@@ -58,7 +59,11 @@ public:
     void set_name(std::string name) { name_ = std::move(name); }
 
     /// Adds a node; labels must be unique and non-empty.
-    node_id add_node(op_kind kind, const std::string& label);
+    node_id add_node(op_kind kind, std::string_view label);
+
+    /// Makes room for `nodes` nodes, so that adding them never regrows
+    /// the node list or the label index.
+    void reserve(int nodes);
 
     /// Adds a data edge from producer `from` to consumer `to`.
     /// Parallel edges are allowed; self-loops are rejected.
@@ -82,8 +87,8 @@ public:
     /// All node ids as an allocation-free range.
     node_id_range node_ids() const { return node_id_range(node_count()); }
 
-    /// Node with the given label, if any.
-    std::optional<node_id> find(const std::string& label) const;
+    /// Node with the given label, if any; O(1) through the label index.
+    std::optional<node_id> find(std::string_view label) const;
 
     /// Nodes of the given kind, in id order.
     std::vector<node_id> nodes_of_kind(op_kind k) const;
@@ -124,8 +129,17 @@ private:
         return nodes_[n.index()];
     }
 
+    /// Slot of `label` in labels_: the one holding its node id, or the
+    /// empty slot where it would go.
+    std::size_t label_slot(std::string_view label) const;
+    /// Re-hashes every label into a table of `slots` slots (a power of two).
+    void rehash(std::size_t slots);
+
     std::string name_;
     std::vector<node> nodes_;
+    /// Label index: open addressing with linear probing over node ids
+    /// (-1 = empty), hashed with fnv1a and kept at most half full.
+    std::vector<int> labels_;
     int edge_count_ = 0;
 };
 

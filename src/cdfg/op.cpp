@@ -35,15 +35,16 @@ std::string_view op_kind_symbol(op_kind k)
 
 op_kind parse_op_kind(std::string_view text)
 {
-    const std::string t = to_lower(trim(text));
+    const std::string_view t = trim(text);
+    const auto is = [&](std::string_view name) { return equals_ignoring_case(t, name); };
     for (op_kind k : all_op_kinds()) {
-        if (t == op_kind_name(k) || t == op_kind_symbol(k)) return k;
+        if (is(op_kind_name(k)) || is(op_kind_symbol(k))) return k;
     }
     // Accepted aliases seen in other HLS tool formats.
-    if (t == "mul" || t == "mpy") return op_kind::mult;
-    if (t == "cmp" || t == "lt" || t == "gt") return op_kind::comp;
-    if (t == "in") return op_kind::input;
-    if (t == "out") return op_kind::output;
+    if (is("mul") || is("mpy")) return op_kind::mult;
+    if (is("cmp") || is("lt") || is("gt")) return op_kind::comp;
+    if (is("in")) return op_kind::input;
+    if (is("out")) return op_kind::output;
     throw error("unknown operation kind '" + std::string(text) + "'");
 }
 

@@ -17,6 +17,7 @@ graph random_dag(const random_dag_params& params, std::uint64_t seed)
 
     rng r(seed);
     graph g("random_" + std::to_string(seed));
+    g.reserve(params.inputs + params.operations);
 
     std::vector<node_id> inputs;
     for (int i = 0; i < params.inputs; ++i)
@@ -74,6 +75,10 @@ graph random_dag(const random_dag_params& params, std::uint64_t seed)
     }
 
     // Close every sink op with an output node.
+    int sinks = 0;
+    for (node_id v : g.node_ids())
+        if (!is_io(g.kind(v)) && g.succs(v).empty()) ++sinks;
+    g.reserve(g.node_count() + sinks);
     int out_index = 0;
     for (node_id v : g.nodes()) {
         if (g.kind(v) == op_kind::input || g.kind(v) == op_kind::output) continue;

@@ -1,7 +1,6 @@
 #include "cdfg/textio.h"
 
-#include <istream>
-#include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -11,69 +10,56 @@
 
 namespace phls {
 
-graph parse_cdfg(std::istream& is)
+graph parse_cdfg(std::istream& is) { return parse_cdfg_string(read_all(is)); }
+
+graph parse_cdfg_string(std::string_view text)
 {
-    std::string name = "unnamed";
+    // Two phases, so that an edge may name a node declared further down:
+    // read every directive, then build the graph, reporting duplicate
+    // labels before unknown edge endpoints before validate()'s findings.
+    std::string_view name = "unnamed";
     struct pending_node {
-        std::string label;
+        std::string_view label;
         op_kind kind;
     };
     struct pending_edge {
-        std::string from, to;
+        std::string_view from, to;
         int line;
     };
     std::vector<pending_node> nodes;
     std::vector<pending_edge> edges;
-
-    std::string line;
-    int lineno = 0;
     bool saw_header = false;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (is_blank_or_comment(line)) continue;
-        const std::vector<std::string> tok = split_ws(line);
-        try {
-            if (tok[0] == "cdfg") {
-                check(tok.size() == 2, "expected: cdfg <name>");
-                name = tok[1];
-                saw_header = true;
-            } else if (tok[0] == "node") {
-                check(tok.size() == 3, "expected: node <label> <kind>");
-                nodes.push_back({tok[1], parse_op_kind(tok[2])});
-            } else if (tok[0] == "edge") {
-                check(tok.size() == 3, "expected: edge <from> <to>");
-                edges.push_back({tok[1], tok[2], lineno});
-            } else {
-                throw error("unknown directive '" + tok[0] + "'");
-            }
-        } catch (const parse_error&) {
-            throw;
-        } catch (const error& e) {
-            throw parse_error(e.what(), lineno);
+    for_each_line(text, [&](const std::vector<std::string_view>& tok, int line) {
+        if (tok[0] == "cdfg") {
+            check(tok.size() == 2, "expected: cdfg <name>");
+            name = tok[1];
+            saw_header = true;
+        } else if (tok[0] == "node") {
+            check(tok.size() == 3, "expected: node <label> <kind>");
+            nodes.push_back({tok[1], parse_op_kind(tok[2])});
+        } else if (tok[0] == "edge") {
+            check(tok.size() == 3, "expected: edge <from> <to>");
+            edges.push_back({tok[1], tok[2], line});
+        } else {
+            throw error("unknown directive '" + std::string(tok[0]) + "'");
         }
-    }
+    });
     check(saw_header, "missing 'cdfg <name>' header");
 
-    graph g(name);
-    std::map<std::string, node_id> by_label;
-    for (const pending_node& n : nodes) by_label[n.label] = g.add_node(n.kind, n.label);
+    graph g{std::string(name)};
+    g.reserve(static_cast<int>(nodes.size()));
+    for (const pending_node& n : nodes) g.add_node(n.kind, n.label);
     for (const pending_edge& e : edges) {
-        const auto from = by_label.find(e.from);
-        const auto to = by_label.find(e.to);
-        if (from == by_label.end())
-            throw parse_error("edge references unknown node '" + e.from + "'", e.line);
-        if (to == by_label.end())
-            throw parse_error("edge references unknown node '" + e.to + "'", e.line);
-        g.add_edge(from->second, to->second);
+        const std::optional<node_id> from = g.find(e.from);
+        const std::optional<node_id> to = g.find(e.to);
+        if (!from)
+            throw parse_error("edge references unknown node '" + std::string(e.from) + "'", e.line);
+        if (!to)
+            throw parse_error("edge references unknown node '" + std::string(e.to) + "'", e.line);
+        g.add_edge(*from, *to);
     }
     g.validate();
     return g;
-}
-
-graph parse_cdfg_string(const std::string& text)
-{
-    std::istringstream is(text);
-    return parse_cdfg(is);
 }
 
 void write_cdfg(const graph& g, std::ostream& os)

@@ -15,6 +15,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "cdfg/graph.h"
 
@@ -23,8 +24,9 @@ namespace phls {
 /// Parses a graph; throws phls::parse_error with a line number on bad input.
 graph parse_cdfg(std::istream& is);
 
-/// Parses from a string (convenience for tests).
-graph parse_cdfg_string(const std::string& text);
+/// Parses from a string; parse_cdfg reads its stream into one and
+/// calls this.
+graph parse_cdfg_string(std::string_view text);
 
 /// Serialises in the format accepted by parse_cdfg.
 void write_cdfg(const graph& g, std::ostream& os);

@@ -13,6 +13,7 @@
 #include "support/errors.h"
 #include "support/faultpoints.h"
 #include "support/memo_key.h"
+#include "support/strings.h"
 
 namespace phls {
 
@@ -59,16 +60,6 @@ constexpr long cache_file_version = 3;
 /// doubles.  A declared record count larger than the body divided by
 /// this cannot be genuine.
 constexpr std::size_t min_metric_record_bytes = 10 * sizeof(long) + 5 * sizeof(double);
-
-std::uint64_t fnv1a(const std::string& bytes)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /// The problem identity and the metric records, in file order.
 struct parsed_cache_file {

@@ -1,6 +1,5 @@
 #include "library/library.h"
 
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -103,58 +102,43 @@ module_library table1_library()
     return lib;
 }
 
-module_library parse_library(std::istream& is)
+module_library parse_library(std::istream& is) { return parse_library_string(read_all(is)); }
+
+module_library parse_library_string(std::string_view text)
 {
     module_library lib;
-    std::string line;
-    int lineno = 0;
     bool saw_header = false;
-    std::string lib_name = "unnamed";
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (is_blank_or_comment(line)) continue;
-        const std::vector<std::string> tok = split_ws(line);
-        try {
-            if (tok[0] == "library") {
-                check(tok.size() == 2, "expected: library <name>");
-                lib_name = tok[1];
-                saw_header = true;
-            } else if (tok[0] == "module") {
-                // module <name> <op>... area <a> cycles <c> power <p>
-                check(tok.size() >= 8, "expected: module <name> <ops...> area <a> cycles <c> power <p>");
-                fu_module m;
-                m.name = tok[1];
-                std::size_t i = 2;
-                while (i < tok.size() && tok[i] != "area") {
-                    m.ops.set(static_cast<std::size_t>(op_kind_index(parse_op_kind(tok[i]))));
-                    ++i;
-                }
-                check(i + 6 <= tok.size(), "truncated module line");
-                check(tok[i] == "area" && tok[i + 2] == "cycles" && tok[i + 4] == "power",
-                      "expected 'area <a> cycles <c> power <p>'");
-                m.area = parse_double(tok[i + 1], "area");
-                m.latency = parse_int(tok[i + 3], "cycles");
-                m.power = parse_double(tok[i + 5], "power");
-                lib.add(std::move(m));
-            } else {
-                throw error("unknown directive '" + tok[0] + "'");
+    std::string_view lib_name = "unnamed";
+    for_each_line(text, [&](const std::vector<std::string_view>& tok, int) {
+        if (tok[0] == "library") {
+            check(tok.size() == 2, "expected: library <name>");
+            lib_name = tok[1];
+            saw_header = true;
+        } else if (tok[0] == "module") {
+            // module <name> <op>... area <a> cycles <c> power <p>
+            check(tok.size() >= 8, "expected: module <name> <ops...> area <a> cycles <c> power <p>");
+            fu_module m;
+            m.name = tok[1];
+            std::size_t i = 2;
+            while (i < tok.size() && tok[i] != "area") {
+                m.ops.set(static_cast<std::size_t>(op_kind_index(parse_op_kind(tok[i]))));
+                ++i;
             }
-        } catch (const parse_error&) {
-            throw;
-        } catch (const error& e) {
-            throw parse_error(e.what(), lineno);
+            check(i + 6 <= tok.size(), "truncated module line");
+            check(tok[i] == "area" && tok[i + 2] == "cycles" && tok[i + 4] == "power",
+                  "expected 'area <a> cycles <c> power <p>'");
+            m.area = parse_double(tok[i + 1], "area");
+            m.latency = parse_int(tok[i + 3], "cycles");
+            m.power = parse_double(tok[i + 5], "power");
+            lib.add(std::move(m));
+        } else {
+            throw error("unknown directive '" + std::string(tok[0]) + "'");
         }
-    }
+    });
     check(saw_header, "missing 'library <name>' header");
-    module_library named(lib_name);
+    module_library named{std::string(lib_name)};
     for (const fu_module& m : lib.modules()) named.add(m);
     return named;
-}
-
-module_library parse_library_string(const std::string& text)
-{
-    std::istringstream is(text);
-    return parse_library(is);
 }
 
 void write_library(const module_library& lib, std::ostream& os)

@@ -5,6 +5,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdfg/graph.h"
@@ -76,7 +77,7 @@ module_library table1_library();
 ///   library date03
 ///   module ALU + - > area 97 cycles 1 power 2.5
 module_library parse_library(std::istream& is);
-module_library parse_library_string(const std::string& text);
+module_library parse_library_string(std::string_view text);
 
 /// Serialises in the format accepted by parse_library.
 void write_library(const module_library& lib, std::ostream& os);

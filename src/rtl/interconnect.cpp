@@ -1,7 +1,7 @@
 #include "rtl/interconnect.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <array>
 
 #include "support/errors.h"
 
@@ -20,35 +20,45 @@ interconnect_stats estimate_interconnect(const graph& g, const module_library& l
 
     // Source of each produced value as seen by consumers: its register if
     // stored, otherwise the producing instance (combinational forward).
-    // Encoded as (is_register, index) pairs.
-    std::map<int, std::pair<bool, int>> source_of_producer;
+    struct source {
+        bool recorded = false;
+        bool is_register = false;
+        int index = 0;
+    };
+    std::vector<source> source_of(static_cast<std::size_t>(g.node_count()));
     for (std::size_t i = 0; i < lifetimes.size(); ++i) {
         const int reg = regs.register_of[i];
-        if (reg >= 0)
-            source_of_producer[lifetimes[i].producer.value()] = {true, reg};
-        else
-            source_of_producer[lifetimes[i].producer.value()] = {
-                false, instance_of[lifetimes[i].producer.index()]};
+        const std::size_t producer = lifetimes[i].producer.index();
+        source_of[producer] = reg >= 0 ? source{true, true, reg}
+                                       : source{true, false, instance_of[producer]};
     }
 
-    // Distinct sources per (instance, port).
-    std::map<std::pair<int, int>, std::set<std::pair<bool, int>>> port_sources;
-    for (node_id v : g.nodes()) {
+    // Distinct (instance, port, source) tuples: a port driven by k
+    // distinct sources needs k - 1 extra mux inputs.
+    std::vector<std::array<int, 4>> port_sources;
+    for (node_id v : g.node_ids()) {
         if (g.kind(v) == op_kind::input) continue; // inputs read from outside
         const int inst = instance_of[v.index()];
         const std::vector<node_id>& operands = g.preds(v);
         for (std::size_t port = 0; port < operands.size(); ++port) {
-            const auto src = source_of_producer.find(operands[port].value());
-            if (src == source_of_producer.end())
+            const source& src = source_of[operands[port].index()];
+            if (!src.recorded)
                 throw error("operand of '" + g.label(v) + "' has no recorded source");
-            port_sources[{inst, static_cast<int>(port)}].insert(src->second);
+            port_sources.push_back(
+                {inst, static_cast<int>(port), src.is_register ? 1 : 0, src.index});
         }
     }
+    std::sort(port_sources.begin(), port_sources.end());
+    port_sources.erase(std::unique(port_sources.begin(), port_sources.end()), port_sources.end());
+    int ports = 0;
+    for (std::size_t i = 0; i < port_sources.size(); ++i)
+        if (i == 0 || port_sources[i][0] != port_sources[i - 1][0] ||
+            port_sources[i][1] != port_sources[i - 1][1])
+            ++ports;
 
     interconnect_stats stats;
     stats.register_count = regs.register_count;
-    for (const auto& [port, sources] : port_sources)
-        stats.mux_extra_inputs += static_cast<int>(sources.size()) - 1;
+    stats.mux_extra_inputs = static_cast<int>(port_sources.size()) - ports;
     if (costs.include_interconnect) {
         stats.register_area = costs.register_area * stats.register_count;
         stats.mux_area = costs.mux_area_per_extra_input * stats.mux_extra_inputs;

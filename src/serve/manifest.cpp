@@ -9,6 +9,7 @@
 #include "serve/wire.h"
 #include "support/faultpoints.h"
 #include "support/memo_key.h"
+#include "support/strings.h"
 
 namespace phls::serve {
 
@@ -16,16 +17,6 @@ namespace {
 
 constexpr const char* manifest_magic = "phls-sweep-manifest";
 constexpr long manifest_version = 1;
-
-std::uint64_t fnv1a(const std::string& bytes)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 } // namespace
 

@@ -241,8 +241,9 @@ struct proc_worker {
 
 /// Forks one worker child for `w` and wires its pipes.  Safe to call
 /// from a reader thread mid-sweep (a respawn): glibc's atfork handlers
-/// make malloc usable in the child, the child only runs serve code and
-/// _exit(), and the registry lock is parent-only state it never takes.
+/// make malloc usable in the child, the fault registry's handlers hand
+/// it its lock unlocked, the child only runs serve code and _exit(),
+/// and the fd registry lock is parent-only state it never takes.
 void spawn_worker(fd_registry& reg, const shard_options& opts, proc_worker& w)
 {
     std::lock_guard<std::mutex> lock(reg.mutex);

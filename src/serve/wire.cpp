@@ -10,6 +10,7 @@
 #include "library/library.h"
 #include "support/faultpoints.h"
 #include "support/memo_key.h"
+#include "support/strings.h"
 
 namespace phls::serve {
 
@@ -23,16 +24,6 @@ constexpr std::uint32_t frame_magic = 0x534C4850u;
 constexpr std::uint32_t max_payload = 1u << 30;
 constexpr std::size_t header_size = 4 + 1 + 4; // magic + type + length
 constexpr std::size_t checksum_size = 8;
-
-std::uint64_t fnv1a(const std::string& bytes)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 bool known_frame_type(std::uint8_t t)
 {

@@ -4,6 +4,8 @@
 #include <map>
 #include <mutex>
 
+#include <pthread.h>
+
 #include "support/errors.h"
 
 namespace phls {
@@ -16,7 +18,20 @@ struct site_state {
     bool fired = false;
 };
 
+struct fault_registry;
+fault_registry& registry();
+
+/// The registry's lock is held across fork(), so that a child never
+/// inherits it locked by a thread that does not exist in the child
+/// (shard workers are forked from reader threads while other threads
+/// probe sites).
 struct fault_registry {
+    fault_registry()
+    {
+        ::pthread_atfork([] { registry().mutex.lock(); }, [] { registry().mutex.unlock(); },
+                         [] { registry().mutex.unlock(); });
+    }
+
     std::mutex mutex;
     std::map<std::string, site_state> sites;
 };

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <istream>
+#include <iterator>
 
 #include "support/errors.h"
 
@@ -51,18 +53,18 @@ std::vector<std::string> split(std::string_view s, char sep)
     return out;
 }
 
-std::vector<std::string> split_ws(std::string_view s)
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens)
 {
-    std::vector<std::string> out;
+    tokens.clear();
+    const auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
     std::size_t i = 0;
-    while (i < s.size()) {
-        while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    while (i < line.size()) {
+        while (i < line.size() && space(line[i])) ++i;
         std::size_t j = i;
-        while (j < s.size() && !std::isspace(static_cast<unsigned char>(s[j]))) ++j;
-        if (j > i) out.emplace_back(s.substr(i, j - i));
+        while (j < line.size() && !space(line[j])) ++j;
+        if (j > i) tokens.push_back(line.substr(i, j - i));
         i = j;
     }
-    return out;
 }
 
 bool is_blank_or_comment(std::string_view s)
@@ -71,11 +73,28 @@ bool is_blank_or_comment(std::string_view s)
     return t.empty() || t.front() == '#';
 }
 
-std::string to_lower(std::string_view s)
+bool next_line(std::string_view& text, std::string_view& line)
 {
-    std::string out(s);
-    for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return out;
+    if (text.empty()) return false;
+    const std::size_t end = text.find('\n');
+    line = text.substr(0, end);
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+    return true;
+}
+
+std::string read_all(std::istream& is)
+{
+    return std::string(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+}
+
+bool equals_ignoring_case(std::string_view a, std::string_view b)
+{
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::tolower(static_cast<unsigned char>(a[i])) !=
+            std::tolower(static_cast<unsigned char>(b[i])))
+            return false;
+    return true;
 }
 
 int parse_int(std::string_view s, const std::string& what)

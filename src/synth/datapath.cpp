@@ -38,15 +38,16 @@ std::vector<module_id> datapath::instance_modules() const
     return out;
 }
 
-void datapath::compute_area(const graph& g, const module_library& lib,
-                            const cost_model& costs)
+area_breakdown datapath::area_of(const graph& g, const module_library& lib,
+                                 const cost_model& costs) const
 {
-    area = area_breakdown{};
-    for (const fu_instance& inst : instances) area.fu += lib.module(inst.module).area;
+    area_breakdown out;
+    for (const fu_instance& inst : instances) out.fu += lib.module(inst.module).area;
     const interconnect_stats stats =
         estimate_interconnect(g, lib, sched, instance_of, costs);
-    area.registers = stats.register_area;
-    area.muxes = stats.mux_area;
+    out.registers = stats.register_area;
+    out.muxes = stats.mux_area;
+    return out;
 }
 
 std::string datapath::report(const graph& g, const module_library& lib) const

@@ -51,9 +51,16 @@ struct datapath {
     /// Module types per instance, aligned with instance indices.
     std::vector<module_id> instance_modules() const;
 
-    /// Recomputes the area breakdown (FU + registers + muxes) from the
-    /// current schedule and binding.
-    void compute_area(const graph& g, const module_library& lib, const cost_model& costs);
+    /// The area breakdown (FU + registers + muxes) of the current
+    /// schedule and binding.
+    area_breakdown area_of(const graph& g, const module_library& lib,
+                           const cost_model& costs) const;
+
+    /// Recomputes `area` as area_of().
+    void compute_area(const graph& g, const module_library& lib, const cost_model& costs)
+    {
+        area = area_of(g, lib, costs);
+    }
 
     /// Peak per-cycle power of the scheduled design.
     double peak_power(const module_library& lib) const { return sched.profile(lib).peak(); }

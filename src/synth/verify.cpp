@@ -85,11 +85,10 @@ std::vector<std::string> verify_datapath(const graph& g, const module_library& l
         complain(strf("peak power %.3f exceeds constraint %.3f", peak, constraints.max_power));
 
     // Area bookkeeping.
-    datapath copy = dp;
-    copy.compute_area(g, lib, costs);
-    if (std::abs(copy.area.total() - dp.area.total()) > 1e-6)
+    const double recomputed = dp.area_of(g, lib, costs).total();
+    if (std::abs(recomputed - dp.area.total()) > 1e-6)
         complain(strf("recorded area %.3f differs from recomputed %.3f", dp.area.total(),
-                      copy.area.total()));
+                      recomputed));
 
     return bad;
 }

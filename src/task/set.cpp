@@ -1,9 +1,9 @@
 #include "task/set.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <fstream>
-#include <istream>
 #include <set>
 #include <sstream>
 
@@ -18,19 +18,19 @@ namespace {
 
 /// `T` or `LO..HI` or `LO..HI..STEP`, expanded to the inclusive value
 /// list {LO, LO+STEP, ...} <= HI.
-std::vector<int> parse_latency_axis(const std::string& spec)
+std::vector<int> parse_latency_axis(std::string_view spec)
 {
     const std::size_t first = spec.find("..");
-    if (first == std::string::npos)
+    if (first == std::string_view::npos)
         return {parse_int(spec, "latency")};
     const std::size_t second = spec.find("..", first + 2);
-    const std::string lo_s = spec.substr(0, first);
-    const std::string hi_s = second == std::string::npos
-                                 ? spec.substr(first + 2)
-                                 : spec.substr(first + 2, second - first - 2);
+    const std::string_view lo_s = spec.substr(0, first);
+    const std::string_view hi_s = second == std::string_view::npos
+                                      ? spec.substr(first + 2)
+                                      : spec.substr(first + 2, second - first - 2);
     const int lo = parse_int(lo_s, "latency range start");
     const int hi = parse_int(hi_s, "latency range end");
-    const int step = second == std::string::npos
+    const int step = second == std::string_view::npos
                          ? 1
                          : parse_int(spec.substr(second + 2), "latency range step");
     check(lo >= 1, "latency range start must be >= 1");
@@ -58,18 +58,19 @@ module_library load_task_library(const std::string& path)
     return parse_library(is);
 }
 
-task_spec parse_task_line(const std::vector<std::string>& tok)
+task_spec parse_task_line(const std::vector<std::string_view>& tok)
 {
     check(tok.size() >= 3, "expected: task <name> <graph> deadline <D> [...]");
     task_spec t;
     t.name = tok[1];
-    t.g = load_task_graph(tok[2]);
+    t.g = load_task_graph(std::string(tok[2]));
     t.lib = table1_library();
     bool saw_deadline = false;
     for (std::size_t i = 3; i < tok.size(); i += 2) {
-        if (i + 1 >= tok.size()) throw error("task attribute '" + tok[i] + "' needs a value");
-        const std::string& key = tok[i];
-        const std::string& value = tok[i + 1];
+        if (i + 1 >= tok.size())
+            throw error("task attribute '" + std::string(tok[i]) + "' needs a value");
+        const std::string_view key = tok[i];
+        const std::string_view value = tok[i + 1];
         if (key == "deadline") {
             t.deadline = parse_int(value, "deadline");
             saw_deadline = true;
@@ -86,22 +87,22 @@ task_spec parse_task_line(const std::vector<std::string>& tok)
         } else if (key == "sched") {
             t.scheduler = value;
         } else if (key == "library") {
-            t.lib = load_task_library(value);
+            t.lib = load_task_library(std::string(value));
         } else {
-            throw error("unknown task attribute '" + key + "'");
+            throw error("unknown task attribute '" + std::string(key) + "'");
         }
     }
     if (!saw_deadline) throw error("task '" + t.name + "' has no deadline");
     return t;
 }
 
-void parse_battery_line(const std::vector<std::string>& tok, lifetime_spec& battery)
+void parse_battery_line(const std::vector<std::string_view>& tok, lifetime_spec& battery)
 {
     for (std::size_t i = 1; i < tok.size(); i += 2) {
         if (i + 1 >= tok.size())
-            throw error("battery attribute '" + tok[i] + "' needs a value");
-        const std::string& key = tok[i];
-        const std::string& value = tok[i + 1];
+            throw error("battery attribute '" + std::string(tok[i]) + "' needs a value");
+        const std::string_view key = tok[i];
+        const std::string_view value = tok[i + 1];
         if (key == "beta") {
             battery.beta = parse_double(value, "battery beta");
         } else if (key == "alpha") {
@@ -113,7 +114,7 @@ void parse_battery_line(const std::vector<std::string>& tok, lifetime_spec& batt
         } else if (key == "idle") {
             battery.idle_cycles = parse_int(value, "battery idle");
         } else {
-            throw error("unknown battery attribute '" + key + "'");
+            throw error("unknown battery attribute '" + std::string(key) + "'");
         }
     }
 }
@@ -133,8 +134,8 @@ void check_task_set(const task_set& set)
     check(set.battery.idle_cycles >= 0, "battery idle cycles must be >= 0");
     std::set<std::string> names;
     for (const task_spec& t : set.tasks) {
-        check(!t.name.empty() && split_ws(t.name).size() == 1 &&
-                  trim(t.name).size() == t.name.size(),
+        check(!t.name.empty() && std::none_of(t.name.begin(), t.name.end(),
+                                              [](unsigned char c) { return std::isspace(c); }),
               "task names must be single non-empty tokens");
         const char* bad = nullptr;
         if (!names.insert(t.name).second) bad = "duplicate task name";
@@ -154,46 +155,31 @@ void check_task_set(const task_set& set)
     }
 }
 
-task_set parse_task_set(std::istream& is)
+task_set parse_task_set(std::istream& is) { return parse_task_set_string(read_all(is)); }
+
+task_set parse_task_set_string(std::string_view text)
 {
     task_set set;
-    std::string line;
-    int lineno = 0;
     bool saw_header = false;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (is_blank_or_comment(line)) continue;
-        const std::vector<std::string> tok = split_ws(line);
-        try {
-            if (tok[0] == "taskset") {
-                check(tok.size() == 2, "expected: taskset <name>");
-                set.name = tok[1];
-                saw_header = true;
-            } else if (tok[0] == "envelope") {
-                check(tok.size() == 2, "expected: envelope <power>");
-                set.envelope = parse_double(tok[1], "envelope");
-            } else if (tok[0] == "battery") {
-                parse_battery_line(tok, set.battery);
-            } else if (tok[0] == "task") {
-                set.tasks.push_back(parse_task_line(tok));
-            } else {
-                throw error("unknown directive '" + tok[0] + "'");
-            }
-        } catch (const parse_error&) {
-            throw;
-        } catch (const error& e) {
-            throw parse_error(e.what(), lineno);
+    for_each_line(text, [&](const std::vector<std::string_view>& tok, int) {
+        if (tok[0] == "taskset") {
+            check(tok.size() == 2, "expected: taskset <name>");
+            set.name = tok[1];
+            saw_header = true;
+        } else if (tok[0] == "envelope") {
+            check(tok.size() == 2, "expected: envelope <power>");
+            set.envelope = parse_double(tok[1], "envelope");
+        } else if (tok[0] == "battery") {
+            parse_battery_line(tok, set.battery);
+        } else if (tok[0] == "task") {
+            set.tasks.push_back(parse_task_line(tok));
+        } else {
+            throw error("unknown directive '" + std::string(tok[0]) + "'");
         }
-    }
+    });
     check(saw_header, "missing 'taskset <name>' header");
     check_task_set(set);
     return set;
-}
-
-task_set parse_task_set_string(const std::string& text)
-{
-    std::istringstream is(text);
-    return parse_task_set(is);
 }
 
 std::string write_task_set_string(const task_set& set)

@@ -28,6 +28,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdfg/graph.h"
@@ -87,8 +88,9 @@ void check_task_set(const task_set& set);
 /// input, phls::error on failed validation.
 task_set parse_task_set(std::istream& is);
 
-/// Parses from a string (convenience for tests).
-task_set parse_task_set_string(const std::string& text);
+/// Parses from a string; parse_task_set reads its stream into one and
+/// calls this.
+task_set parse_task_set_string(std::string_view text);
 
 /// Serialises in the format accepted by parse_task_set.  Graphs are
 /// written by name, so every task graph must be a built-in benchmark

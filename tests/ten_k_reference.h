@@ -62,12 +62,7 @@ inline std::string render(const graph& g, const synthesis_result& r)
 /// FNV-1a 64 of `bytes` as 16 lowercase hex digits.
 inline std::string render_digest(const std::string& bytes)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return strf("%016llx", static_cast<unsigned long long>(h));
+    return strf("%016llx", static_cast<unsigned long long>(fnv1a(bytes)));
 }
 
 /// An attempt-bounded prefix of the merge loop on a 10k-operation ALU

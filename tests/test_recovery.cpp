@@ -8,6 +8,9 @@
 // test red instead of silently passing on the happy path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +24,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "cdfg/benchmarks.h"
@@ -164,6 +168,43 @@ TEST(faultpoints, rearming_resets_counters_and_clear_disarms)
     fault_clear();
     EXPECT_FALSE(fault_fire("recovery.test.site"));
     EXPECT_EQ(fault_hits("recovery.test.site"), 0u);
+}
+
+TEST(faultpoints, fork_while_another_thread_probes_does_not_hang_the_child)
+{
+    // A forked child inherits the registry's mutex in whatever state the
+    // parent's threads left it; a child that inherits it locked blocks
+    // forever on its first probe of an armed site.
+    fault_guard guard("recovery.fork.site:1000000000");
+    std::atomic<bool> stop{false};
+    std::thread prober([&] {
+        while (!stop.load(std::memory_order_relaxed)) fault_fire("recovery.fork.site");
+    });
+    int forked = 0, hung = 0;
+    for (int i = 0; i < 50 && hung == 0; ++i) {
+        const pid_t pid = ::fork();
+        if (pid < 0) break;
+        if (pid == 0) {
+            fault_fire("recovery.fork.site");
+            ::_exit(0);
+        }
+        ++forked;
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        int status = 0;
+        while (::waitpid(pid, &status, WNOHANG) == 0) {
+            if (std::chrono::steady_clock::now() > deadline) {
+                ::kill(pid, SIGKILL);
+                ::waitpid(pid, &status, 0);
+                ++hung;
+                break;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+    stop = true;
+    prober.join();
+    EXPECT_EQ(forked, 50);
+    EXPECT_EQ(hung, 0) << "a forked child blocked on the fault registry";
 }
 
 TEST(faultpoints, malformed_specs_are_rejected_loudly)

@@ -37,18 +37,23 @@ TEST(strings, split_on_separator_keeps_empty_pieces)
     EXPECT_EQ(parts[3], "c");
 }
 
-TEST(strings, split_ws_drops_empty_pieces)
+TEST(strings, tokenize_drops_empty_pieces)
 {
-    const std::vector<std::string> parts = split_ws("  a \t b\nc  ");
+    std::vector<std::string_view> parts = {"stale"};
+    tokenize("  a \t b\nc\r  ", parts);
     ASSERT_EQ(parts.size(), 3u);
     EXPECT_EQ(parts[0], "a");
+    EXPECT_EQ(parts[1], "b");
     EXPECT_EQ(parts[2], "c");
 }
 
-TEST(strings, split_ws_of_blank_is_empty)
+TEST(strings, tokenize_of_blank_is_empty)
 {
-    EXPECT_TRUE(split_ws("   ").empty());
-    EXPECT_TRUE(split_ws("").empty());
+    std::vector<std::string_view> parts = {"stale"};
+    tokenize("  \r ", parts);
+    EXPECT_TRUE(parts.empty());
+    tokenize("", parts);
+    EXPECT_TRUE(parts.empty());
 }
 
 TEST(strings, blank_and_comment_detection)
@@ -77,9 +82,13 @@ TEST(strings, parse_double_accepts_valid_and_rejects_garbage)
     EXPECT_THROW(parse_double("", "p"), error);
 }
 
-TEST(strings, to_lower_only_touches_ascii_letters)
+TEST(strings, equals_ignoring_case_only_folds_ascii_letters)
 {
-    EXPECT_EQ(to_lower("AbC-12"), "abc-12");
+    EXPECT_TRUE(equals_ignoring_case("AbC-12", "abc-12"));
+    EXPECT_TRUE(equals_ignoring_case("", ""));
+    EXPECT_FALSE(equals_ignoring_case("abc", "abd"));
+    EXPECT_FALSE(equals_ignoring_case("abc", "abcd"));
+    EXPECT_FALSE(equals_ignoring_case("a-1", "a_1"));
 }
 
 TEST(strings, ends_with_matches_suffixes_only)
