@@ -41,9 +41,9 @@
 //
 //   * identity (always hard): both paths must produce bit-identical
 //     placements / partitioning results / windows -- including the
-//     10k-op row, where the reference, the frontier with the arena
-//     detached and the default kernels at 1/2/8 intra-point threads must
-//     agree -- and the full 120-point duplicate-heavy (T, Pmax) grid must
+//     10k-op row, where the reference and the default kernels at 1/2/8
+//     intra-point threads must agree -- and the full 120-point
+//     duplicate-heavy (T, Pmax) grid must
 //     yield byte-identical flow_reports with every kernel optimised vs
 //     every kernel on the reference path, uncached and sequential as well
 //     as on cached sessions at 1/2/8 threads;
@@ -106,17 +106,6 @@ struct knob_guard {
     kernel_tuning saved = kernel_knobs();
     ~knob_guard() { kernel_knobs() = saved; }
 };
-
-/// The candidate frontier with the arena detached (reference per-node
-/// folds); the 10k-op row's identity gate includes it.  dense_power no
-/// longer changes any computation.
-kernel_tuning pr5_kernels()
-{
-    kernel_tuning k;
-    k.soa_arena = false;
-    k.dense_power = false;
-    return k;
-}
 
 /// Peak resident set of this process so far, in MB (VmHWM).
 double peak_rss_mb()
@@ -544,8 +533,8 @@ int main()
     // The frontier's target scale: one 10k-operation ALU workload from
     // the same family, attempt-bounded, timing the frontier against the
     // seed-era reference enumeration.  The render must be byte-identical
-    // across the reference, the frontier with the arena detached, and
-    // the default kernels at 1/2/8 intra-point threads.  The row's peak
+    // across the reference and the default kernels at 1/2/8 intra-point
+    // threads.  The row's peak
     // RSS is read before the reference run (which alone peaks at ~5 GB)
     // and gates <= 2 GB; the candidates-kernel speedup over the
     // reference gates >= 50x on a steady clock.
@@ -568,7 +557,6 @@ int main()
             o.lock_from_start = true;
 
             const clique_sample opt = run_clique(g, lib, c, o, kernel_tuning{});
-            identical_10k = run_clique(g, lib, c, o, pr5_kernels()).render == opt.render;
             for (const int threads : {2, 8}) {
                 kernel_tuning k;
                 k.intra_threads = threads;

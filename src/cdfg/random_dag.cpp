@@ -5,7 +5,6 @@
 
 #include "support/errors.h"
 #include "support/rng.h"
-#include "support/strings.h"
 
 namespace phls {
 
@@ -21,7 +20,7 @@ graph random_dag(const random_dag_params& params, std::uint64_t seed)
 
     std::vector<node_id> inputs;
     for (int i = 0; i < params.inputs; ++i)
-        inputs.push_back(g.add_node(op_kind::input, strf("in%d", i)));
+        inputs.push_back(g.add_node(op_kind::input, "in" + std::to_string(i)));
 
     // Ops are assigned to layers 1..layers; an op in layer L draws its
     // operands from inputs or ops in layers < L, biased towards the
@@ -41,7 +40,7 @@ graph random_dag(const random_dag_params& params, std::uint64_t seed)
         else if (r.chance(0.4))
             kind = op_kind::sub;
 
-        const node_id v = g.add_node(kind, strf("op%d", i));
+        const node_id v = g.add_node(kind, "op" + std::to_string(i));
         const auto pick_pred = [&]() -> node_id {
             // 70 % of operands come from the immediately preceding
             // non-empty layer, the rest from any earlier layer.
@@ -83,7 +82,7 @@ graph random_dag(const random_dag_params& params, std::uint64_t seed)
     for (node_id v : g.nodes()) {
         if (g.kind(v) == op_kind::input || g.kind(v) == op_kind::output) continue;
         if (g.succs(v).empty()) {
-            const node_id o = g.add_node(op_kind::output, strf("out%d", out_index++));
+            const node_id o = g.add_node(op_kind::output, "out" + std::to_string(out_index++));
             g.add_edge(v, o);
         }
     }

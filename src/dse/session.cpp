@@ -10,8 +10,8 @@
 #include <thread>
 #include <unordered_map>
 
+#include "support/codec.h"
 #include "support/errors.h"
-#include "support/memo_key.h"
 #include "support/strings.h"
 
 namespace phls::dse {
@@ -25,16 +25,16 @@ namespace {
 /// iff the synthesis *outcome* is identical.
 std::string region_signature(const flow_report& r)
 {
-    std::string sig;
-    key_int(sig, static_cast<long>(r.st.code));
-    key_int(sig, r.has_design ? 1 : 0);
-    key_int(sig, r.optimal ? 1 : 0);
-    key_double(sig, r.area);
-    key_double(sig, r.peak);
-    key_int(sig, r.latency);
-    key_int(sig, r.has_lifetime ? 1 : 0);
-    key_double(sig, r.lifetime_seconds);
-    return sig;
+    byte_writer sig;
+    sig.u8(static_cast<std::uint8_t>(r.st.code));
+    sig.boolean(r.has_design);
+    sig.boolean(r.optimal);
+    sig.f64(r.area);
+    sig.f64(r.peak);
+    sig.i32(r.latency);
+    sig.boolean(r.has_lifetime);
+    sig.f64(r.lifetime_seconds);
+    return sig.take();
 }
 
 double elapsed_ms(std::chrono::steady_clock::time_point since)

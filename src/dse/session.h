@@ -157,15 +157,16 @@ public:
     const std::shared_ptr<explore_cache>& cache() const { return cache_; }
 
     /// Persists the cache's report memo as metric records (cache-file
-    /// format v3); returns the number of records written — what load()
-    /// into a fresh session reports.  @throws phls::error when the file
-    /// cannot be written.
+    /// format v4, fixed-width little-endian, so portable between hosts);
+    /// returns the number of records written — what load() into a fresh
+    /// session reports.  @throws phls::error when the file cannot be
+    /// written.
     std::size_t save(const std::string& path) const { return cache_->save(path); }
 
     /// Warm-starts the cache from a save()d file; returns records
     /// loaded.  @throws cache_file_error carrying the path and failure
     /// kind (missing / truncated / corrupt / version or problem
-    /// mismatch; files written before format v3 are version mismatches
+    /// mismatch; files written before format v4 are version mismatches
     /// and must be deleted) — never silently degrades.  Call before
     /// explore().
     std::size_t load(const std::string& path) { return cache_->load(path); }

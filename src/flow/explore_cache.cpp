@@ -10,9 +10,9 @@
 
 #include "cdfg/textio.h"
 #include "flow/flow.h"
+#include "support/codec.h"
 #include "support/errors.h"
 #include "support/faultpoints.h"
-#include "support/memo_key.h"
 #include "support/strings.h"
 
 namespace phls {
@@ -47,19 +47,18 @@ metric_record project(const flow_report& r)
     return m;
 }
 
-/// Cache-file identity and integrity framing.  The header declares the
-/// body length outside the checksum, so a torn tail is reported as
-/// `truncated` while a flipped byte is `corrupt`.  Version 3 holds the
+/// Cache files.  Version 4 holds the (graph, library) identity and the
 /// metric records only; a file of any other version is rejected as
 /// `version_mismatch`.
-constexpr const char* cache_file_magic = "phls-explore-cache";
-constexpr long cache_file_version = 3;
-
-/// The encoded size of a metric record with empty strings: ten
-/// key_int fields (four of them string length prefixes) and five
-/// doubles.  A declared record count larger than the body divided by
-/// this cannot be genuine.
-constexpr std::size_t min_metric_record_bytes = 10 * sizeof(long) + 5 * sizeof(double);
+const checksummed_format cache_file_format{
+    .magic = "phls-explore-cache",
+    .version = 4,
+    .sites = "cache",
+    .noun = "cache file",
+    .header = "cache-file header",
+    .foreign = "not a phls cache file",
+    .temporary = "temporary file",
+};
 
 /// The problem identity and the metric records, in file order.
 struct parsed_cache_file {
@@ -68,88 +67,21 @@ struct parsed_cache_file {
     std::vector<std::pair<std::string, metric_record>> metrics;
 };
 
-void append_metric_record(std::string& body, const std::string& fp,
-                          const metric_record& m)
-{
-    key_str(body, fp);
-    key_int(body, static_cast<long>(m.st.code));
-    key_str(body, m.st.message);
-    key_str(body, m.strategy);
-    key_int(body, m.constraints.latency);
-    key_double(body, m.constraints.max_power);
-    key_int(body, m.has_design ? 1 : 0);
-    key_int(body, m.optimal ? 1 : 0);
-    key_str(body, m.note);
-    key_double(body, m.area);
-    key_double(body, m.peak);
-    key_int(body, m.latency);
-    key_int(body, m.has_lifetime ? 1 : 0);
-    key_double(body, m.lifetime_seconds);
-    key_double(body, m.battery_alpha);
-}
-
-/// Serialises and atomically writes one cache file: the bytes go to
-/// `path + ".tmp"` in the same directory, then rename() — which POSIX
-/// guarantees atomic — replaces `path`, so a reader (or a crash) never
-/// sees a torn file.
+/// Atomically writes one cache file holding `records`, (fingerprint,
+/// metric record) pairs.
+template <class Records>
 void write_cache_file(const std::string& path, const std::string& graph_text,
-                      const std::string& lib_text,
-                      const std::vector<std::pair<std::string, metric_record>>& metrics)
+                      const std::string& lib_text, const Records& records)
 {
-    std::string body;
-    key_str(body, graph_text);
-    key_str(body, lib_text);
-    key_int(body, static_cast<long>(metrics.size()));
-    for (const auto& [fp, m] : metrics) append_metric_record(body, fp, m);
-
-    std::string payload;
-    key_str(payload, cache_file_magic);
-    key_int(payload, cache_file_version);
-    key_int(payload, static_cast<long>(body.size()));
-    payload += body;
-    // The checksum frame is a fixed 8-byte field on both sides (not
-    // key_int, whose width is sizeof(long) and ABI-dependent).
-    const std::uint64_t sum = fnv1a(body);
-    char sum_bytes[sizeof sum];
-    std::memcpy(sum_bytes, &sum, sizeof sum);
-    payload.append(sum_bytes, sizeof sum);
-
-    // Fault site: silent on-disk corruption — a body byte flipped after
-    // the checksum was computed, so the save "succeeds" but every later
-    // load rejects the file as corrupt instead of misreading it.
-    if (fault_fire("cache.save.corrupt") && !body.empty()) {
-        const std::size_t body_at = payload.size() - sizeof sum - body.size();
-        payload[body_at + body.size() / 2] ^= 0x40;
+    byte_writer w;
+    w.str(graph_text);
+    w.str(lib_text);
+    w.u32(static_cast<std::uint32_t>(records.size()));
+    for (const auto& [fp, m] : records) {
+        w.str(fp);
+        put_metric_record(w, m);
     }
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) throw cache_file_error(cache_file_error::failure::io, path,
-                                        "cannot write temporary file '" + tmp + "'");
-        // Fault site: a crash halfway through the temporary file.  The
-        // rename below never runs, so `path` keeps its previous complete
-        // contents — this is the atomicity the tmp+rename scheme buys.
-        if (fault_fire("cache.save.tear")) {
-            os.write(payload.data(), static_cast<std::streamsize>(payload.size() / 2));
-            os.flush();
-            throw cache_file_error(cache_file_error::failure::io, path,
-                                   "fault injected: crash during cache save");
-        }
-        os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-        os.flush();
-        if (!os) {
-            os.close();
-            std::remove(tmp.c_str());
-            throw cache_file_error(cache_file_error::failure::io, path,
-                                   "failed writing temporary file '" + tmp + "'");
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw cache_file_error(cache_file_error::failure::io, path,
-                               "cannot rename '" + tmp + "' into place");
-    }
+    write_checksummed_file(path, cache_file_format, w.bytes());
 }
 
 /// Reads and fully validates one cache file, classifying every way it
@@ -157,100 +89,26 @@ void write_cache_file(const std::string& path, const std::string& graph_text,
 /// against a particular (graph, library) is the caller's.
 parsed_cache_file parse_cache_file(const std::string& path)
 {
-    using failure = cache_file_error::failure;
-
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw cache_file_error(failure::missing, path, "cannot open cache file");
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    std::string content = buffer.str();
-
-    // Fault site: in-memory corruption of what was read — exercises the
-    // checksum rejection without touching the on-disk file.
-    if (fault_fire("cache.load.corrupt") && !content.empty())
-        content[content.size() / 2] ^= 0x40;
-
-    // Header: magic, version and the declared body length are outside
-    // the checksum, so they classify a damaged file precisely.
-    key_reader header(content);
-    std::string magic;
-    long version = 0;
-    long body_size = 0;
-    try {
-        magic = header.read_str();
-    } catch (const error&) {
-        throw cache_file_error(failure::truncated, path,
-                               "shorter than the cache-file header");
-    }
-    if (magic != cache_file_magic)
-        throw cache_file_error(failure::corrupt, path, "not a phls cache file");
-    try {
-        version = header.read_int();
-        body_size = header.read_int();
-    } catch (const error&) {
-        throw cache_file_error(failure::truncated, path,
-                               "shorter than the cache-file header");
-    }
-    if (version != cache_file_version)
-        throw cache_file_error(failure::version_mismatch, path,
-                               "format version " + std::to_string(version) +
-                                   " (this build reads version " +
-                                   std::to_string(cache_file_version) + ")");
-    if (body_size < 0)
-        throw cache_file_error(failure::corrupt, path, "negative body length");
-    const std::size_t body_bytes = static_cast<std::size_t>(body_size);
-    if (header.remaining() < body_bytes + sizeof(std::uint64_t))
-        throw cache_file_error(failure::truncated, path,
-                               "body cut short (declared " +
-                                   std::to_string(body_bytes) + " bytes, " +
-                                   std::to_string(header.remaining()) + " remain)");
-    if (header.remaining() > body_bytes + sizeof(std::uint64_t))
-        throw cache_file_error(failure::corrupt, path, "trailing bytes after the body");
-
-    const std::string body =
-        content.substr(content.size() - header.remaining(), body_bytes);
-    std::uint64_t stored_sum = 0;
-    std::memcpy(&stored_sum, content.data() + content.size() - sizeof stored_sum,
-                sizeof stored_sum);
-    if (stored_sum != fnv1a(body))
-        throw cache_file_error(failure::corrupt, path, "checksum mismatch");
-
-    // The checksum held, so any decode failure below is real corruption
-    // (or an encoder bug), never mere truncation.
-    try {
-        parsed_cache_file parsed;
-        key_reader r(body);
-        parsed.graph_text = r.read_str();
-        parsed.lib_text = r.read_str();
-        const std::size_t n_metrics = r.read_count(min_metric_record_bytes);
-        parsed.metrics.reserve(n_metrics);
-        for (std::size_t i = 0; i < n_metrics; ++i) {
-            std::string fp = r.read_str();
-            metric_record m;
-            m.st.code = static_cast<status_code>(r.read_int());
-            m.st.message = r.read_str();
-            m.strategy = r.read_str();
-            m.constraints.latency = static_cast<int>(r.read_int());
-            m.constraints.max_power = r.read_double();
-            m.has_design = r.read_int() != 0;
-            m.optimal = r.read_int() != 0;
-            m.note = r.read_str();
-            m.area = r.read_double();
-            m.peak = r.read_double();
-            m.latency = static_cast<int>(r.read_int());
-            m.has_lifetime = r.read_int() != 0;
-            m.lifetime_seconds = r.read_double();
-            m.battery_alpha = r.read_double();
-            parsed.metrics.emplace_back(std::move(fp), std::move(m));
+    // The smallest record: an empty fingerprint and a metric record
+    // with empty strings.
+    static const std::size_t min_record_bytes = [] {
+        byte_writer w;
+        w.str("");
+        put_metric_record(w, metric_record{});
+        return w.bytes().size();
+    }();
+    parsed_cache_file parsed;
+    read_checksummed_file(path, cache_file_format, [&](byte_reader& r) {
+        parsed.graph_text = r.str();
+        parsed.lib_text = r.str();
+        const std::size_t n = r.count(min_record_bytes, "record count");
+        parsed.metrics.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            std::string fp = r.str();
+            parsed.metrics.emplace_back(std::move(fp), get_metric_record(r));
         }
-        check(r.remaining() == 0, "trailing bytes inside the body");
-        return parsed;
-    } catch (const cache_file_error&) {
-        throw;
-    } catch (const error& e) {
-        throw cache_file_error(failure::corrupt, path, e.what());
-    }
+    });
+    return parsed;
 }
 
 } // namespace
@@ -273,6 +131,160 @@ const char* cache_file_error::kind_name(failure kind)
     case failure::io: return "io";
     }
     return "unknown";
+}
+
+void write_checksummed_file(const std::string& path, const checksummed_format& format,
+                            std::string_view body)
+{
+    using failure = cache_file_error::failure;
+    const std::string sites = format.sites;
+    byte_writer w;
+    w.u64(std::string_view(format.magic).size());
+    w.raw(format.magic);
+    w.i64(format.version);
+    w.i64(static_cast<std::int64_t>(body.size()));
+    w.raw(body);
+    w.u64(fnv1a(body));
+    std::string bytes = w.take();
+
+    // Fault site: silent on-disk corruption — a body byte flipped after
+    // the checksum was computed, so the save "succeeds" but every later
+    // load rejects the file as corrupt instead of misreading it.
+    if (fault_fire((sites + ".save.corrupt").c_str()) && !body.empty())
+        bytes[bytes.size() - 8 - body.size() + body.size() / 2] ^= 0x40;
+
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        if (!os)
+            throw cache_file_error(failure::io, path, std::string("cannot write ") +
+                                                          format.temporary + " '" + tmp + "'");
+        // Fault site: a crash halfway through the temporary file.  The
+        // rename below never runs, so `path` keeps its previous complete
+        // contents — this is the atomicity the tmp+rename scheme buys.
+        if (fault_fire((sites + ".save.tear").c_str())) {
+            os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+            os.flush();
+            throw cache_file_error(failure::io, path,
+                                   "fault injected: crash during " + sites + " save");
+        }
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        os.flush();
+        if (!os) {
+            os.close();
+            std::remove(tmp.c_str());
+            throw cache_file_error(failure::io, path, std::string("failed writing ") +
+                                                          format.temporary + " '" + tmp + "'");
+        }
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        throw cache_file_error(failure::io, path, "cannot rename '" + tmp + "' into place");
+    }
+}
+
+void read_checksummed_file(const std::string& path, const checksummed_format& format,
+                           const std::function<void(byte_reader&)>& decode)
+{
+    using failure = cache_file_error::failure;
+
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        throw cache_file_error(failure::missing, path, std::string("cannot open ") + format.noun);
+    std::ostringstream buffer;
+    buffer << is.rdbuf();
+    std::string content = buffer.str();
+
+    // Fault site: in-memory corruption of what was read — exercises the
+    // checksum rejection without touching the on-disk file.
+    if (fault_fire((std::string(format.sites) + ".load.corrupt").c_str()) && !content.empty())
+        content[content.size() / 2] ^= 0x40;
+
+    // Header: magic, version and the declared body length are outside
+    // the checksum, so they classify a damaged file precisely.  A header
+    // field cut off by the end of the file is `truncated`.
+    byte_reader header(content);
+    const auto header_field = [&](auto read) {
+        try {
+            return read();
+        } catch (const decode_error&) {
+            throw cache_file_error(failure::truncated, path,
+                                   std::string("shorter than the ") + format.header);
+        }
+    };
+    const std::string_view magic = header_field([&] { return header.raw(header.u64()); });
+    if (magic != format.magic) throw cache_file_error(failure::corrupt, path, format.foreign);
+    const std::int64_t version = header_field([&] { return header.i64(); });
+    const std::int64_t body_size = header_field([&] { return header.i64(); });
+    if (version != format.version)
+        throw cache_file_error(failure::version_mismatch, path,
+                               "format version " + std::to_string(version) +
+                                   " (this build reads version " +
+                                   std::to_string(format.version) + ")");
+    if (body_size < 0)
+        throw cache_file_error(failure::corrupt, path, "negative body length");
+    const std::size_t body_bytes = static_cast<std::size_t>(body_size);
+    if (header.remaining() < body_bytes + sizeof(std::uint64_t))
+        throw cache_file_error(failure::truncated, path,
+                               "body cut short (declared " +
+                                   std::to_string(body_bytes) + " bytes, " +
+                                   std::to_string(header.remaining()) + " remain)");
+    if (header.remaining() > body_bytes + sizeof(std::uint64_t))
+        throw cache_file_error(failure::corrupt, path, "trailing bytes after the body");
+    const std::string_view body = header.raw(body_bytes);
+    if (header.u64() != fnv1a(body))
+        throw cache_file_error(failure::corrupt, path, "checksum mismatch");
+
+    // The checksum held, so any decode failure below is real corruption
+    // (or an encoder bug), never mere truncation.
+    try {
+        byte_reader r(body);
+        decode(r);
+        if (r.remaining() != 0) throw decode_error("trailing bytes inside the body");
+    } catch (const error& e) {
+        throw cache_file_error(failure::corrupt, path, e.what());
+    }
+}
+
+void put_metric_record(byte_writer& w, const metric_record& m)
+{
+    w.u8(static_cast<std::uint8_t>(m.st.code));
+    w.str(m.st.message);
+    w.str(m.strategy);
+    w.i32(m.constraints.latency);
+    w.f64(m.constraints.max_power);
+    w.boolean(m.has_design);
+    w.boolean(m.optimal);
+    w.str(m.note);
+    w.f64(m.area);
+    w.f64(m.peak);
+    w.i32(m.latency);
+    w.boolean(m.has_lifetime);
+    w.f64(m.lifetime_seconds);
+    w.f64(m.battery_alpha);
+}
+
+metric_record get_metric_record(byte_reader& r)
+{
+    metric_record m;
+    const std::uint8_t code = r.u8();
+    if (code > static_cast<std::uint8_t>(status_code::internal))
+        throw decode_error("unknown status code " + std::to_string(code));
+    m.st.code = static_cast<status_code>(code);
+    m.st.message = r.str();
+    m.strategy = r.str();
+    m.constraints.latency = r.i32();
+    m.constraints.max_power = r.f64();
+    m.has_design = r.boolean();
+    m.optimal = r.boolean();
+    m.note = r.str();
+    m.area = r.f64();
+    m.peak = r.f64();
+    m.latency = r.i32();
+    m.has_lifetime = r.boolean();
+    m.lifetime_seconds = r.f64();
+    m.battery_alpha = r.f64();
+    return m;
 }
 
 flow_report metric_report(const metric_record& m)
@@ -555,9 +567,9 @@ void explore_cache::interval_store(const std::string& key, double cap,
 
 std::string explore_cache::interval_key(const std::string& key, double cap) const
 {
-    std::string full = key;
-    key_int(full, bucket(cap));
-    return full;
+    byte_writer full(key);
+    full.i32(bucket(cap));
+    return full.take();
 }
 
 std::size_t explore_cache::interval_size() const
@@ -705,7 +717,7 @@ cache_merge_stats explore_cache::merge_files(const std::string& out,
     // silently launder total data loss into a "successful" merge.
     check(have_identity, "cache merge: every input file was rejected");
 
-    write_cache_file(out, graph_text, lib_text, {metrics.begin(), metrics.end()});
+    write_cache_file(out, graph_text, lib_text, metrics);
     stats.metric_total = metrics.size();
     return stats;
 }

@@ -35,11 +35,13 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,6 +53,8 @@
 
 namespace phls {
 
+class byte_reader;
+class byte_writer;
 struct flow_report;
 
 /// Thrown by explore_cache::load/merge/merge_files when a cache file
@@ -117,6 +121,52 @@ flow_report metric_report(const metric_record& m);
 /// wire report frame) carries.  metric_report(metric_of(r)) preserves
 /// status and every achieved metric of `r`.
 metric_record metric_of(const flow_report& r);
+
+/// Appends `m` in the one metric-record layout that cache-file records
+/// and wire report frames share (support/codec.h fields).
+void put_metric_record(byte_writer& w, const metric_record& m);
+
+/// Reads one record put_metric_record() wrote.  @throws decode_error on
+/// truncated bytes, an unknown status code or a boolean field that is
+/// neither 0 nor 1.
+metric_record get_metric_record(byte_reader& r);
+
+/// One checksummed binary file format.  A file is a header -- the magic
+/// with a u64 length prefix, the i64 version and the i64 body length --
+/// then the body and the u64 FNV-1a checksum of the body, every field
+/// fixed-width little-endian (support/codec.h).  The header is outside
+/// the checksum, so a torn tail reads as `truncated` and a flipped byte
+/// as `corrupt`.  Cache files and sweep manifests are the two formats;
+/// the words below go into their messages and fault-site names.
+struct checksummed_format {
+    const char* magic;     ///< identifies the format
+    std::int64_t version;  ///< the only version this build reads
+    const char* sites;     ///< fault-site prefix ("cache": cache.save.tear, ...)
+    const char* noun;      ///< the file, as "cannot open" names it
+    const char* header;    ///< its header, as "shorter than the" names it
+    const char* foreign;   ///< the message for a wrong magic
+    const char* temporary; ///< the temporary file, as the I/O messages name it
+};
+
+/// Atomically writes `body` framed as `format` to `path`: the bytes go
+/// to `path + ".tmp"` in the same directory, then rename() -- atomic on
+/// POSIX -- replaces `path`, so a reader (or a crash) sees the old
+/// complete file or the new one, never a torn one.  Fault sites, after
+/// the format's prefix: `.save.corrupt` flips a body byte after
+/// checksumming, `.save.tear` crashes halfway through the temporary
+/// file.
+/// @throws cache_file_error (kind io) when the file cannot be written.
+void write_checksummed_file(const std::string& path, const checksummed_format& format,
+                            std::string_view body);
+
+/// Reads `path` as `format`, validates its framing and hands the body
+/// to `decode`, which must consume all of it.  Fault site, after the
+/// format's prefix: `.load.corrupt` flips one read byte.  @throws
+/// cache_file_error of kind missing, truncated, version_mismatch or
+/// corrupt (bad magic, negative body length, bytes after the checksum,
+/// a failed checksum, or a body `decode` throws phls::error on).
+void read_checksummed_file(const std::string& path, const checksummed_format& format,
+                           const std::function<void(byte_reader&)>& decode);
 
 /// What one cache-file merge did, per input and in total — the
 /// `phls cache merge` summary table renders this.
@@ -266,16 +316,15 @@ public:
         const std::function<void(const std::string& fingerprint,
                                  const metric_record& record)>& fn) const;
 
-    /// Persists the report memo to `path` as metric records (format v3:
-    /// one record per entry, full or metric-only, and nothing else) in
-    /// the canonical memo_key.h byte encoding, prefixed with the
-    /// (graph, library) identity and suffixed with a checksum.  Returns
-    /// the number of records written, report_full_size() +
-    /// report_metric_size() — what load() into a *fresh* cache reports
-    /// (a load into a non-empty cache counts only new keys).
-    /// Cache files inherit the in-memory key encoding and are therefore
-    /// host-ABI-specific (sizeof(long) field widths); a file from a
-    /// different ABI fails load() loudly, it is never misread.
+    /// Persists the report memo to `path` as metric records (format v4:
+    /// one record per entry, full or metric-only, and nothing else): the
+    /// (graph, library) identity, then each fingerprint with its record
+    /// (put_metric_record), framed by write_checksummed_file().  Every
+    /// field is fixed-width little-endian, so a file written on one host
+    /// loads on any other.  Returns the number of records written,
+    /// report_full_size() + report_metric_size() — what load() into a
+    /// *fresh* cache reports (a load into a non-empty cache counts only
+    /// new keys).
     /// The write is atomic: the bytes go to a temporary file in the same
     /// directory which is then renamed over `path`, so a killed process
     /// can never leave a torn file that load() rejects — readers see the
@@ -289,10 +338,11 @@ public:
     /// carrying the path and the failure kind when the file is missing,
     /// truncated, corrupt (bad magic, checksum mismatch, trailing bytes
     /// or a record count the body cannot hold), of another format
-    /// version (files from before v3 fail with version_mismatch and must
-    /// be deleted), or was saved for a different (graph, library) — a
-    /// bad cache file never silently degrades to wrong answers.  Not
-    /// thread-safe: call before sharing the cache.
+    /// version (files from before v4, v3 included, fail with
+    /// version_mismatch and must be deleted), or was saved for a
+    /// different (graph, library) — a bad cache file never silently
+    /// degrades to wrong answers.  Not thread-safe: call before sharing
+    /// the cache.
     std::size_t load(const std::string& path);
 
     /// Unions the metric records of a save()d file into this (possibly

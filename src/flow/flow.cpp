@@ -7,8 +7,8 @@
 
 #include "battery/lifetime.h"
 #include "flow/explore_cache.h"
+#include "support/codec.h"
 #include "support/errors.h"
-#include "support/memo_key.h"
 #include "support/strings.h"
 #include "synth/verify.h"
 
@@ -166,9 +166,9 @@ status flow::shared_cache(const explore_cache** out) const
 
 std::string flow::fingerprint(const synthesis_constraints& c) const
 {
-    std::string key = uncapped_fingerprint(c.latency);
-    key_double(key, c.max_power);
-    return key;
+    byte_writer key(uncapped_fingerprint(c.latency));
+    key.f64(c.max_power);
+    return key.take();
 }
 
 std::string flow::uncapped_fingerprint(int latency) const
@@ -177,35 +177,44 @@ std::string flow::uncapped_fingerprint(int latency) const
     // and library, which are the cache's identity) is encoded, so flows
     // with distinct configurations never collide; the scheduler name is
     // included for future-proofing even though run_point ignores it.
-    std::string key;
-    key_str(key, synth_name_);
-    key_str(key, sched_name_);
-    key_int(key, static_cast<int>(options_.policy));
-    key_int(key, options_.try_both_prospects ? 1 : 0);
-    key_int(key, static_cast<int>(options_.order));
-    key_double(key, options_.costs.register_area);
-    key_double(key, options_.costs.mux_area_per_extra_input);
-    key_int(key, options_.costs.include_interconnect ? 1 : 0);
-    key_int(key, options_.enable_backtrack_lock ? 1 : 0);
-    key_int(key, options_.lock_from_start ? 1 : 0);
-    key_int(key, options_.allow_cheapest_rebind ? 1 : 0);
-    key_int(key, options_.verify_result ? 1 : 0);
-    key_int(key, options_.max_merge_attempts);
-    key_int(key, exact_.max_operations);
-    key_int(key, exact_.node_limit);
-    key_double(key, exact_.costs.register_area);
-    key_double(key, exact_.costs.mux_area_per_extra_input);
-    key_int(key, exact_.costs.include_interconnect ? 1 : 0);
-    key_int(key, want_netlist_ ? 1 : 0);
-    key_int(key, want_lifetime_ ? 1 : 0);
-    key_double(key, lifetime_.voltage);
-    key_double(key, lifetime_.cycle_seconds);
-    key_int(key, lifetime_.idle_cycles);
-    key_double(key, lifetime_.beta);
-    key_double(key, lifetime_.alpha);
-    key_double(key, lifetime_.max_seconds);
-    key_int(key, latency);
-    return key;
+    byte_writer key;
+    put_flow_config(key, synth_name_, sched_name_, options_, exact_, want_netlist_,
+                    want_lifetime_, lifetime_);
+    key.i32(latency);
+    return key.take();
+}
+
+void put_flow_config(byte_writer& w, std::string_view synthesizer,
+                     std::string_view scheduler, const synthesis_options& options,
+                     const exact_options& exact, bool want_netlist, bool want_lifetime,
+                     const lifetime_spec& lifetime)
+{
+    w.str(synthesizer);
+    w.str(scheduler);
+    w.u8(static_cast<std::uint8_t>(options.policy));
+    w.boolean(options.try_both_prospects);
+    w.u8(static_cast<std::uint8_t>(options.order));
+    w.f64(options.costs.register_area);
+    w.f64(options.costs.mux_area_per_extra_input);
+    w.boolean(options.costs.include_interconnect);
+    w.boolean(options.enable_backtrack_lock);
+    w.boolean(options.lock_from_start);
+    w.boolean(options.allow_cheapest_rebind);
+    w.boolean(options.verify_result);
+    w.i32(options.max_merge_attempts);
+    w.i32(exact.max_operations);
+    w.i64(exact.node_limit);
+    w.f64(exact.costs.register_area);
+    w.f64(exact.costs.mux_area_per_extra_input);
+    w.boolean(exact.costs.include_interconnect);
+    w.boolean(want_netlist);
+    w.boolean(want_lifetime);
+    w.f64(lifetime.voltage);
+    w.f64(lifetime.cycle_seconds);
+    w.i32(lifetime.idle_cycles);
+    w.f64(lifetime.beta);
+    w.f64(lifetime.alpha);
+    w.f64(lifetime.max_seconds);
 }
 
 flow_report flow::run_point(const synthesis_constraints& c,
@@ -226,8 +235,9 @@ flow_report flow::run_point(const synthesis_constraints& c,
     const bool use_spans = cache != nullptr && std::isfinite(c.max_power);
     if (cache != nullptr) {
         span_key = uncapped_fingerprint(c.latency);
-        memo_key = span_key;
-        key_double(memo_key, c.max_power);
+        byte_writer key(span_key);
+        key.f64(c.max_power);
+        memo_key = key.take();
         flow_report memo;
         if (cache->report_lookup(memo_key, &memo)) {
             memo.wall_ms = elapsed_ms(started);

@@ -25,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/strategy.h"
@@ -32,6 +33,7 @@
 
 namespace phls {
 
+class byte_writer;
 class explore_cache;
 namespace dse {
 class session;
@@ -146,10 +148,12 @@ public:
 
     /// The report-memo key for point `c`: every configuration field
     /// that influences run()'s outcome (strategy names, options, enabled
-    /// stages, lifetime spec) plus the (T, Pmax) point, canonically
-    /// encoded via support/memo_key.h, so two flows share a stored
-    /// report iff they would compute identical ones.  dse::session uses
-    /// this for metric lookups against a warm-started cache.
+    /// stages, lifetime spec; put_flow_config()), then the latency and
+    /// last the cap, in the byte codec of support/codec.h (fixed-width
+    /// little-endian, canonical doubles), so two flows share a stored
+    /// report iff they would compute identical ones, on any host.
+    /// dse::session uses this for metric lookups against a warm-started
+    /// cache, and cache files store it with each record.
     std::string fingerprint(const synthesis_constraints& c) const;
 
     /// A Figure-2-style power grid for this problem: `points` caps from
@@ -216,5 +220,13 @@ private:
     lifetime_spec lifetime_;
     std::shared_ptr<const explore_cache> cache_;
 };
+
+/// Appends a flow configuration -- strategy names, synthesis and exact
+/// options, enabled stages, battery parameters -- in the one layout
+/// that flow::fingerprint() and the wire's job frames share.
+void put_flow_config(byte_writer& w, std::string_view synthesizer,
+                     std::string_view scheduler, const synthesis_options& options,
+                     const exact_options& exact, bool want_netlist, bool want_lifetime,
+                     const lifetime_spec& lifetime);
 
 } // namespace phls

@@ -9,15 +9,18 @@
 // warm session and re-runs the space, serving every finished range from
 // the metric memo and recomputing only the unfinished remainder.
 //
-// The file format mirrors explore-cache format v2: a magic string,
-// a version and the body length in an unchecksummed header (so a torn
-// tail classifies as `truncated`), the body in the canonical memo_key
-// encoding, and a fixed 8-byte FNV-1a checksum of the body (so a
-// flipped byte classifies as `corrupt`).  Writes go to a temporary file
-// renamed into place — a crash mid-checkpoint never leaves a torn
-// manifest.  Failures throw cache_file_error with the same typed kinds
-// cache files use; a damaged manifest is rejected loudly, never
-// silently resumed from.
+// The file is format v2, framed by the checksummed-file helper cache
+// files use (write_checksummed_file, flow/explore_cache.h): a magic
+// string, a version and the body length in an unchecksummed header (so
+// a torn tail classifies as `truncated`), the body, and the FNV-1a
+// checksum of the body (so a flipped byte classifies as `corrupt`),
+// every field fixed-width little-endian (support/codec.h), so a
+// manifest written on one host resumes on any other.  v1 manifests
+// fail as `version_mismatch`.  Writes go to a temporary file renamed
+// into place — a crash mid-checkpoint never leaves a torn manifest.
+// Failures throw cache_file_error with the same typed kinds cache
+// files use; a damaged manifest is rejected loudly, never silently
+// resumed from.
 #pragma once
 
 #include <cstdint>

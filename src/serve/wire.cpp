@@ -8,8 +8,8 @@
 
 #include "cdfg/textio.h"
 #include "library/library.h"
+#include "support/codec.h"
 #include "support/faultpoints.h"
-#include "support/memo_key.h"
 #include "support/strings.h"
 
 namespace phls::serve {
@@ -31,17 +31,23 @@ bool known_frame_type(std::uint8_t t)
            t <= static_cast<std::uint8_t>(frame_type::bye);
 }
 
-/// Decodes a wire bool strictly: anything but 0/1 is a malformed frame
-/// (this is what makes random bytes fail loudly instead of becoming a
-/// plausible job).
-bool wire_bool(wire_reader& r)
+/// Decodes a whole payload with `body`, which must consume every byte.
+/// A codec failure becomes the wire_error every caller of the wire
+/// handles, worded "malformed frame: ...".
+template <class Decode>
+auto decode_payload(const std::string& payload, Decode body)
 {
-    const std::uint8_t v = r.u8();
-    if (v > 1) throw wire_error("malformed frame: boolean field is " + std::to_string(v));
-    return v == 1;
+    try {
+        byte_reader r(payload);
+        auto decoded = body(r);
+        r.expect_end();
+        return decoded;
+    } catch (const decode_error& e) {
+        throw wire_error(std::string("malformed frame: ") + e.what());
+    }
 }
 
-void put_point(wire_writer& w, const front_point& p)
+void put_point(byte_writer& w, const front_point& p)
 {
     w.u64(p.index);
     w.i32(p.latency_bound);
@@ -49,11 +55,11 @@ void put_point(wire_writer& w, const front_point& p)
     w.f64(p.area);
     w.f64(p.peak);
     w.i32(p.latency);
-    w.u8(p.has_lifetime ? 1 : 0);
+    w.boolean(p.has_lifetime);
     w.f64(p.lifetime_seconds);
 }
 
-front_point get_point(wire_reader& r)
+front_point get_point(byte_reader& r)
 {
     front_point p;
     p.index = static_cast<std::size_t>(r.u64());
@@ -62,69 +68,25 @@ front_point get_point(wire_reader& r)
     p.area = r.f64();
     p.peak = r.f64();
     p.latency = r.i32();
-    p.has_lifetime = wire_bool(r);
+    p.has_lifetime = r.boolean();
     p.lifetime_seconds = r.f64();
     return p;
 }
 
-void put_points(wire_writer& w, const std::vector<front_point>& points)
+void put_points(byte_writer& w, const std::vector<front_point>& points)
 {
     w.u32(static_cast<std::uint32_t>(points.size()));
     for (const front_point& p : points) put_point(w, p);
 }
 
-std::vector<front_point> get_points(wire_reader& r)
+std::vector<front_point> get_points(byte_reader& r)
 {
-    const std::uint32_t n = r.u32();
-    // Each point costs >= 40 payload bytes; a count the payload cannot
-    // hold is garbage, and checking first keeps the allocation bounded.
-    if (static_cast<std::uint64_t>(n) * 40 > r.remaining())
-        throw wire_error("malformed frame: point count exceeds payload");
+    // Each point costs >= 40 payload bytes.
+    const std::size_t n = r.count(40, "point count");
     std::vector<front_point> points;
     points.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) points.push_back(get_point(r));
+    for (std::size_t i = 0; i < n; ++i) points.push_back(get_point(r));
     return points;
-}
-
-void put_metrics(wire_writer& w, const metric_record& m)
-{
-    w.u8(static_cast<std::uint8_t>(m.st.code));
-    w.str(m.st.message);
-    w.str(m.strategy);
-    w.i32(m.constraints.latency);
-    w.f64(m.constraints.max_power);
-    w.u8(m.has_design ? 1 : 0);
-    w.u8(m.optimal ? 1 : 0);
-    w.str(m.note);
-    w.f64(m.area);
-    w.f64(m.peak);
-    w.i32(m.latency);
-    w.u8(m.has_lifetime ? 1 : 0);
-    w.f64(m.lifetime_seconds);
-    w.f64(m.battery_alpha);
-}
-
-metric_record get_metrics(wire_reader& r)
-{
-    metric_record m;
-    const std::uint8_t code = r.u8();
-    if (code > static_cast<std::uint8_t>(status_code::internal))
-        throw wire_error("malformed frame: unknown status code " + std::to_string(code));
-    m.st.code = static_cast<status_code>(code);
-    m.st.message = r.str();
-    m.strategy = r.str();
-    m.constraints.latency = r.i32();
-    m.constraints.max_power = r.f64();
-    m.has_design = wire_bool(r);
-    m.optimal = wire_bool(r);
-    m.note = r.str();
-    m.area = r.f64();
-    m.peak = r.f64();
-    m.latency = r.i32();
-    m.has_lifetime = wire_bool(r);
-    m.lifetime_seconds = r.f64();
-    m.battery_alpha = r.f64();
-    return m;
 }
 
 // Space payload: a list ships its points, a lattice its axes (plus the
@@ -132,11 +94,11 @@ metric_record get_metrics(wire_reader& r)
 constexpr std::uint8_t space_kind_list = 0;
 constexpr std::uint8_t space_kind_lattice = 1;
 
-void put_space(wire_writer& w, const dse::space& s)
+void put_space(byte_writer& w, const dse::space& s)
 {
     if (s.is_lattice()) {
         w.u8(space_kind_lattice);
-        w.u8(s.adaptive() ? 1 : 0);
+        w.boolean(s.adaptive());
         const std::vector<int>& ts = s.latencies();
         const std::vector<double>& ps = s.caps();
         w.u32(static_cast<std::uint32_t>(ts.size()));
@@ -157,16 +119,14 @@ void put_space(wire_writer& w, const dse::space& s)
     }
 }
 
-dse::space get_space(wire_reader& r)
+dse::space get_space(byte_reader& r)
 {
     const std::uint8_t kind = r.u8();
     if (kind == space_kind_list) {
-        const std::uint32_t n = r.u32();
-        if (static_cast<std::uint64_t>(n) * 12 > r.remaining())
-            throw wire_error("malformed frame: space point count exceeds payload");
+        const std::size_t n = r.count(12, "space point count");
         std::vector<synthesis_constraints> points;
         points.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             synthesis_constraints c;
             c.latency = r.i32();
             c.max_power = r.f64();
@@ -175,25 +135,20 @@ dse::space get_space(wire_reader& r)
         return dse::list(std::move(points));
     }
     if (kind == space_kind_lattice) {
-        const bool adaptive = wire_bool(r);
-        const std::uint32_t nt = r.u32();
-        if (static_cast<std::uint64_t>(nt) * 4 > r.remaining())
-            throw wire_error("malformed frame: latency axis exceeds payload");
+        const bool adaptive = r.boolean();
+        const std::size_t nt = r.count(4, "latency axis");
         std::vector<int> ts;
         ts.reserve(nt);
-        for (std::uint32_t i = 0; i < nt; ++i) ts.push_back(r.i32());
-        const std::uint32_t np = r.u32();
-        if (static_cast<std::uint64_t>(np) * 8 > r.remaining())
-            throw wire_error("malformed frame: cap axis exceeds payload");
+        for (std::size_t i = 0; i < nt; ++i) ts.push_back(r.i32());
+        const std::size_t np = r.count(8, "cap axis");
         std::vector<double> ps;
         ps.reserve(np);
-        for (std::uint32_t i = 0; i < np; ++i) ps.push_back(r.f64());
-        if (ts.empty() || ps.empty())
-            throw wire_error("malformed frame: empty lattice axis");
+        for (std::size_t i = 0; i < np; ++i) ps.push_back(r.f64());
+        if (ts.empty() || ps.empty()) throw decode_error("empty lattice axis");
         return adaptive ? dse::refine(std::move(ts), std::move(ps))
                         : dse::cross(std::move(ts), std::move(ps));
     }
-    throw wire_error("malformed frame: unknown space kind " + std::to_string(kind));
+    throw decode_error("unknown space kind " + std::to_string(kind));
 }
 
 } // namespace
@@ -212,97 +167,18 @@ const char* frame_type_name(frame_type t)
     return "unknown";
 }
 
-// ------------------------------------------------------------- encoding
-
-void wire_writer::u32(std::uint32_t v)
-{
-    char b[4];
-    for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    bytes_.append(b, sizeof b);
-}
-
-void wire_writer::u64(std::uint64_t v)
-{
-    char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    bytes_.append(b, sizeof b);
-}
-
-void wire_writer::f64(double v) { u64(key_double_bits(v)); }
-
-void wire_writer::str(const std::string& s)
-{
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes_ += s;
-}
-
-std::uint8_t wire_reader::u8()
-{
-    if (remaining() < 1) throw wire_error("malformed frame: payload truncated");
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::uint32_t wire_reader::u32()
-{
-    if (remaining() < 4) throw wire_error("malformed frame: payload truncated");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-             << (8 * i);
-    pos_ += 4;
-    return v;
-}
-
-std::uint64_t wire_reader::u64()
-{
-    if (remaining() < 8) throw wire_error("malformed frame: payload truncated");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-             << (8 * i);
-    pos_ += 8;
-    return v;
-}
-
-double wire_reader::f64()
-{
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-std::string wire_reader::str()
-{
-    const std::uint32_t n = u32();
-    if (n > remaining()) throw wire_error("malformed frame: string runs past the end");
-    std::string s = bytes_.substr(pos_, n);
-    pos_ += n;
-    return s;
-}
-
-void wire_reader::expect_end() const
-{
-    if (remaining() != 0)
-        throw wire_error("malformed frame: " + std::to_string(remaining()) +
-                         " trailing payload bytes");
-}
-
 // -------------------------------------------------------------- framing
 
 std::string encode_frame(frame_type t, const std::string& payload)
 {
     check(payload.size() <= max_payload, "wire payload too large");
-    wire_writer w;
+    byte_writer w;
     w.u32(frame_magic);
     w.u8(static_cast<std::uint8_t>(t));
     w.u32(static_cast<std::uint32_t>(payload.size()));
-    std::string frame = w.take();
-    frame += payload;
-    wire_writer tail;
-    tail.u64(fnv1a(payload));
-    frame += tail.bytes();
-    return frame;
+    w.raw(payload);
+    w.u64(fnv1a(payload));
+    return w.take();
 }
 
 channel::channel(int read_fd, int write_fd) : read_fd_(read_fd), write_fd_(write_fd) {}
@@ -423,7 +299,7 @@ std::optional<channel::frame> channel::recv()
     if (got == 0) return std::nullopt; // clean EOF at a frame boundary
     if (got < header_size) throw wire_error("truncated frame: EOF inside the header");
 
-    wire_reader h(header);
+    byte_reader h(header);
     if (h.u32() != frame_magic) throw wire_error("malformed frame: bad magic");
     const std::uint8_t type = h.u8();
     if (!known_frame_type(type))
@@ -436,13 +312,12 @@ std::optional<channel::frame> channel::recv()
     std::string body;
     if (read_exact(read_fd_, body, length + checksum_size) != length + checksum_size)
         throw wire_error("truncated frame: EOF inside the payload");
+    const std::uint64_t checksum = byte_reader(std::string_view(body).substr(length)).u64();
+    body.resize(length);
+    if (checksum != fnv1a(body)) throw wire_error("malformed frame: checksum mismatch");
     frame f;
     f.type = static_cast<frame_type>(type);
-    f.payload = body.substr(0, length);
-    const std::string tail = body.substr(length);
-    wire_reader cks(tail);
-    if (cks.u64() != fnv1a(f.payload))
-        throw wire_error("malformed frame: checksum mismatch");
+    f.payload = std::move(body);
     return f;
 }
 
@@ -470,17 +345,14 @@ std::uint32_t expect_hello(channel& ch)
 
 std::string encode_hello(std::uint32_t version)
 {
-    wire_writer w;
+    byte_writer w;
     w.u32(version);
     return w.take();
 }
 
 std::uint32_t decode_hello(const std::string& payload)
 {
-    wire_reader r(payload);
-    const std::uint32_t version = r.u32();
-    r.expect_end();
-    return version;
+    return decode_payload(payload, [](byte_reader& r) { return r.u32(); });
 }
 
 job_request make_job(const flow& prototype, const dse::space& s)
@@ -514,38 +386,11 @@ flow job_flow(const job_request& job)
 
 std::string encode_job(const job_request& job)
 {
-    wire_writer w;
+    byte_writer w;
     w.str(job.graph_text);
     w.str(job.library_text);
-    w.str(job.synthesizer);
-    w.str(job.scheduler);
-    const synthesis_options& o = job.options;
-    w.u8(static_cast<std::uint8_t>(o.policy));
-    w.u8(o.try_both_prospects ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(o.order));
-    w.f64(o.costs.register_area);
-    w.f64(o.costs.mux_area_per_extra_input);
-    w.u8(o.costs.include_interconnect ? 1 : 0);
-    w.u8(o.enable_backtrack_lock ? 1 : 0);
-    w.u8(o.lock_from_start ? 1 : 0);
-    w.u8(o.allow_cheapest_rebind ? 1 : 0);
-    w.u8(o.verify_result ? 1 : 0);
-    w.i32(o.max_merge_attempts);
-    const exact_options& e = job.exact;
-    w.i32(e.max_operations);
-    w.i64(e.node_limit);
-    w.f64(e.costs.register_area);
-    w.f64(e.costs.mux_area_per_extra_input);
-    w.u8(e.costs.include_interconnect ? 1 : 0);
-    w.u8(job.want_netlist ? 1 : 0);
-    w.u8(job.want_lifetime ? 1 : 0);
-    const lifetime_spec& l = job.lifetime;
-    w.f64(l.voltage);
-    w.f64(l.cycle_seconds);
-    w.i32(l.idle_cycles);
-    w.f64(l.beta);
-    w.f64(l.alpha);
-    w.f64(l.max_seconds);
+    put_flow_config(w, job.synthesizer, job.scheduler, job.options, job.exact,
+                    job.want_netlist, job.want_lifetime, job.lifetime);
     put_space(w, job.space);
     w.i32(job.threads);
     w.str(job.save_cache_path);
@@ -554,75 +399,73 @@ std::string encode_job(const job_request& job)
 
 job_request decode_job(const std::string& payload)
 {
-    wire_reader r(payload);
-    job_request job;
-    job.graph_text = r.str();
-    job.library_text = r.str();
-    job.synthesizer = r.str();
-    job.scheduler = r.str();
-    synthesis_options& o = job.options;
-    const std::uint8_t policy = r.u8();
-    if (policy > static_cast<std::uint8_t>(prospect_policy::cheapest_fit))
-        throw wire_error("malformed frame: unknown prospect policy " +
-                         std::to_string(policy));
-    o.policy = static_cast<prospect_policy>(policy);
-    o.try_both_prospects = wire_bool(r);
-    const std::uint8_t order = r.u8();
-    if (order > static_cast<std::uint8_t>(pasap_order::critical_path))
-        throw wire_error("malformed frame: unknown pasap order " +
-                         std::to_string(order));
-    o.order = static_cast<pasap_order>(order);
-    o.costs.register_area = r.f64();
-    o.costs.mux_area_per_extra_input = r.f64();
-    o.costs.include_interconnect = wire_bool(r);
-    o.enable_backtrack_lock = wire_bool(r);
-    o.lock_from_start = wire_bool(r);
-    o.allow_cheapest_rebind = wire_bool(r);
-    o.verify_result = wire_bool(r);
-    o.max_merge_attempts = r.i32();
-    exact_options& e = job.exact;
-    e.max_operations = r.i32();
-    e.node_limit = static_cast<long>(r.i64());
-    e.costs.register_area = r.f64();
-    e.costs.mux_area_per_extra_input = r.f64();
-    e.costs.include_interconnect = wire_bool(r);
-    job.want_netlist = wire_bool(r);
-    job.want_lifetime = wire_bool(r);
-    lifetime_spec& l = job.lifetime;
-    l.voltage = r.f64();
-    l.cycle_seconds = r.f64();
-    l.idle_cycles = r.i32();
-    l.beta = r.f64();
-    l.alpha = r.f64();
-    l.max_seconds = r.f64();
-    job.space = get_space(r);
-    job.threads = r.i32();
-    job.save_cache_path = r.str();
-    r.expect_end();
-    return job;
+    return decode_payload(payload, [](byte_reader& r) {
+        job_request job;
+        job.graph_text = r.str();
+        job.library_text = r.str();
+        job.synthesizer = r.str();
+        job.scheduler = r.str();
+        synthesis_options& o = job.options;
+        const std::uint8_t policy = r.u8();
+        if (policy > static_cast<std::uint8_t>(prospect_policy::cheapest_fit))
+            throw decode_error("unknown prospect policy " + std::to_string(policy));
+        o.policy = static_cast<prospect_policy>(policy);
+        o.try_both_prospects = r.boolean();
+        const std::uint8_t order = r.u8();
+        if (order > static_cast<std::uint8_t>(pasap_order::critical_path))
+            throw decode_error("unknown pasap order " + std::to_string(order));
+        o.order = static_cast<pasap_order>(order);
+        o.costs.register_area = r.f64();
+        o.costs.mux_area_per_extra_input = r.f64();
+        o.costs.include_interconnect = r.boolean();
+        o.enable_backtrack_lock = r.boolean();
+        o.lock_from_start = r.boolean();
+        o.allow_cheapest_rebind = r.boolean();
+        o.verify_result = r.boolean();
+        o.max_merge_attempts = r.i32();
+        exact_options& e = job.exact;
+        e.max_operations = r.i32();
+        e.node_limit = static_cast<long>(r.i64());
+        e.costs.register_area = r.f64();
+        e.costs.mux_area_per_extra_input = r.f64();
+        e.costs.include_interconnect = r.boolean();
+        job.want_netlist = r.boolean();
+        job.want_lifetime = r.boolean();
+        lifetime_spec& l = job.lifetime;
+        l.voltage = r.f64();
+        l.cycle_seconds = r.f64();
+        l.idle_cycles = r.i32();
+        l.beta = r.f64();
+        l.alpha = r.f64();
+        l.max_seconds = r.f64();
+        job.space = get_space(r);
+        job.threads = r.i32();
+        job.save_cache_path = r.str();
+        return job;
+    });
 }
 
 std::string encode_report(std::uint64_t index, const metric_record& metrics)
 {
-    wire_writer w;
+    byte_writer w;
     w.u64(index);
-    put_metrics(w, metrics);
+    put_metric_record(w, metrics);
     return w.take();
 }
 
 report_frame decode_report(const std::string& payload)
 {
-    wire_reader r(payload);
-    report_frame f;
-    f.index = r.u64();
-    f.metrics = get_metrics(r);
-    r.expect_end();
-    return f;
+    return decode_payload(payload, [](byte_reader& r) {
+        report_frame f;
+        f.index = r.u64();
+        f.metrics = get_metric_record(r);
+        return f;
+    });
 }
 
 std::string encode_front(const front_delta& delta)
 {
-    wire_writer w;
+    byte_writer w;
     w.u64(delta.index);
     put_points(w, delta.entered);
     put_points(w, delta.left);
@@ -631,18 +474,18 @@ std::string encode_front(const front_delta& delta)
 
 front_delta decode_front(const std::string& payload)
 {
-    wire_reader r(payload);
-    front_delta delta;
-    delta.index = static_cast<std::size_t>(r.u64());
-    delta.entered = get_points(r);
-    delta.left = get_points(r);
-    r.expect_end();
-    return delta;
+    return decode_payload(payload, [](byte_reader& r) {
+        front_delta delta;
+        delta.index = static_cast<std::size_t>(r.u64());
+        delta.entered = get_points(r);
+        delta.left = get_points(r);
+        return delta;
+    });
 }
 
 std::string encode_done(const done_frame& done)
 {
-    wire_writer w;
+    byte_writer w;
     w.u64(done.space_size);
     w.u64(done.evaluated);
     w.u64(done.feasible);
@@ -660,38 +503,34 @@ std::string encode_done(const done_frame& done)
 
 done_frame decode_done(const std::string& payload)
 {
-    wire_reader r(payload);
-    done_frame done;
-    done.space_size = r.u64();
-    done.evaluated = r.u64();
-    done.feasible = r.u64();
-    done.metric_served = r.u64();
-    done.counters.hits = static_cast<long>(r.i64());
-    done.counters.misses = static_cast<long>(r.i64());
-    done.counters.committed_hits = static_cast<long>(r.i64());
-    done.counters.committed_misses = static_cast<long>(r.i64());
-    done.counters.report_hits = static_cast<long>(r.i64());
-    done.counters.report_misses = static_cast<long>(r.i64());
-    done.counters.metric_hits = static_cast<long>(r.i64());
-    done.front = get_points(r);
-    r.expect_end();
-    return done;
+    return decode_payload(payload, [](byte_reader& r) {
+        done_frame done;
+        done.space_size = r.u64();
+        done.evaluated = r.u64();
+        done.feasible = r.u64();
+        done.metric_served = r.u64();
+        done.counters.hits = static_cast<long>(r.i64());
+        done.counters.misses = static_cast<long>(r.i64());
+        done.counters.committed_hits = static_cast<long>(r.i64());
+        done.counters.committed_misses = static_cast<long>(r.i64());
+        done.counters.report_hits = static_cast<long>(r.i64());
+        done.counters.report_misses = static_cast<long>(r.i64());
+        done.counters.metric_hits = static_cast<long>(r.i64());
+        done.front = get_points(r);
+        return done;
+    });
 }
 
 std::string encode_reject(const std::string& message)
 {
-    wire_writer w;
+    byte_writer w;
     w.str(message);
     return w.take();
 }
 
 reject_frame decode_reject(const std::string& payload)
 {
-    wire_reader r(payload);
-    reject_frame f;
-    f.message = r.str();
-    r.expect_end();
-    return f;
+    return decode_payload(payload, [](byte_reader& r) { return reject_frame{r.str()}; });
 }
 
 } // namespace phls::serve

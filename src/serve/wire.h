@@ -8,11 +8,13 @@
 //   [u32 magic "PHLS"] [u8 type] [u32 payload length] [payload bytes]
 //   [u64 FNV-1a checksum of the payload]
 //
-// All integers are fixed-width little-endian (the format is
-// ABI-independent, unlike the in-memory memo keys); doubles are encoded
-// as the canonical memo_key bit pattern (key_double_bits: -0.0 and NaN
-// normalised, ±inf distinct), so a point round-tripped over the wire
-// produces the exact fingerprint the server's cache is keyed by.  A
+// Payloads are written with the byte codec every binary format shares
+// (support/codec.h): fixed-width little-endian integers, u32-prefixed
+// strings, and doubles as their canonical bit pattern (canonical_bits:
+// -0.0 and NaN normalised, ±inf distinct).  Memo-key fingerprints and
+// cache files use the same codec, and a job's configuration fields are
+// the fingerprint's (put_flow_config), so a point round-tripped over the
+// wire produces the exact fingerprint the server's cache is keyed by.  A
 // connection opens with a `hello` frame carrying the protocol version in
 // each direction; peers speaking a different version are rejected before
 // any job bytes are interpreted.  Every decoder is bounds-checked and
@@ -70,56 +72,6 @@ enum class frame_type : std::uint8_t {
 
 /// Short stable name of a frame type ("hello", "job", ...).
 const char* frame_type_name(frame_type t);
-
-// ------------------------------------------------------------- encoding
-
-/// Fixed-width little-endian payload builder.
-class wire_writer {
-public:
-    void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    /// Canonical memo_key bit pattern (normalised -0.0 / NaN).
-    void f64(double v);
-    /// u32 length prefix + raw bytes.
-    void str(const std::string& s);
-
-    /// The bytes written so far.
-    const std::string& bytes() const { return bytes_; }
-    /// Moves the bytes out (the writer is empty afterwards).
-    std::string take() { return std::move(bytes_); }
-
-private:
-    std::string bytes_;
-};
-
-/// Bounds-checked little-endian payload decoder; every read past the
-/// end throws wire_error instead of returning garbage.
-class wire_reader {
-public:
-    explicit wire_reader(const std::string& bytes) : bytes_(bytes) {}
-    /// The reader only borrows the bytes; a temporary would dangle.
-    explicit wire_reader(std::string&&) = delete;
-
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    double f64();
-    std::string str();
-
-    /// Bytes not yet consumed.
-    std::size_t remaining() const { return bytes_.size() - pos_; }
-    /// Throws wire_error unless the payload was consumed exactly.
-    void expect_end() const;
-
-private:
-    const std::string& bytes_;
-    std::size_t pos_ = 0;
-};
 
 // -------------------------------------------------------------- framing
 

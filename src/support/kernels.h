@@ -4,9 +4,9 @@
 // (power_tracker::next_fit), the merge loop's candidate pick
 // (synth/candidates.h, a best-first frontier over equal-saving buckets
 // that times a handful of combos per pick instead of enumerating them
-// all) and merge rollback (the undo log in clique.cpp).  The candidate
-// scoring reads per-node facts from a struct-of-arrays arena
-// (synth/arena.h), and the power ledger answers probes from its
+// all) and merge rollback (the undo log in clique.cpp).  The frontier
+// scores on a struct-of-arrays arena (synth/arena.h; no knob picks
+// it), and the power ledger answers probes from its
 // contiguous cycle slab, leaping blocked stretches with a headroom tree
 // once it is long (power/tracker.h picks by ledger length; no knob
 // does).  Every optimised path is gated byte-identical to the seed-era
@@ -45,12 +45,11 @@ struct kernel_tuning {
     /// O(changes) undo-log rollback of a failed merge decision.  Off =
     /// the full `partition_state` deep copy per attempt.
     bool undo_log = true;
-    /// Struct-of-arrays candidate scoring (synth/arena.h): CSR
-    /// adjacency + O(1) precomputed clamp bounds and standalone areas,
-    /// synced before every pick.  Only takes effect together with
-    /// incremental_candidates (the arena is an engine of the frontier).
-    /// Off = the reference per-combo neighbour walks and standalone
-    /// folds.
+    /// No longer changes any computation: the candidate frontier always
+    /// scores on the struct-of-arrays arena (synth/arena.h), and the
+    /// reference enumeration and cross_check always run the per-node
+    /// folds.  Kept so existing callers that assign it still compile;
+    /// every value gives the same results and the same work.
     bool soa_arena = true;
     /// No longer changes any computation: power_tracker always scans its
     /// contiguous slab and descends its trees iteratively, and reads no

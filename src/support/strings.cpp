@@ -31,9 +31,9 @@ std::string strf(const char* fmt, ...)
 std::string_view trim(std::string_view s)
 {
     std::size_t begin = 0;
-    while (begin < s.size() && std::isspace(static_cast<unsigned char>(s[begin]))) ++begin;
+    while (begin < s.size() && is_space(s[begin])) ++begin;
     std::size_t end = s.size();
-    while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) --end;
+    while (end > begin && is_space(s[end - 1])) --end;
     return s.substr(begin, end - begin);
 }
 
@@ -56,12 +56,11 @@ std::vector<std::string> split(std::string_view s, char sep)
 void tokenize(std::string_view line, std::vector<std::string_view>& tokens)
 {
     tokens.clear();
-    const auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
     std::size_t i = 0;
     while (i < line.size()) {
-        while (i < line.size() && space(line[i])) ++i;
+        while (i < line.size() && is_space(line[i])) ++i;
         std::size_t j = i;
-        while (j < line.size() && !space(line[j])) ++j;
+        while (j < line.size() && !is_space(line[j])) ++j;
         if (j > i) tokens.push_back(line.substr(i, j - i));
         i = j;
     }

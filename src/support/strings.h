@@ -14,13 +14,20 @@ namespace phls {
 /// printf-style formatting into a std::string.
 std::string strf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Removes leading and trailing whitespace.
+/// True for the six whitespace bytes of the C locale: ' ', '\t', '\n',
+/// '\v', '\f' and '\r'.  The readers split and trim on this instead of
+/// the locale-aware std::isspace: nothing in phls calls setlocale() or
+/// imbue(), so the C locale always holds and the two agree, and an
+/// inline test costs no call per byte.
+inline bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Removes leading and trailing whitespace (is_space).
 std::string_view trim(std::string_view s);
 
 /// Splits on `sep`, trimming each piece; empty pieces are kept.
 std::vector<std::string> split(std::string_view s, char sep);
 
-/// Splits `line` on runs of std::isspace into `tokens` (cleared first);
+/// Splits `line` on runs of is_space into `tokens` (cleared first);
 /// empty pieces are dropped and every token is a view into `line`.
 void tokenize(std::string_view line, std::vector<std::string_view>& tokens);
 

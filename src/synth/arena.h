@@ -1,5 +1,5 @@
-// Struct-of-arrays scoring arena for the merge loop's hot path
-// (kernel_tuning::soa_arena).
+// Struct-of-arrays scoring arena for the merge loop's hot path: the
+// candidate frontier always scores on it.
 //
 // Candidate scoring (synth/compat.h) reads the same per-node facts over
 // and over: the dependency bounds clamp_by_neighbors() folds from a

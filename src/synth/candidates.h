@@ -35,9 +35,9 @@
 //
 // Nothing survives between picks: the merge loop calls rebuild() on the
 // current state before every best(), at O(V + buckets + horizon x
-// modules) memory.  With an arena attached (kernel_tuning::soa_arena)
-// the walk reads its cached clamp bounds and standalone areas;
-// detached, the reference per-node folds.  kernel_tuning::cross_check
+// modules) memory.  The merge loop attaches an arena, so the walk reads
+// its cached clamp bounds and standalone areas; detached, it runs the
+// reference per-node folds.  kernel_tuning::cross_check
 // re-runs the reference enumeration after every pick and throws on any
 // divergence.
 #pragma once

@@ -212,12 +212,11 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
 
     candidate_store store;
 
-    // Struct-of-arrays scoring arena (knobs.soa_arena): an engine of the
-    // candidate frontier, synced to the scheduling state before every
-    // pick.  Left detached otherwise so the frontier and the reference
-    // enumeration run the reference scoring.
+    // Struct-of-arrays scoring arena: an engine of the candidate
+    // frontier, synced to the scheduling state before every pick.  The
+    // reference enumeration runs without it, on the per-node folds.
     std::optional<synth_arena> arena_store;
-    if (knobs.soa_arena && knobs.incremental_candidates) {
+    if (knobs.incremental_candidates) {
         arena_store.emplace();
         arena_store->build(g, lib);
     }

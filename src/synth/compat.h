@@ -84,7 +84,7 @@ struct compat_inputs {
     const power_tracker* committed_power = nullptr; ///< reservations of committed ops
     const module_assignment* assignment = nullptr;  ///< current per-node modules
     bool locked = false; ///< all free ops pinned to their pasap times
-    /// Optional struct-of-arrays fast path (kernel_tuning::soa_arena):
+    /// Optional struct-of-arrays fast path, the candidate frontier's:
     /// when set, clamp_by_neighbors and standalone_area answer from the
     /// arena's O(1) per-node caches instead of walking the graph.  The
     /// owner must arena->sync() after every scheduling-state change;

@@ -1,7 +1,6 @@
 #include "task/set.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -134,8 +133,7 @@ void check_task_set(const task_set& set)
     check(set.battery.idle_cycles >= 0, "battery idle cycles must be >= 0");
     std::set<std::string> names;
     for (const task_spec& t : set.tasks) {
-        check(!t.name.empty() && std::none_of(t.name.begin(), t.name.end(),
-                                              [](unsigned char c) { return std::isspace(c); }),
+        check(!t.name.empty() && std::none_of(t.name.begin(), t.name.end(), is_space),
               "task names must be single non-empty tokens");
         const char* bad = nullptr;
         if (!names.insert(t.name).second) bad = "duplicate task name";

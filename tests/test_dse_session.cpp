@@ -15,7 +15,7 @@
 #include "flow/flow.h"
 #include "flow/pareto_stream.h"
 #include "support/errors.h"
-#include "support/memo_key.h"
+#include "support/codec.h"
 #include "sweep_util.h"
 
 namespace phls {
@@ -412,7 +412,7 @@ TEST(dse_session, load_error_reports_corruption)
 
     // A wrong magic string is not a cache file at all.
     evil = bytes;
-    evil[sizeof(long)] = 'X'; // first magic character, after its length
+    evil[8] = 'X'; // first magic character, after its u64 length
     overwrite(path, evil);
     EXPECT_EQ(expect_load_failure(path).kind(), cache_file_error::failure::corrupt);
     std::remove(path.c_str());
@@ -426,7 +426,7 @@ TEST(dse_session, load_error_reports_a_version_mismatch)
     // The format version lives right after the length-prefixed magic
     // string, outside the checksummed body — bump its low byte and the
     // file reads as a valid cache from a different format generation.
-    const std::size_t version_at = sizeof(long) + std::string("phls-explore-cache").size();
+    const std::size_t version_at = 8 + std::string("phls-explore-cache").size();
     ASSERT_LT(version_at, bytes.size());
     bytes[version_at] = static_cast<char>(bytes[version_at] + 1);
     overwrite(path, bytes);
@@ -448,11 +448,11 @@ TEST(dse_session, format_2_cache_files_are_version_mismatches_and_skipped_by_mer
     std::string bytes = saved_cache_bytes(old_file);
     saved_cache_bytes(good);
 
-    const std::size_t version_at = sizeof(long) + std::string("phls-explore-cache").size();
-    std::string v2;
-    key_int(v2, 2);
-    ASSERT_LT(version_at + v2.size(), bytes.size());
-    bytes.replace(version_at, v2.size(), v2);
+    const std::size_t version_at = 8 + std::string("phls-explore-cache").size();
+    byte_writer v2;
+    v2.i64(2);
+    ASSERT_LT(version_at + v2.bytes().size(), bytes.size());
+    bytes.replace(version_at, v2.bytes().size(), v2.bytes());
     overwrite(old_file, bytes);
     EXPECT_EQ(expect_load_failure(old_file).kind(),
               cache_file_error::failure::version_mismatch);
@@ -465,6 +465,27 @@ TEST(dse_session, format_2_cache_files_are_version_mismatches_and_skipped_by_mer
     EXPECT_EQ(stats.skipped_inputs, 1u);
     EXPECT_EQ(stats.metric_total, stats.inputs[1].metrics);
     for (const std::string& path : {old_file, good, out}) std::remove(path.c_str());
+}
+
+TEST(dse_session, format_3_cache_files_are_version_mismatches)
+{
+    // Format 3 files have the same 42-byte header as format 4 (a u64
+    // magic length, the magic, i64 version and body length) but native
+    // field widths in the body; load() rejects them by the version
+    // alone, so they must be deleted, never misread.
+    const std::string path = scratch("session_err_v3.phlscache");
+    std::string bytes = saved_cache_bytes(path);
+    const std::size_t version_at = 8 + std::string("phls-explore-cache").size();
+    byte_writer v3;
+    v3.i64(3);
+    bytes.replace(version_at, v3.bytes().size(), v3.bytes());
+    overwrite(path, bytes);
+    const cache_file_error e = expect_load_failure(path);
+    EXPECT_EQ(e.kind(), cache_file_error::failure::version_mismatch);
+    EXPECT_NE(std::string(e.what()).find("format version 3 (this build reads version 4)"),
+              std::string::npos)
+        << e.what();
+    std::remove(path.c_str());
 }
 
 TEST(dse_session, load_error_reports_a_problem_mismatch)

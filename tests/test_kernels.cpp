@@ -1,9 +1,9 @@
 // Byte-identity of the optimised synthesis kernels against the
 // retained reference implementations, across the kernel_knobs()
 // ablation matrix: skip-ahead power probing, the best-first candidate
-// frontier, undo-log rollback, the SoA synthesis arena and dense power
-// probing must change wall time only -- never a schedule, a datapath,
-// a counter or a diagnostic.
+// frontier (scoring on the SoA synthesis arena) and undo-log rollback
+// must change wall time only -- never a schedule, a datapath, a counter
+// or a diagnostic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,14 +58,13 @@ TEST(kernels, paper_benchmarks_identical_across_every_knob)
             const std::string reference = run_with(all_reference(), g, c);
             EXPECT_EQ(run_with(kernel_tuning{}, g, c), reference)
                 << name << " cap " << cap << ": all-optimised diverges";
-            for (int knob = 0; knob < 6; ++knob) {
+            for (int knob = 0; knob < 5; ++knob) {
                 kernel_tuning k; // one optimisation toggled at a time
                 if (knob == 0) k.skip_probe = false;
                 if (knob == 1) k.incremental_candidates = false;
                 if (knob == 2) k.undo_log = false;
-                if (knob == 3) k.soa_arena = false;
-                if (knob == 4) k.dense_power = false;
-                if (knob == 5) k.intra_threads = 8;
+                if (knob == 3) k.dense_power = false;
+                if (knob == 4) k.intra_threads = 8;
                 EXPECT_EQ(run_with(k, g, c), reference)
                     << name << " cap " << cap << ": knob " << knob << " diverges";
             }
@@ -159,9 +158,8 @@ TEST(kernels, thousand_op_dag_identical_across_every_knob)
 {
     // Mid-scale anchor for the large-graph path: a 1000-op DAG from the
     // bench_kernels synthetic family, attempt-bounded, compared against
-    // the seed-era reference for the all-optimised default, each
-    // optimisation toggled alone, and the candidate frontier without the
-    // SoA arena or the dense power ledger.
+    // the seed-era reference for the all-optimised default and each
+    // optimisation toggled alone.
     random_dag_params params;
     params.operations = 1000;
     params.inputs = 83; // the bench family's n/12 input ratio
@@ -181,17 +179,13 @@ TEST(kernels, thousand_op_dag_identical_across_every_knob)
 
     const std::string reference = run_with(all_reference(), g, c, o);
     EXPECT_EQ(run_with(kernel_tuning{}, g, c, o), reference) << "all-optimised";
-    for (int knob = 0; knob < 6; ++knob) {
+    for (int knob = 0; knob < 5; ++knob) {
         kernel_tuning k;
         if (knob == 0) k.skip_probe = false;
         if (knob == 1) k.incremental_candidates = false;
         if (knob == 2) k.undo_log = false;
-        if (knob == 3) { // frontier, reference folds and power ledger
-            k.soa_arena = false;
-            k.dense_power = false;
-        }
-        if (knob == 4) k.dense_power = false;
-        if (knob == 5) k.intra_threads = 8;
+        if (knob == 3) k.dense_power = false;
+        if (knob == 4) k.intra_threads = 8;
         EXPECT_EQ(run_with(k, g, c, o), reference) << "knob " << knob;
     }
 }
@@ -271,42 +265,39 @@ const module_library& single_area_lib()
 TEST(kernels, cross_check_stresses_frontier_order_on_single_area_dags)
 {
     // ALU-only random DAGs: one level of over a thousand equal-saving
-    // pairs.  cross_check re-runs the reference enumeration after every
-    // pick, with the arena attached and detached, locked from the start
-    // and not, and under caps tight enough that rejected decisions land
-    // on the blacklist the frontier must skip.
+    // pairs.  cross_check re-runs the reference enumeration (arena
+    // detached) after every pick of the frontier (arena attached),
+    // locked from the start and not, and under caps tight enough that
+    // rejected decisions land on the blacklist the frontier must skip.
     const knob_guard guard;
     const module_library& alu = single_area_lib();
     int blacklisted = 0;
-    for (const bool arena : {true, false}) {
-        for (const std::uint64_t seed : {7ull, 11ull}) {
-            random_dag_params params;
-            params.operations = 60;
-            params.inputs = 5;
-            params.layers = 10;
-            params.mult_fraction = 0.0;
-            params.comp_fraction = 0.2;
-            const graph g = random_dag(params, seed);
-            for (const double cap : {20.25, 10.1, 7.6}) {
-                const pasap_result lo = pasap(g, alu, fastest_assignment(g, alu, cap), cap);
-                ASSERT_TRUE(lo.feasible) << lo.reason;
-                const synthesis_constraints c{lo.sched.latency(alu) + 2, cap};
-                for (const int variant : {0, 1, 2}) {
-                    synthesis_options o;
-                    o.try_both_prospects = false;
-                    o.lock_from_start = variant == 1;
-                    o.enable_backtrack_lock = variant != 2;
-                    kernel_knobs() = kernel_tuning{};
-                    kernel_knobs().soa_arena = arena;
-                    kernel_knobs().cross_check = true;
-                    const synthesis_result r = synthesize(g, alu, c, o);
-                    ASSERT_TRUE(r.feasible) << r.reason;
-                    // Only the rejection that triggers the backtrack lock
-                    // skips the blacklist.
-                    const bool lock_by_rejection =
-                        o.enable_backtrack_lock && !o.lock_from_start && r.stats.locked;
-                    blacklisted += r.stats.rejected - (lock_by_rejection ? 1 : 0);
-                }
+    for (const std::uint64_t seed : {7ull, 11ull}) {
+        random_dag_params params;
+        params.operations = 60;
+        params.inputs = 5;
+        params.layers = 10;
+        params.mult_fraction = 0.0;
+        params.comp_fraction = 0.2;
+        const graph g = random_dag(params, seed);
+        for (const double cap : {20.25, 10.1, 7.6}) {
+            const pasap_result lo = pasap(g, alu, fastest_assignment(g, alu, cap), cap);
+            ASSERT_TRUE(lo.feasible) << lo.reason;
+            const synthesis_constraints c{lo.sched.latency(alu) + 2, cap};
+            for (const int variant : {0, 1, 2}) {
+                synthesis_options o;
+                o.try_both_prospects = false;
+                o.lock_from_start = variant == 1;
+                o.enable_backtrack_lock = variant != 2;
+                kernel_knobs() = kernel_tuning{};
+                kernel_knobs().cross_check = true;
+                const synthesis_result r = synthesize(g, alu, c, o);
+                ASSERT_TRUE(r.feasible) << r.reason;
+                // Only the rejection that triggers the backtrack lock
+                // skips the blacklist.
+                const bool lock_by_rejection =
+                    o.enable_backtrack_lock && !o.lock_from_start && r.stats.locked;
+                blacklisted += r.stats.rejected - (lock_by_rejection ? 1 : 0);
             }
         }
     }

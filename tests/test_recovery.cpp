@@ -36,8 +36,8 @@
 #include "serve/server.h"
 #include "serve/shard.h"
 #include "support/errors.h"
+#include "support/codec.h"
 #include "support/faultpoints.h"
-#include "support/memo_key.h"
 
 namespace phls {
 namespace {
@@ -100,32 +100,34 @@ void reframe(const std::string& path, const std::string& body)
 {
     std::ifstream is(path, std::ios::binary);
     const std::string old((std::istreambuf_iterator<char>(is)), {});
-    key_reader header(old);
-    const std::string magic = header.read_str();
-    const long version = header.read_int();
+    byte_reader header(old);
+    const std::string_view magic = header.raw(header.u64());
+    const std::int64_t version = header.i64();
 
-    std::string bytes;
-    key_str(bytes, magic);
-    key_int(bytes, version);
-    key_int(bytes, static_cast<long>(body.size()));
-    bytes += body;
+    byte_writer bytes;
+    bytes.u64(magic.size());
+    bytes.raw(magic);
+    bytes.i64(version);
+    bytes.i64(static_cast<std::int64_t>(body.size()));
+    bytes.raw(body);
     std::uint64_t sum = 1469598103934665603ull;
     for (const unsigned char c : body) {
         sum ^= c;
         sum *= 1099511628211ull;
     }
-    bytes.append(reinterpret_cast<const char*>(&sum), sizeof sum);
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    bytes.u64(sum);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes.bytes();
 }
 
-/// A checksum-clean cache-file body declaring 2^40 metric records.
+/// A checksum-clean cache-file body declaring the largest record count
+/// its u32 field can hold.
 std::string cache_body_with_a_huge_record_count()
 {
-    std::string body;
-    key_str(body, "graph");
-    key_str(body, "library");
-    key_int(body, 1L << 40);
-    return body;
+    byte_writer body;
+    body.str("graph");
+    body.str("library");
+    body.u32(0xFFFFFFFFu);
+    return body.take();
 }
 
 /// Disarms every fault on scope exit, so a failing ASSERT cannot leak
@@ -298,6 +300,28 @@ TEST(recovery, corrupted_cache_save_is_rejected_on_load)
     try {
         fresh.load(path);
         FAIL() << "a corrupted cache file must not load";
+    } catch (const cache_file_error& e) {
+        EXPECT_EQ(e.kind(), cache_file_error::failure::corrupt);
+    }
+}
+
+TEST(recovery, corrupted_manifest_save_is_rejected_on_load)
+{
+    const std::string dir = scratch_dir("recovery_manifest_corrupt_save");
+    const std::string path = dir + "/sweep.phlsman";
+    sweep_manifest m;
+    m.problem_hash = 7;
+    m.space_size = 4;
+    m.done_ranges = {{0, 4}};
+    m.cache_files = {"a.phlscache"};
+    {
+        fault_guard guard("manifest.save.corrupt:1");
+        save_manifest(path, m); // save itself succeeds; the body is damaged
+        EXPECT_TRUE(fault_fired("manifest.save.corrupt"));
+    }
+    try {
+        load_manifest(path);
+        FAIL() << "a corrupted manifest must not load";
     } catch (const cache_file_error& e) {
         EXPECT_EQ(e.kind(), cache_file_error::failure::corrupt);
     }
@@ -523,6 +547,17 @@ TEST(recovery, problem_hash_distinguishes_problems_and_is_stable)
               manifest_problem_hash(hal17(), dse::list(slower)));
 }
 
+TEST(recovery, problem_hash_is_pinned)
+{
+    // The hash is FNV-1a over the job frame's payload, whose bytes the
+    // wire pins: a manifest written by an earlier build must keep
+    // matching its sweep, so these values never move.
+    EXPECT_EQ(manifest_problem_hash(hal17(), dse::list({{17, 5.5}, {17, 7.5}, {19, 9.25}})),
+              0xd4e4f9974d263988ull);
+    EXPECT_EQ(manifest_problem_hash(hal17(), dse::cross({17, 19}, {5.5, 7.5})),
+              0xf5907a648ed29035ull);
+}
+
 TEST(recovery, damaged_manifests_are_rejected_loudly)
 {
     const std::string dir = scratch_dir("recovery_manifest_bad");
@@ -567,20 +602,49 @@ TEST(recovery, manifest_declaring_more_entries_than_its_body_holds_is_corrupt)
     const std::string path = dir + "/sweep.phlsman";
     save_manifest(path, sweep_manifest{});
 
-    // 2^40 done ranges, then (with none) 2^40 cache files.
+    // The largest count a u32 field can hold: of done ranges, then
+    // (with none) of cache files.
     for (const bool huge_ranges : {true, false}) {
-        std::string body;
-        key_int(body, 7); // problem hash
-        key_int(body, 4); // space size
-        key_int(body, huge_ranges ? 1L << 40 : 0);
-        if (!huge_ranges) key_int(body, 1L << 40);
-        reframe(path, body);
+        byte_writer body;
+        body.u64(7); // problem hash
+        body.u64(4); // space size
+        body.u32(huge_ranges ? 0xFFFFFFFFu : 0);
+        if (!huge_ranges) body.u32(0xFFFFFFFFu);
+        reframe(path, body.bytes());
         try {
             load_manifest(path);
             FAIL() << "a count the body cannot hold must not load";
         } catch (const cache_file_error& e) {
             EXPECT_EQ(e.kind(), cache_file_error::failure::corrupt) << huge_ranges;
         }
+    }
+}
+
+TEST(recovery, manifest_version_1_is_a_version_mismatch)
+{
+    // Manifests written before format 2 carry version 1 right after the
+    // length-prefixed magic, outside the checksummed body; load rejects
+    // them by their header, whatever their body holds.
+    const std::string dir = scratch_dir("recovery_manifest_v1");
+    const std::string path = dir + "/sweep.phlsman";
+    save_manifest(path, sweep_manifest{});
+    std::string bytes;
+    {
+        std::ifstream is(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    const std::size_t version_at = 8 + std::string("phls-sweep-manifest").size();
+    byte_writer v1;
+    v1.i64(1);
+    ASSERT_LT(version_at + v1.bytes().size(), bytes.size());
+    bytes.replace(version_at, v1.bytes().size(), v1.bytes());
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+        load_manifest(path);
+        FAIL() << "a version-1 manifest must not load";
+    } catch (const cache_file_error& e) {
+        EXPECT_EQ(e.kind(), cache_file_error::failure::version_mismatch);
+        EXPECT_EQ(e.path(), path);
     }
 }
 

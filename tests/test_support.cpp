@@ -1,6 +1,8 @@
 // Unit tests for the support module: strings, tables, csv, ids, rng.
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "support/csv.h"
 #include "support/errors.h"
 #include "support/ids.h"
@@ -35,6 +37,15 @@ TEST(strings, split_on_separator_keeps_empty_pieces)
     EXPECT_EQ(parts[1], "b");
     EXPECT_EQ(parts[2], "");
     EXPECT_EQ(parts[3], "c");
+}
+
+TEST(strings, is_space_is_isspace_in_the_c_locale)
+{
+    // The readers test whitespace inline instead of calling the
+    // locale-aware std::isspace; phls never leaves the C locale, where
+    // the two agree on every byte.
+    for (int c = 0; c < 256; ++c)
+        EXPECT_EQ(is_space(static_cast<char>(c)), std::isspace(c) != 0) << c;
 }
 
 TEST(strings, tokenize_drops_empty_pieces)

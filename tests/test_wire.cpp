@@ -98,50 +98,23 @@ TEST(wire, golden_bye_frame_is_empty_payload)
     EXPECT_EQ(encode_frame(frame_type::bye, ""), expected);
 }
 
-// -------------------------------------------------- primitive encoding
-
-TEST(wire, writer_reader_round_trip_all_primitives)
-{
-    wire_writer w;
-    w.u8(0xAB);
-    w.u32(0xDEADBEEFu);
-    w.u64(0x0123456789ABCDEFull);
-    w.i32(-7);
-    w.i64(-5'000'000'000ll);
-    w.f64(2.75);
-    w.str("hello wire");
-    w.str("");
-    const std::string payload = w.bytes();
-
-    wire_reader r(payload);
-    EXPECT_EQ(r.u8(), 0xAB);
-    EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-    EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-    EXPECT_EQ(r.i32(), -7);
-    EXPECT_EQ(r.i64(), -5'000'000'000ll);
-    EXPECT_EQ(r.f64(), 2.75);
-    EXPECT_EQ(r.str(), "hello wire");
-    EXPECT_EQ(r.str(), "");
-    EXPECT_EQ(r.remaining(), 0u);
-    EXPECT_NO_THROW(r.expect_end());
-    EXPECT_THROW(r.u8(), wire_error);
-}
+// ------------------------------------------------------ payload codec
 
 TEST(wire, doubles_travel_as_canonical_cache_key_bits)
 {
-    // The wire reuses the memo-key normalisation: -0.0 folds into +0.0
-    // and every NaN becomes the one canonical NaN, so a round-tripped
-    // point hits exactly the cache entry its local twin would.
+    // Payloads use the memo-key codec: -0.0 folds into +0.0 and every
+    // NaN becomes the one canonical NaN, so a round-tripped point hits
+    // exactly the cache entry its local twin would.
     const double specials[] = {0.0, -0.0, 1e-300, -1e300,
                                std::numeric_limits<double>::infinity(),
                                -std::numeric_limits<double>::infinity(),
                                std::numeric_limits<double>::quiet_NaN(),
                                unbounded_power};
     for (const double v : specials) {
-        wire_writer w;
-        w.f64(v);
-        wire_reader r(w.bytes());
-        const double back = r.f64();
+        metric_record m;
+        m.constraints = {17, v};
+        const std::string payload = encode_report(1, m);
+        const double back = decode_report(payload).metrics.constraints.max_power;
         if (std::isnan(v)) {
             EXPECT_TRUE(std::isnan(back));
         } else if (v == 0.0) {
@@ -149,35 +122,45 @@ TEST(wire, doubles_travel_as_canonical_cache_key_bits)
         } else {
             EXPECT_EQ(back, v);
         }
-        // Stability: re-encoding the decoded value is byte-identical.
-        wire_writer w2;
-        w2.f64(back);
-        EXPECT_EQ(w2.bytes(), w.bytes());
+        // Stability: re-encoding the decoded value is byte-identical, and
+        // the point's fingerprint is its local twin's.
+        m.constraints.max_power = back;
+        EXPECT_EQ(encode_report(1, m), payload);
+        EXPECT_EQ(hal17().fingerprint({17, back}), hal17().fingerprint({17, v}));
     }
 }
 
 TEST(wire, reader_rejects_leftover_and_overrun)
 {
-    wire_writer w;
-    w.u32(5);
-    const std::string payload = w.bytes();
-    {
-        wire_reader r(payload);
-        EXPECT_THROW(r.expect_end(), wire_error); // unconsumed bytes
-    }
-    {
-        wire_reader r(payload);
-        (void)r.u32();
-        EXPECT_THROW(r.u32(), wire_error); // read past the end
-    }
-    {
-        // A string whose length prefix points past the payload.
-        wire_writer bad;
-        bad.u32(1000);
-        const std::string bp = bad.bytes();
-        wire_reader r(bp);
-        EXPECT_THROW(r.str(), wire_error);
-    }
+    // A codec failure inside a payload is a wire_error, worded as the
+    // malformed frame it is.
+    const auto expect_wire_error = [](auto decode, const char* message) {
+        try {
+            decode();
+            ADD_FAILURE() << "accepted: " << message;
+        } catch (const wire_error& e) {
+            EXPECT_STREQ(e.what(), message);
+        }
+    };
+    const std::string hello = encode_hello(5);
+    expect_wire_error([&] { (void)decode_hello(hello + "xyz"); },
+                      "malformed frame: 3 trailing payload bytes");
+    expect_wire_error([&] { (void)decode_hello(hello.substr(0, 2)); },
+                      "malformed frame: payload truncated");
+    // A string whose length prefix points past the payload.
+    expect_wire_error([&] { (void)decode_reject(bytes_of({0xe8, 0x03, 0x00, 0x00})); },
+                      "malformed frame: string runs past the end");
+    // A front count the payload cannot hold, rejected before allocation.
+    expect_wire_error(
+        [&] {
+            (void)decode_front(bytes_of({0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}));
+        },
+        "malformed frame: point count exceeds payload");
+    // A boolean field that is neither 0 nor 1.
+    std::string report = encode_report(1, metric_record{});
+    report[8 + 1 + 4 + 4 + 4 + 8] = 2; // has_design, after the cap
+    expect_wire_error([&] { (void)decode_report(report); },
+                      "malformed frame: boolean field is 2");
 }
 
 // ------------------------------------------------- payload round trips
