@@ -14,9 +14,9 @@
 //     Rakhmatov-Vrudhula diffusion cell resolves spikes that are
 //     comparable to its diffusion time constants (smaller beta = worse
 //     cell).  At the circuit timescale, ms spikes average out inside a
-//     diffusion cell -- a genuine physical effect, recorded in
-//     EXPERIMENTS.md; the paper's cited 20-30 % gains come from
-//     task-level scheduling work, which this scenario mirrors.
+//     diffusion cell -- a genuine physical effect; the paper's cited
+//     20-30 % gains come from task-level scheduling work, which this
+//     scenario mirrors.
 #include <iostream>
 
 #include "battery/lifetime.h"

@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "cdfg/benchmarks.h"
+#include "dse/session.h"
 #include "flow/flow.h"
 #include "support/csv.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "synth/explore.h"
 #include "../tests/sweep_util.h"
 
 namespace {
@@ -64,26 +64,27 @@ int main()
         const flow f = flow::on(g).with_library(lib).latency(spec.latency);
         std::vector<synthesis_constraints> grid;
         for (double cap : f.power_grid(24)) grid.push_back({spec.latency, cap});
-        std::vector<sweep_point> raw;
-        for (const flow_report& r : explore_all(f, grid)) raw.push_back(to_sweep_point(r));
+        std::vector<flow_report> raw;
+        const dse::explore_summary sum =
+            dse::session(f).explore(dse::list(grid), collector(raw));
+
         // Headline curve: best design found whose achieved peak satisfies
         // the cap (a tight-cap design is valid at looser caps too).
-        const std::vector<sweep_point> points = monotone_envelope(raw);
-
         ascii_table t({"Pmax", "feasible", "peak", "area", "raw area"});
-        std::vector<sweep_point> feasible;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const sweep_point& p = points[i];
-            const sweep_point& r = raw[i];
-            t.add_row({strf("%.2f", p.cap), p.feasible ? "yes" : "no",
-                       p.feasible ? strf("%.2f", p.peak) : "-",
-                       p.feasible ? strf("%.0f", p.area) : "-",
-                       r.feasible ? strf("%.0f", r.area) : "-"});
+        struct envelope_point {
+            double cap, area;
+        };
+        std::vector<envelope_point> feasible;
+        for (const flow_report& r : raw) {
+            const double cap = r.constraints.max_power;
+            const front_point* p = best_under(sum.front, cap);
+            t.add_row({strf("%.2f", cap), p ? "yes" : "no", p ? strf("%.2f", p->peak) : "-",
+                       p ? strf("%.0f", p->area) : "-",
+                       r.st.ok() ? strf("%.0f", r.area) : "-"});
             csv.add_row({curve_name, spec.bench, std::to_string(spec.latency),
-                         strf("%.4f", p.cap), p.feasible ? "1" : "0",
-                         p.feasible ? strf("%.4f", p.peak) : "",
-                         p.feasible ? strf("%.2f", p.area) : ""});
-            if (p.feasible) feasible.push_back(p);
+                         strf("%.4f", cap), p ? "1" : "0", p ? strf("%.4f", p->peak) : "",
+                         p ? strf("%.2f", p->area) : ""});
+            if (p) feasible.push_back({cap, p->area});
         }
         t.print(std::cout);
 

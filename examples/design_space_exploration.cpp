@@ -17,9 +17,9 @@
 #include "dse/session.h"
 #include "flow/explore_cache.h"
 #include "flow/flow.h"
+#include "flow/pareto_stream.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "synth/explore.h"
 
 int main()
 {
@@ -36,13 +36,14 @@ int main()
     dse::session session(flow::on(g).with_library(lib));
 
     // Exploration 1: the full plane, delivered through the result
-    // channel into an index-addressed map (indices are row-major lattice
-    // positions, whatever order the workers finish in).
+    // channel and folded into one Pareto front per latency row (indices
+    // are row-major lattice positions, whatever order the workers
+    // finish in).
     const dse::space plane = dse::cross(latencies, caps);
-    std::vector<sweep_point> cells(plane.size());
+    std::vector<pareto_stream> rows(latencies.size());
     dse::sink plane_sink;
     plane_sink.on_result = [&](std::size_t index, const flow_report& r) {
-        cells[index] = to_sweep_point(r);
+        rows[index / caps.size()].add(index, r);
     };
     session.explore(plane, plane_sink);
 
@@ -51,12 +52,13 @@ int main()
     for (double c : caps) headers.push_back(strf("%.0f", c));
     ascii_table t(std::move(headers));
     for (std::size_t row = 0; row < latencies.size(); ++row) {
-        const std::vector<sweep_point> raw(cells.begin() + row * caps.size(),
-                                           cells.begin() + (row + 1) * caps.size());
-        const std::vector<sweep_point> env = monotone_envelope(raw);
+        // Each cell shows the row's Figure-2 envelope: the smallest design
+        // of the row whose peak fits under the cell's cap.
         std::vector<std::string> cells_text = {strf("T=%d", latencies[row])};
-        for (const sweep_point& p : env)
-            cells_text.push_back(p.feasible ? strf("%.0f", p.area) : ".");
+        for (double c : caps) {
+            const front_point* p = best_under(rows[row].front(), c);
+            cells_text.push_back(p ? strf("%.0f", p->area) : ".");
+        }
         t.add_row(std::move(cells_text));
     }
     t.print(std::cout);

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
+#include "power/tracker.h"
+
 namespace phls {
 
 namespace {
-
-/// The tolerance of the envelope's cap test, matching monotone_envelope.
-constexpr double cap_tolerance = 1e-9;
 
 front_point to_front_point(std::size_t index, const flow_report& r)
 {
@@ -65,9 +64,7 @@ bool pareto_stream::add(std::size_t index, const flow_report& report, front_delt
         delta->entered.clear();
         delta->left.clear();
     }
-    ++seen_;
     if (!report.st.ok() || !report.has_design) return false;
-    ++feasible_;
 
     const front_point p = to_front_point(index, report);
     for (const front_point& q : front_)
@@ -82,11 +79,11 @@ bool pareto_stream::add(std::size_t index, const flow_report& report, front_delt
     return true;
 }
 
-const front_point* pareto_stream::best_under(double cap) const
+const front_point* best_under(const std::vector<front_point>& front, double cap)
 {
     const front_point* best = nullptr;
-    for (const front_point& p : front_) {
-        if (p.peak > cap + cap_tolerance) continue;
+    for (const front_point& p : front) {
+        if (p.peak > cap + cap_test::tolerance) continue;
         if (best == nullptr || p.area < best->area ||
             (p.area == best->area &&
              (p.peak < best->peak || (p.peak == best->peak && p.index < best->index))))

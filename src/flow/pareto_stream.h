@@ -8,7 +8,8 @@
 // maintains the exact front incrementally, so a consumer can render
 // partial results while the sweep is still running.  The incremental
 // front after the last point equals the front computed post-hoc from
-// the collected reports (pareto_points) regardless of completion order.
+// the collected reports (pareto_points) regardless of completion order,
+// and best_under reads the envelope off any such front.
 //
 // dse::session::explore folds every delivered report into one and
 // streams its changes as front_deltas through the sink's front channel.
@@ -67,36 +68,33 @@ struct front_delta {
 /// to be fed.
 class pareto_stream {
 public:
-    /// Folds one finished report in; infeasible reports only advance the
-    /// seen counters.  Returns true iff the front changed.  When `delta`
-    /// is non-null it receives exactly the points that entered and left
-    /// on this fold (empty vectors when nothing changed).
+    /// Folds one finished report in; infeasible reports leave the front
+    /// as it is.  Returns true iff the front changed.  When `delta` is
+    /// non-null it receives exactly the points that entered and left on
+    /// this fold (empty vectors when nothing changed).
     bool add(std::size_t index, const flow_report& report, front_delta* delta = nullptr);
 
     /// The current front: non-dominated feasible points, sorted by
     /// (peak, area, index) ascending.
     const std::vector<front_point>& front() const { return front_; }
 
-    /// The Figure-2 envelope value at `cap`: the design with the
-    /// smallest area (ties: lower peak, then lower index) whose achieved
-    /// peak fits under `cap`, among all points seen so far.  Returns
-    /// nullptr when nothing feasible fits; the pointer is invalidated by
-    /// the next add().  Agrees with monotone_envelope on the selected
-    /// area and peak; when the lifetime objective is streamed, ties in
-    /// (area, peak) resolve to the longest-lived surviving front point
-    /// rather than monotone_envelope's (lifetime-blind) first occurrence.
-    const front_point* best_under(double cap) const;
-
-    /// Reports folded in so far (feasible or not).
-    std::size_t seen() const { return seen_; }
-    /// Feasible reports folded in so far.
-    std::size_t feasible_seen() const { return feasible_; }
-
 private:
     std::vector<front_point> front_;
-    std::size_t seen_ = 0;
-    std::size_t feasible_ = 0;
 };
+
+/// The Figure-2 envelope value at `cap`: the point of `front` with the
+/// smallest area (ties: lower peak, then lower index) whose achieved
+/// peak fits under `cap` (within cap_test::tolerance).  A design that
+/// fits under a tighter cap is also valid under a looser one, so this is
+/// the best design found that satisfies the constraint and the envelope
+/// is non-increasing in the cap; each point's own outcome stays in its
+/// report (the greedy can find a *better* design under a mild cap than
+/// under none, because power-feasible windows guide its decisions).  The
+/// smallest fitting design of a sweep always has an equal-(area, peak)
+/// point on the sweep's front, so the front answers for every report.
+/// Returns nullptr when nothing fits; the pointer lives as long as
+/// `front` is unchanged.
+const front_point* best_under(const std::vector<front_point>& front, double cap);
 
 /// Post-hoc reference: the same front computed from a finished report
 /// vector (index = position).  pareto_stream fed with any permutation of

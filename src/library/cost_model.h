@@ -10,7 +10,7 @@
 //
 // where an FU input port driven by k distinct sources costs (k-1) extra
 // mux inputs.  Defaults are chosen so that the reproduced `hal` designs
-// land in the paper's 500-1000 area band (Figure 2); see EXPERIMENTS.md.
+// land in the paper's 500-1000 area band (Figure 2; see bench_figure2).
 #pragma once
 
 #include <string>

@@ -334,11 +334,16 @@ void converse(proc_worker& w, const flow& prototype, const dse::space& s,
             state.deliver(pending[static_cast<std::size_t>(r.index)],
                           metric_report(r.metrics));
             // Fault site: SIGKILL the worker after the nth report folded
-            // across the sweep.  Parent-side on purpose: forked children
-            // inherit the armed counters, so a child-side site would
-            // re-fire inside every respawn and recovery could never
-            // converge.
-            if (fault_fire("shard.worker.kill")) ::kill(w.pid, SIGKILL);
+            // across the sweep, and drop the conversation as a dead pipe
+            // would: frames already in the pipe must not let the killed
+            // worker complete, so the respawn path always runs.
+            // Parent-side on purpose: forked children inherit the armed
+            // counters, so a child-side site would re-fire inside every
+            // respawn and recovery could never converge.
+            if (fault_fire("shard.worker.kill")) {
+                ::kill(w.pid, SIGKILL);
+                throw wire_error("shard worker killed by an injected fault");
+            }
             continue;
         }
         if (f->type == frame_type::front) continue; // folded globally

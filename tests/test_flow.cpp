@@ -9,7 +9,6 @@
 #include "flow/flow.h"
 #include "rtl/netlist.h"
 #include "support/errors.h"
-#include "synth/explore.h"
 #include "synth/two_step.h"
 #include "synth/verify.h"
 #include "sweep_util.h"

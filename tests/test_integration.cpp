@@ -6,7 +6,6 @@
 #include "cdfg/analysis.h"
 #include "cdfg/benchmarks.h"
 #include "flow/flow.h"
-#include "synth/explore.h"
 #include "synth/synthesizer.h"
 #include "synth/two_step.h"
 #include "synth/verify.h"
@@ -117,14 +116,13 @@ TEST(integration_extra, power_sweep_areas_are_monotone_in_cap_on_hal)
     const flow f = flow::on(g).with_library(lib).latency(17);
     std::vector<synthesis_constraints> grid;
     for (double cap : f.power_grid(8)) grid.push_back({17, cap});
-    std::vector<sweep_point> pts;
-    for (const flow_report& r : explore_all(f, grid)) pts.push_back(to_sweep_point(r));
+    const std::vector<flow_report> pts = explore_all(f, grid);
     ASSERT_EQ(pts.size(), grid.size());
     // Not strictly monotone (heuristic), but the loosest cap should not
     // be more expensive than the tightest feasible one.
     double tight_area = -1.0, loose_area = -1.0;
-    for (const sweep_point& p : pts)
-        if (p.feasible) {
+    for (const flow_report& p : pts)
+        if (p.st.ok()) {
             if (tight_area < 0.0) tight_area = p.area;
             loose_area = p.area;
         }

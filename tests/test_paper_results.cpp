@@ -1,15 +1,17 @@
-// Regression tests pinning the reproduced paper results (EXPERIMENTS.md):
-// the Figure 1 shape, the Figure 2 curve properties, and the battery
+// Regression tests pinning the reproduced paper results (bench_figure1,
+// bench_figure2 and bench_battery regenerate them): the Figure 1 shape,
+// the Figure 2 curve properties and envelope rows, and the battery
 // motivation, so refactoring cannot silently change the reproduction.
 #include <gtest/gtest.h>
 
 #include "battery/lifetime.h"
 #include "cdfg/benchmarks.h"
 #include "flow/flow.h"
+#include "flow/pareto_stream.h"
 #include "support/errors.h"
+#include "support/strings.h"
 #include "sched/asap_alap.h"
 #include "sched/pasap.h"
-#include "synth/explore.h"
 #include "synth/synthesizer.h"
 #include "sweep_util.h"
 
@@ -22,14 +24,25 @@ const module_library& lib()
     return l;
 }
 
-/// A power sweep through the flow engine, mapped to sweep points.
-std::vector<sweep_point> sweep(const graph& g, int T, int grid_points)
+/// A power sweep through a dse::session: the reports in grid order and
+/// the session's Pareto front, which the Figure-2 envelope is read from.
+struct power_sweep {
+    std::vector<flow_report> reports;
+    std::vector<front_point> front;
+
+    double cap(std::size_t i) const { return reports[i].constraints.max_power; }
+    /// The envelope at point i's cap (nullptr: no design fits).
+    const front_point* envelope(std::size_t i) const { return best_under(front, cap(i)); }
+};
+
+power_sweep sweep(const graph& g, int T, int grid_points)
 {
     const flow f = flow::on(g).with_library(lib()).latency(T);
-    std::vector<synthesis_constraints> grid;
-    for (double cap : f.power_grid(grid_points)) grid.push_back({T, cap});
-    std::vector<sweep_point> out;
-    for (const flow_report& r : explore_all(f, grid)) out.push_back(to_sweep_point(r));
+    power_sweep out;
+    out.front = dse::session(f)
+                    .explore(dse::cross({T}, f.power_grid(grid_points)),
+                             collector(out.reports))
+                    .front;
     return out;
 }
 
@@ -77,25 +90,25 @@ TEST_P(figure2, curve_has_cliff_plateau_and_cap_compliance)
 {
     const graph g = benchmark_by_name(GetParam().bench);
     const int T = GetParam().latency;
-    const std::vector<sweep_point> raw = sweep(g, T, 14);
-    const std::vector<sweep_point> env = monotone_envelope(raw);
+    const power_sweep s = sweep(g, T, 14);
+    const std::size_t n = s.reports.size();
 
     // (i) a feasibility cliff exists,
-    ASSERT_FALSE(env.front().feasible);
-    ASSERT_TRUE(env.back().feasible);
+    ASSERT_EQ(s.envelope(0), nullptr);
+    ASSERT_NE(s.envelope(n - 1), nullptr);
     // (ii) every feasible point obeys its cap,
-    for (const sweep_point& p : env) {
-        if (p.feasible) {
-            EXPECT_LE(p.peak, p.cap + power_tracker::tolerance);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (const front_point* p = s.envelope(i)) {
+            EXPECT_LE(p->peak, s.cap(i) + power_tracker::tolerance);
         }
     }
     // (iii) area near the cliff >= area on the plateau (the paper's
     // "trade a small amount of area to fit the power requirement").
     double cliff_area = -1, plateau_area = -1;
-    for (const sweep_point& p : env)
-        if (p.feasible) {
-            if (cliff_area < 0) cliff_area = p.area;
-            plateau_area = p.area;
+    for (std::size_t i = 0; i < n; ++i)
+        if (const front_point* p = s.envelope(i)) {
+            if (cliff_area < 0) cliff_area = p->area;
+            plateau_area = p->area;
         }
     EXPECT_GE(cliff_area, plateau_area - 1e-9);
 }
@@ -115,17 +128,62 @@ INSTANTIATE_TEST_SUITE_P(curves, figure2,
 TEST(figure2_ordering, tighter_latency_needs_more_power_and_area)
 {
     const graph g = make_hal();
-    const auto front10 = monotone_envelope(sweep(g, 10, 14));
-    const auto front17 = monotone_envelope(sweep(g, 17, 14));
-    const auto min_feasible = [](const std::vector<sweep_point>& pts) {
-        for (const sweep_point& p : pts)
-            if (p.feasible) return p;
+    const power_sweep t10 = sweep(g, 10, 14);
+    const power_sweep t17 = sweep(g, 17, 14);
+    // The index of a sweep's tightest cap where a design fits.
+    const auto min_feasible = [](const power_sweep& s) {
+        for (std::size_t i = 0; i < s.reports.size(); ++i)
+            if (s.envelope(i) != nullptr) return i;
         throw error("no feasible point");
     };
-    const sweep_point tight = min_feasible(front10);
-    const sweep_point loose = min_feasible(front17);
-    EXPECT_GT(tight.cap, loose.cap);   // T=10 needs more power headroom
-    EXPECT_GT(tight.area, loose.area); // and costs more area
+    const std::size_t tight = min_feasible(t10);
+    const std::size_t loose = min_feasible(t17);
+    EXPECT_GT(t10.cap(tight), t17.cap(loose)); // T=10 needs more power headroom
+    EXPECT_GT(t10.envelope(tight)->area, t17.envelope(loose)->area); // and costs more area
+}
+
+// The rows `phls sweep hal -T 22 --points 23` prints (Pmax, feasible,
+// peak, area, formatted as its table), each followed by the point's own
+// design.  They pin the envelope's rules: a tighter cap's design answers
+// at looser caps (the 5.51 design up to 7.58), a smaller area beats a
+// point's own design (7.24-7.58, whose designs cost 572), and equal
+// areas go to the lower peak (5.85-6.89 and 8.28-9.32, whose designs
+// peak at 5.6 and 8.1).
+TEST(figure2_envelope, hal_T22_rows_match_the_sweep_table)
+{
+    const power_sweep s = sweep(make_hal(), 22, 23);
+    std::string rows;
+    for (std::size_t i = 0; i < s.reports.size(); ++i) {
+        const front_point* p = s.envelope(i);
+        const flow_report& own = s.reports[i];
+        rows += strf("%.2f %s %s %s | ", s.cap(i), p ? "yes" : "no",
+                     p ? strf("%.2f", p->peak).c_str() : "-",
+                     p ? strf("%.0f", p->area).c_str() : "-");
+        rows += own.st.ok() ? strf("%.2f %.0f\n", own.peak, own.area) : "-\n";
+    }
+    EXPECT_EQ(rows, "1.70 no - - | -\n"
+                    "2.05 no - - | -\n"
+                    "2.39 no - - | -\n"
+                    "2.74 no - - | -\n"
+                    "3.08 no - - | -\n"
+                    "3.43 no - - | -\n"
+                    "3.78 no - - | -\n"
+                    "4.12 no - - | -\n"
+                    "4.47 no - - | -\n"
+                    "4.82 no - - | -\n"
+                    "5.16 no - - | -\n"
+                    "5.51 yes 5.40 568 | 5.40 568\n"
+                    "5.85 yes 5.40 568 | 5.60 568\n"
+                    "6.20 yes 5.40 568 | 5.60 568\n"
+                    "6.55 yes 5.40 568 | 5.60 568\n"
+                    "6.89 yes 5.40 568 | 5.60 568\n"
+                    "7.24 yes 5.40 568 | 6.90 572\n"
+                    "7.58 yes 5.40 568 | 6.90 572\n"
+                    "7.93 yes 7.90 548 | 7.90 548\n"
+                    "8.28 yes 7.90 548 | 8.10 548\n"
+                    "8.62 yes 7.90 548 | 8.10 548\n"
+                    "8.97 yes 7.90 548 | 8.10 548\n"
+                    "9.32 yes 7.90 548 | 8.10 548\n");
 }
 
 TEST(battery_motivation, rate_sensitive_cells_reward_the_power_cap)

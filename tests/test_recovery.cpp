@@ -455,6 +455,7 @@ TEST(recovery, killed_forked_worker_is_respawned_and_the_front_is_identical)
     const shard_summary sum = explore_sharded(hal17(), dse::list(grid), opts, sk);
 
     EXPECT_TRUE(fault_fired("shard.worker.kill"));
+    EXPECT_EQ(sum.worker_retries, 1u);
     EXPECT_EQ(seen.size(), grid.size());
     EXPECT_EQ(sum.evaluated, grid.size());
     expect_same_front(sum.front, want);

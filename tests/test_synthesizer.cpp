@@ -7,7 +7,6 @@
 #include "cdfg/benchmarks.h"
 #include "cdfg/random_dag.h"
 #include "support/errors.h"
-#include "synth/explore.h"
 #include "synth/synthesizer.h"
 #include "synth/verify.h"
 

@@ -59,7 +59,6 @@
 #include "support/kernels.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "synth/explore.h"
 #include "task/engine.h"
 
 namespace phls {
@@ -94,6 +93,33 @@ std::string output_path(const arg_parser& args, const std::string& option,
           option + " expects a file ending in '" + std::string(extension) + "', got '" +
               path + "'");
     return path;
+}
+
+/// --out: an export path ending in .csv or .json, or "" when absent.
+std::string export_path(const arg_parser& args)
+{
+    if (!args.has("--out")) return "";
+    const std::string path = args.get("--out");
+    check(ends_with(path, ".csv") || ends_with(path, ".json"),
+          "--out expects a file ending in '.csv' or '.json', got '" + path + "'");
+    return path;
+}
+
+/// --threads: a worker count, 0 meaning every core.
+int thread_count(const arg_parser& args)
+{
+    const int threads = args.get_int("--threads");
+    check(threads >= 0, "--threads must be >= 0 (0 = all cores)");
+    return threads;
+}
+
+/// --memo-limit when given, else `fallback`.
+std::size_t memo_limit(const arg_parser& args, std::size_t fallback)
+{
+    if (!args.has("--memo-limit")) return fallback;
+    const int limit = args.get_int("--memo-limit");
+    check(limit >= 0, "--memo-limit must be >= 0 (0 = unbounded)");
+    return static_cast<std::size_t>(limit);
 }
 
 int cmd_list()
@@ -213,27 +239,14 @@ std::string json_escape(const std::string& s)
 }
 
 /// One evaluated sweep point: the metric projection the table and the
-/// --out export read.  Deliberately NOT the full flow_report — a sweep
-/// accumulates one of these per point, and keeping datapaths/netlists
-/// alive would grow O(points x design) however tight --memo-limit is.
+/// --out export read, the one cache files and wire frames carry.
+/// Deliberately NOT the full flow_report — a sweep accumulates one of
+/// these per point, and keeping datapaths/netlists alive would grow
+/// O(points x design) however tight --memo-limit is.
 struct export_row {
     std::size_t index = 0;
-    sweep_point pt;                      ///< cap, T, feasible, peak, area, latency
-    status_code code = status_code::ok;  ///< exact outcome class for the export
-    bool has_lifetime = false;
-    double lifetime_seconds = 0.0;
+    metric_record m;
 };
-
-export_row to_export_row(std::size_t index, const flow_report& r)
-{
-    export_row e;
-    e.index = index;
-    e.pt = to_sweep_point(r);
-    e.code = r.st.code;
-    e.has_lifetime = r.has_lifetime;
-    e.lifetime_seconds = r.lifetime_seconds;
-    return e;
-}
 
 /// Counters of a --guided sweep, exported so downstream tooling can
 /// audit what fraction of the space was evaluated exactly.
@@ -260,14 +273,16 @@ void write_front_export(const std::string& path, const std::vector<export_row>& 
         csv_writer csv({"index", "latency_bound", "cap", "status", "peak", "area",
                         "latency", "lifetime_s", "on_front"});
         for (const export_row& e : rows) {
+            const metric_record& m = e.m;
+            const bool ok = m.st.ok();
             csv.add_row({std::to_string(e.index),
-                         std::to_string(e.pt.latency_bound),
-                         strf("%.6f", e.pt.cap),
-                         std::string(status_code_name(e.code)),
-                         e.pt.feasible ? strf("%.6f", e.pt.peak) : "",
-                         e.pt.feasible ? strf("%.6f", e.pt.area) : "",
-                         e.pt.feasible ? std::to_string(e.pt.latency) : "",
-                         e.has_lifetime ? strf("%.6f", e.lifetime_seconds) : "",
+                         std::to_string(m.constraints.latency),
+                         strf("%.6f", m.constraints.max_power),
+                         std::string(status_code_name(m.st.code)),
+                         ok ? strf("%.6f", m.peak) : "",
+                         ok ? strf("%.6f", m.area) : "",
+                         ok ? std::to_string(m.latency) : "",
+                         m.has_lifetime ? strf("%.6f", m.lifetime_seconds) : "",
                          on_front.count(e.index) ? "1" : "0"});
         }
         csv.save(path);
@@ -278,15 +293,15 @@ void write_front_export(const std::string& path, const std::vector<export_row>& 
     check(static_cast<bool>(os), "cannot write '" + path + "'");
     os << "{\n  \"points\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        const export_row& e = rows[i];
+        const metric_record& m = rows[i].m;
         os << strf("    {\"index\": %zu, \"latency_bound\": %d, \"cap\": %.17g, "
                    "\"status\": \"%s\"",
-                   e.index, e.pt.latency_bound, e.pt.cap,
-                   json_escape(status_code_name(e.code)).c_str());
-        if (e.pt.feasible)
-            os << strf(", \"peak\": %.17g, \"area\": %.17g, \"latency\": %d", e.pt.peak,
-                       e.pt.area, e.pt.latency);
-        if (e.has_lifetime) os << strf(", \"lifetime_s\": %.17g", e.lifetime_seconds);
+                   rows[i].index, m.constraints.latency, m.constraints.max_power,
+                   json_escape(status_code_name(m.st.code)).c_str());
+        if (m.st.ok())
+            os << strf(", \"peak\": %.17g, \"area\": %.17g, \"latency\": %d", m.peak,
+                       m.area, m.latency);
+        if (m.has_lifetime) os << strf(", \"lifetime_s\": %.17g", m.lifetime_seconds);
         os << (i + 1 < rows.size() ? "},\n" : "}\n");
     }
     os << "  ],\n";
@@ -336,18 +351,11 @@ int cmd_sweep(const arg_parser& args)
     const module_library lib = load_library(args);
     const int T = args.get_int("--latency");
     const int points = args.get_int("--points");
-    const int threads = args.get_int("--threads");
-    check(threads >= 0, "--threads must be >= 0 (0 = all cores)");
+    const int threads = thread_count(args);
     // Validate every output path before spending minutes on the sweep.
     const std::string csv_path =
         args.has("--csv") ? output_path(args, "--csv", ".csv") : "";
-    std::string out_path;
-    if (args.has("--out")) {
-        out_path = args.get("--out");
-        check(ends_with(out_path, ".csv") || ends_with(out_path, ".json"),
-              "--out expects a file ending in '.csv' or '.json', got '" + out_path +
-                  "'");
-    }
+    const std::string out_path = export_path(args);
 
     // Distribution modes.  All of them produce byte-identical stdout to
     // the local session sweep: the table, envelope, front and exports
@@ -419,11 +427,7 @@ int cmd_sweep(const arg_parser& args)
     // the cap axis adaptively.
     const flow proto = flow::on(g).with_library(lib).latency(T);
     dse::session_options opts;
-    if (args.has("--memo-limit")) {
-        const int limit = args.get_int("--memo-limit");
-        check(limit >= 0, "--memo-limit must be >= 0 (0 = unbounded)");
-        opts.memo_limit = static_cast<std::size_t>(limit);
-    }
+    opts.memo_limit = memo_limit(args, opts.memo_limit);
     const bool local = server_spec.empty() && !sharded;
     std::unique_ptr<dse::session> session;
     if (local) session = std::make_unique<dse::session>(proto, opts);
@@ -494,7 +498,7 @@ int cmd_sweep(const arg_parser& args)
     const std::string total =
         strf(args.has("--refine") ? "<=%zu" : "%zu", sp.size());
     sink.on_result = [&](std::size_t index, const flow_report& r) {
-        rows.push_back(to_export_row(index, r));
+        rows.push_back({index, metric_of(r)});
         if (progress)
             std::cerr << strf("[%zu/%s] T=%d Pmax=%.2f -> %s\n", ++done,
                               total.c_str(), r.constraints.latency,
@@ -515,25 +519,19 @@ int cmd_sweep(const arg_parser& args)
     if (!server_spec.empty()) {
         serve::job_request job = serve::make_job(proto, sp);
         job.threads = threads;
-        serve::done_frame df;
-        if (server_retries > 0) {
-            // Survives a restarted/dropped server: redial with backoff,
-            // resubmit, deduplicate the replayed points (docs/SERVE.md,
-            // "Fault tolerance").
-            serve::reconnect_options ro;
-            ro.max_retries = server_retries;
-            serve::resilient_client client(
-                [&server_spec] { return connect_server(server_spec); }, ro);
-            df = client.explore(job, sink);
-            client.bye();
-            if (client.reconnects() > 0)
-                std::cerr << strf("reconnected to %s %zu time(s) mid-sweep\n",
-                                  server_spec.c_str(), client.reconnects());
-        } else {
-            serve::client client(connect_server(server_spec));
-            df = client.explore(job, sink);
-            client.bye();
-        }
+        // With --server-retries the client survives a restarted or
+        // dropped server: it redials with backoff, resubmits and
+        // deduplicates the replayed points (docs/SERVE.md, "Fault
+        // tolerance"); with 0 it fails fast.
+        serve::reconnect_options ro;
+        ro.max_retries = server_retries;
+        serve::resilient_client client(
+            [&server_spec] { return connect_server(server_spec); }, ro);
+        const serve::done_frame df = client.explore(job, sink);
+        client.bye();
+        if (client.reconnects() > 0)
+            std::cerr << strf("reconnected to %s %zu time(s) mid-sweep\n",
+                              server_spec.c_str(), client.reconnects());
         front = df.front;
         evaluated = static_cast<std::size_t>(df.evaluated);
     } else if (sharded) {
@@ -586,25 +584,20 @@ int cmd_sweep(const arg_parser& args)
                           gx.computed, gx.memo_served, gx.skipped, gx.space,
                           gx.verified);
 
-    // Input-ordered rows whatever the completion order; with --refine
-    // only the evaluated subset exists, which is exactly what the
-    // envelope should be built from.
+    // Input-ordered rows whatever the completion order, each showing the
+    // Figure-2 envelope at its cap.  The front was folded from exactly
+    // the delivered rows (with --refine, only the evaluated subset).
     std::sort(rows.begin(), rows.end(),
               [](const export_row& a, const export_row& b) { return a.index < b.index; });
-    std::vector<sweep_point> raw;
-    raw.reserve(rows.size());
-    for (const export_row& e : rows) raw.push_back(e.pt);
-    const std::vector<sweep_point> env = monotone_envelope(raw);
-
     ascii_table t({"Pmax", "feasible", "peak", "area"});
     csv_writer csv({"cap", "feasible", "peak", "area"});
-    for (const sweep_point& p : env) {
-        t.add_row({strf("%.2f", p.cap), p.feasible ? "yes" : "no",
-                   p.feasible ? strf("%.2f", p.peak) : "-",
-                   p.feasible ? strf("%.0f", p.area) : "-"});
-        csv.add_row({strf("%.4f", p.cap), p.feasible ? "1" : "0",
-                     p.feasible ? strf("%.4f", p.peak) : "",
-                     p.feasible ? strf("%.2f", p.area) : ""});
+    for (const export_row& e : rows) {
+        const double cap = e.m.constraints.max_power;
+        const front_point* p = best_under(front, cap);
+        t.add_row({strf("%.2f", cap), p ? "yes" : "no", p ? strf("%.2f", p->peak) : "-",
+                   p ? strf("%.0f", p->area) : "-"});
+        csv.add_row({strf("%.4f", cap), p ? "1" : "0", p ? strf("%.4f", p->peak) : "",
+                     p ? strf("%.2f", p->area) : ""});
     }
     t.print(std::cout);
     if (args.has("--refine"))
@@ -719,13 +712,8 @@ void handle_stop_signal(int)
 int cmd_serve(const arg_parser& args)
 {
     serve::serve_limits limits;
-    limits.threads = args.get_int("--threads");
-    check(limits.threads >= 0, "--threads must be >= 0 (0 = all cores)");
-    if (args.has("--memo-limit")) {
-        const int limit = args.get_int("--memo-limit");
-        check(limit >= 0, "--memo-limit must be >= 0 (0 = unbounded)");
-        limits.memo_limit = static_cast<std::size_t>(limit);
-    }
+    limits.threads = thread_count(args);
+    limits.memo_limit = memo_limit(args, limits.memo_limit);
     limits.allow_cache_save = args.has("--allow-cache-save");
 
     if (args.has("--stdio")) {
@@ -870,20 +858,9 @@ int cmd_tasks(const arg_parser& args)
     const task::policy p = task::policy_by_name(args.get("--policy"));
 
     task::schedule_options opts;
-    opts.threads = args.get_int("--threads");
-    check(opts.threads >= 0, "--threads must be >= 0 (0 = all cores)");
-    if (args.has("--memo-limit")) {
-        const int limit = args.get_int("--memo-limit");
-        check(limit >= 0, "--memo-limit must be >= 0 (0 = unbounded)");
-        opts.memo_limit = static_cast<std::size_t>(limit);
-    }
-    std::string out_path;
-    if (args.has("--out")) {
-        out_path = args.get("--out");
-        check(ends_with(out_path, ".csv") || ends_with(out_path, ".json"),
-              "--out expects a file ending in '.csv' or '.json', got '" + out_path +
-                  "'");
-    }
+    opts.threads = thread_count(args);
+    opts.memo_limit = memo_limit(args, opts.memo_limit);
+    const std::string out_path = export_path(args);
 
     // Per-task streaming goes to stderr; stdout is the canonical
     // schedule rendering (byte-identical across thread counts, which the
