@@ -56,15 +56,6 @@ double run_ms(const std::function<void()>& fn)
         .count();
 }
 
-bool same_front(const std::vector<phls::front_point>& a,
-                const std::vector<phls::front_point>& b)
-{
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (!(a[i] == b[i])) return false;
-    return true;
-}
-
 } // namespace
 
 int main()
@@ -113,7 +104,7 @@ int main()
         serve::shard_summary sum;
         const double ms =
             run_ms([&] { sum = serve::explore_sharded(proto, dse::list(grid), opts); });
-        const bool ok = same_front(sum.front, want) && sum.evaluated == grid.size();
+        const bool ok = sum.front == want && sum.evaluated == grid.size();
         shards_ok = shards_ok && ok;
         if (shards == 8) {
             shard8_files = sum.cache_files;
@@ -130,7 +121,7 @@ int main()
     const double ms_procs = run_ms(
         [&] { proc_sum = serve::explore_sharded(proto, dse::list(grid), proc_opts); });
     const bool procs_ok =
-        same_front(proc_sum.front, want) && proc_sum.evaluated == grid.size();
+        proc_sum.front == want && proc_sum.evaluated == grid.size();
     shard_table.add_row({"processes", "4", strf("%.1f", ms_procs),
                          strf("%zu", proc_sum.evaluated), procs_ok ? "YES" : "NO"});
     std::cout << shard_table.to_string() << '\n';
@@ -163,7 +154,7 @@ int main()
         });
         merge_ok = merged_warm.metric_served == grid.size() &&
                    merged_warm.metric_served == single_warm.metric_served &&
-                   same_front(merged_warm.front, want);
+                   merged_warm.front == want;
     }
     std::cout << strf("single warm cache replay:  %.1f ms, %zu/%zu metric-served\n",
                       ms_single_warm, single_warm.metric_served, grid.size());
@@ -185,14 +176,15 @@ int main()
         srv.start();
         const serve::job_request job = serve::make_job(proto, dse::list(grid));
         constexpr int clients = 4;
-        std::vector<serve::done_frame> done(clients);
+        std::vector<dse::explore_summary> done(clients);
         std::vector<bool> failed(clients, false);
         ms_serve = run_ms([&] {
             std::vector<std::thread> threads;
             for (int i = 0; i < clients; ++i) {
                 threads.emplace_back([&, i] {
                     try {
-                        serve::client c(serve::connect_unix(srv.socket_path()));
+                        serve::client c(
+                            [&srv] { return serve::connect_unix(srv.socket_path()); });
                         done[static_cast<std::size_t>(i)] = c.explore(job);
                         c.bye();
                     } catch (const std::exception& e) {
@@ -205,7 +197,7 @@ int main()
         });
         for (int i = 0; i < clients; ++i) {
             const std::size_t idx = static_cast<std::size_t>(i);
-            serve_ok = serve_ok && !failed[idx] && same_front(done[idx].front, want) &&
+            serve_ok = serve_ok && !failed[idx] && done[idx].front == want &&
                        done[idx].evaluated == grid.size();
         }
         pooled_sessions = srv.stats().sessions;
@@ -231,7 +223,7 @@ int main()
         [&] { kill_sum = serve::explore_sharded(proto, dse::list(grid), kill_opts); });
     const bool kill_injected = fault_fired("shard.worker.kill");
     fault_clear();
-    const bool kill_ok = kill_injected && same_front(kill_sum.front, want) &&
+    const bool kill_ok = kill_injected && kill_sum.front == want &&
                          kill_sum.evaluated == grid.size();
     std::cout << strf("worker-kill recovery:      %.1f ms, %zu respawn(s), "
                       "front %s\n",
@@ -267,7 +259,7 @@ int main()
     // damage is detected, skipped, and costs no identity.
     const bool chaos_ok = corrupt_injected && chaos_stats.skipped_inputs == 1 &&
                           chaos_warm.evaluated == grid.size() &&
-                          same_front(chaos_warm.front, want);
+                          chaos_warm.front == want;
     std::cout << strf("corrupt-cache recovery:    %.1f ms, %zu/8 caches skipped, "
                       "%zu/%zu metric-served, front %s\n\n",
                       ms_chaos, chaos_stats.skipped_inputs,

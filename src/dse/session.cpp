@@ -199,7 +199,7 @@ bool session::serve_from_memo(const space& s, std::size_t index,
     // Metric-only entries exist only after an eviction or a cache-file
     // load; skip the per-point probe (one mutex round-trip each) when
     // there are none.
-    if (opts_.metric_answers && cache_->report_metric_size() > 0) {
+    if (cache_->report_metric_size() > 0) {
         metric_record m;
         if (cache_->metric_lookup(fp, &m)) {
             state.deliver(index, metric_report(m), delivery_source::memo_metric);
@@ -296,6 +296,7 @@ explore_summary session::explore(const space& s, const sink& sk, int threads)
     explore_summary summary = s.adaptive() ? explore_adaptive(s, state, threads)
                                            : explore_exhaustive(s, state, threads);
     summary.front = state.front.front();
+    summary.counters = cache_->stats();
     summary.wall_ms = elapsed_ms(started);
     return summary;
 }
@@ -444,6 +445,7 @@ guided_summary session::explore_guided(const space& s, const guided_options& g,
     summary.verified = verified;
     summary.rounds = rounds;
     summary.trained_rows = state.trained_rows;
+    summary.counters = cache_->stats();
     summary.wall_ms = elapsed_ms(started);
     return summary;
 }

@@ -24,8 +24,7 @@
 // CLI sweep warm-starts across processes.  Warm-started (and evicted)
 // points are served as *metric-only* reports — status and achieved
 // (peak, area, latency, lifetime) without the datapath — which is
-// everything a sweep table, front or envelope reads; disable
-// metric_answers to force full recomputes.
+// everything a sweep table, front or envelope reads.
 //
 // Reuse across heterogeneous jobs: a session is pinned to ONE design
 // problem — the (graph, library, strategies, options, enabled stages)
@@ -65,11 +64,6 @@ struct session_options {
     /// chunks of this size, so a 10^5-point plane never exists as one
     /// eager vector.  Must be >= 1.
     std::size_t chunk = 1024;
-    /// Serve points whose full report is gone (warm-started from a cache
-    /// file, or LRU-evicted) as metric-only reports instead of
-    /// recomputing.  Metric reports carry status and achieved
-    /// (peak, area, latency, lifetime) but an empty datapath.
-    bool metric_answers = true;
 };
 
 /// Per-point report channel: (space index, finished report).
@@ -100,6 +94,8 @@ struct explore_summary {
     std::size_t metric_served = 0; ///< points answered as metric-only reports
     std::vector<front_point> front; ///< final Pareto front over the delivered points
     double wall_ms = 0.0;           ///< wall-clock time of the exploration
+    /// The session cache's counters, snapshot after the walk.
+    explore_cache::counters counters{};
 };
 
 /// Knobs of one explore_guided() call.
@@ -188,7 +184,7 @@ public:
     /// flow::run() per point of s.materialize(), for every thread
     /// count; a failure in one point (even an escaped exception) is
     /// isolated to that point's report.  Warm or evicted points are
-    /// served as metric-only reports when metric_answers allows.
+    /// served as metric-only reports.
     explore_summary explore(const space& s, const sink& sk = {}, int threads = 0);
 
     /// Like explore(), but steered by an incremental surrogate: pending

@@ -381,8 +381,8 @@ public:
     ///     reach/prospect/fastest.  `misses` starts at 1 for the eager
     ///     reachability build.
     ///   * committed_hits/committed_misses — always 0 (windows are not
-    ///     memoised); kept so the wire protocol's done frame and existing
-    ///     readers of this struct keep their layout.
+    ///     memoised); kept for the benchmark harness, which still reads
+    ///     them.  The wire's done frame does not carry them.
     ///   * report_hits/report_misses — report-memo whole-report lookups.
     ///   * metric_hits — metric_lookup() successes (served from a full
     ///     report, an evicted entry or a loaded record; misses fall

@@ -1,11 +1,12 @@
 #include "serve/client.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <set>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <arpa/inet.h>
 #include <netdb.h>
@@ -62,60 +63,16 @@ channel connect_tcp(const std::string& host, int port)
     return channel(fd, fd);
 }
 
-client::client(channel ch) : ch_(std::move(ch))
-{
-    send_hello(ch_);
-    expect_hello(ch_);
-}
-
-done_frame client::explore(const job_request& job, const dse::sink& sk)
-{
-    ch_.send(frame_type::job, encode_job(job));
-    while (const std::optional<channel::frame> f = ch_.recv()) {
-        switch (f->type) {
-        case frame_type::report: {
-            const report_frame r = decode_report(f->payload);
-            if (sk.on_result)
-                sk.on_result(static_cast<std::size_t>(r.index),
-                             metric_report(r.metrics));
-            break;
-        }
-        case frame_type::front: {
-            const front_delta d = decode_front(f->payload);
-            if (sk.on_front) sk.on_front(d);
-            break;
-        }
-        case frame_type::done:
-            return decode_done(f->payload);
-        case frame_type::reject:
-            throw error("server rejected job: " + decode_reject(f->payload).message);
-        default:
-            throw wire_error(std::string("protocol violation: unexpected ") +
-                             frame_type_name(f->type) + " frame during a job");
-        }
-    }
-    throw wire_error("server closed the connection mid-job");
-}
-
-void client::bye()
-{
-    if (!ch_.open()) return;
-    ch_.send(frame_type::bye, "");
-    ch_.close();
-}
-
-// ----------------------------------------------------- resilient_client
-
-resilient_client::resilient_client(connector dial, const reconnect_options& opts)
+client::client(connector dial, const reconnect_options& opts)
     : dial_(std::move(dial)), opts_(opts)
 {
-    check(static_cast<bool>(dial_), "resilient_client needs a connector");
+    check(static_cast<bool>(dial_), "client needs a connector");
     check(opts_.max_retries >= 0, "reconnect retry count must be >= 0");
     check(opts_.backoff_ms >= 0 && opts_.backoff_cap_ms >= 0,
           "reconnect backoff must be >= 0");
 }
 
-void resilient_client::ensure_connected()
+void client::ensure_connected()
 {
     if (connected_) return;
     ch_ = dial_();
@@ -124,52 +81,35 @@ void resilient_client::ensure_connected()
     connected_ = true;
 }
 
-done_frame resilient_client::explore(const job_request& job, const dse::sink& sk)
+dse::explore_summary client::explore(const job_request& job, const dse::sink& sk)
 {
+    const auto started = std::chrono::steady_clock::now();
     // Job-scoped fold state, shared across attempts: after a reconnect
     // the warm server re-streams every point of the resubmitted job, and
     // the ones the dead connection already delivered must not reach the
-    // sink (or the fold) twice.
-    std::set<std::uint64_t> seen;
+    // sink (or the fold) twice.  Reports arrive in the server's own fold
+    // order, so the fold's deltas are the ones a local session emits.
+    std::vector<char> seen(job.space.size(), 0);
     pareto_stream front;
+    const dse::stream_callback fold = [&](std::size_t index, const flow_report& rep) {
+        if (seen[index]) return; // replayed point
+        seen[index] = 1;
+        if (sk.on_result) sk.on_result(index, rep);
+        front_delta delta;
+        front.add(index, rep, &delta);
+        if (delta.changed() && sk.on_front) sk.on_front(delta);
+    };
     int attempts = 0;
     int backoff = std::max(1, opts_.backoff_ms);
     for (;;) {
         try {
             ensure_connected();
-            ch_.send(frame_type::job, encode_job(job));
-            while (const std::optional<channel::frame> f = ch_.recv()) {
-                switch (f->type) {
-                case frame_type::report: {
-                    const report_frame r = decode_report(f->payload);
-                    if (!seen.insert(r.index).second) break; // replayed point
-                    const flow_report rep = metric_report(r.metrics);
-                    if (sk.on_result)
-                        sk.on_result(static_cast<std::size_t>(r.index), rep);
-                    // Front deltas are synthesised from the local fold of
-                    // the deduplicated reports instead of trusting the
-                    // server's front frames: reports arrive in the
-                    // server's own fold order, so fault-free delivery is
-                    // byte-identical, and after a reconnect the replayed
-                    // prefix cannot re-emit deltas already seen.
-                    front_delta delta;
-                    front.add(static_cast<std::size_t>(r.index), rep, &delta);
-                    if (delta.changed() && sk.on_front) sk.on_front(delta);
-                    break;
-                }
-                case frame_type::front:
-                    break; // synthesised locally, see above
-                case frame_type::done:
-                    return decode_done(f->payload);
-                case frame_type::reject:
-                    throw error("server rejected job: " +
-                                decode_reject(f->payload).message);
-                default:
-                    throw wire_error(std::string("protocol violation: unexpected ") +
-                                     frame_type_name(f->type) + " frame during a job");
-                }
-            }
-            throw wire_error("server closed the connection mid-job");
+            dse::explore_summary sum = submit_job(ch_, job, fold, "server");
+            sum.front = front.front();
+            sum.wall_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
+            return sum;
         } catch (const wire_error&) {
             ch_.close();
             connected_ = false;
@@ -182,7 +122,7 @@ done_frame resilient_client::explore(const job_request& job, const dse::sink& sk
     }
 }
 
-void resilient_client::bye()
+void client::bye()
 {
     if (!connected_) return;
     try {

@@ -112,10 +112,6 @@ bool run_job(channel& ch, const job_request& job, session_pool& pool,
         ch.send(frame_type::report, encode_report(index, metric_of(r)));
         if (fault_fire("serve.conn.drop")) dropped = true;
     };
-    sk.on_front = [&ch, &dropped](const front_delta& d) {
-        if (dropped) return;
-        ch.send(frame_type::front, encode_front(d));
-    };
     // limits.threads is the ceiling as well as the default: a job may
     // ask for fewer workers than the server allows, never for more.
     const int ceiling = limits.threads > 0
@@ -127,17 +123,10 @@ bool run_job(channel& ch, const job_request& job, session_pool& pool,
         slot->session.save(job.save_cache_path);
     if (dropped) throw error("fault injected: connection dropped mid-stream");
 
-    done_frame done;
-    done.space_size = sum.space_size;
-    done.evaluated = sum.evaluated;
-    done.feasible = sum.feasible;
-    done.metric_served = sum.metric_served;
-    done.counters = slot->session.cache()->stats();
-    done.front = sum.front;
     // Count the job before the done frame ships: a client holding its
     // summary must already see itself in the server's stats.
     if (stats) stats->jobs.fetch_add(1);
-    ch.send(frame_type::done, encode_done(done));
+    ch.send(frame_type::done, encode_done(sum));
     return true;
 }
 

@@ -18,9 +18,9 @@
 //     protocol violation closes that connection (after a best-effort
 //     reject frame) and the server keeps serving everyone else.
 //
-// Job results stream while the sweep runs (report + front frames, then
-// a done summary), so a client renders partial fronts exactly like a
-// local dse::session sink would deliver them.
+// Job results stream while the sweep runs (one report frame per point,
+// then a done summary); a client folds the front from the reports, so
+// it renders partial fronts exactly like a local dse::session sink.
 #pragma once
 
 #include <atomic>
@@ -95,8 +95,7 @@ struct serve_stats {
 };
 
 /// Runs one decoded job on `pool`'s session for it: streams a report
-/// frame per evaluated point and a front frame per Pareto change, then
-/// the done summary.  A job that cannot start (unparsable graph/library,
+/// frame per evaluated point, then the done summary.  A job that cannot start (unparsable graph/library,
 /// unknown strategy) is answered with a reject frame instead; the
 /// connection stays usable.  Returns true iff the job ran.
 /// @throws wire_error when the peer disappears mid-stream.

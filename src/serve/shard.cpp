@@ -305,7 +305,7 @@ void release_channel(fd_registry& reg, proc_worker& w)
 }
 
 /// One complete conversation with the worker's current child: submit
-/// the shard's still-undelivered points, fold the stream until done.
+/// the shard's still-undelivered points, fold the reports until done.
 /// Throws wire_error on any transport failure (the retryable class) and
 /// plain error on a job rejection (not retryable — a respawn would be
 /// rejected identically).
@@ -324,42 +324,22 @@ void converse(proc_worker& w, const flow& prototype, const dse::space& s,
     job_request job = make_job(prototype, dse::list(std::move(points)));
     job.threads = opts.threads_per_shard;
     job.save_cache_path = w.cache_path;
-    ch.send(frame_type::job, encode_job(job));
-    while (const std::optional<channel::frame> f = ch.recv()) {
-        if (f->type == frame_type::report) {
-            const report_frame r = decode_report(f->payload);
-            if (r.index >= pending.size())
-                throw wire_error("protocol violation: report index " +
-                                 std::to_string(r.index) + " outside the job");
-            state.deliver(pending[static_cast<std::size_t>(r.index)],
-                          metric_report(r.metrics));
-            // Fault site: SIGKILL the worker after the nth report folded
-            // across the sweep, and drop the conversation as a dead pipe
-            // would: frames already in the pipe must not let the killed
-            // worker complete, so the respawn path always runs.
-            // Parent-side on purpose: forked children inherit the armed
-            // counters, so a child-side site would re-fire inside every
-            // respawn and recovery could never converge.
-            if (fault_fire("shard.worker.kill")) {
-                ::kill(w.pid, SIGKILL);
-                throw wire_error("shard worker killed by an injected fault");
-            }
-            continue;
+    const auto fold = [&](std::size_t index, const flow_report& report) {
+        state.deliver(pending[index], report);
+        // Fault site: SIGKILL the worker after the nth report folded
+        // across the sweep, and drop the conversation as a dead pipe
+        // would: frames already in the pipe must not let the killed
+        // worker complete, so the respawn path always runs.
+        // Parent-side on purpose: forked children inherit the armed
+        // counters, so a child-side site would re-fire inside every
+        // respawn and recovery could never converge.
+        if (fault_fire("shard.worker.kill")) {
+            ::kill(w.pid, SIGKILL);
+            throw wire_error("shard worker killed by an injected fault");
         }
-        if (f->type == frame_type::front) continue; // folded globally
-        if (f->type == frame_type::done) {
-            const done_frame done = decode_done(f->payload);
-            state.add_metric_served(done.metric_served);
-            ch.send(frame_type::bye, "");
-            return;
-        }
-        if (f->type == frame_type::reject)
-            throw error("shard worker rejected its job: " +
-                        decode_reject(f->payload).message);
-        throw wire_error(std::string("protocol violation: unexpected ") +
-                         frame_type_name(f->type) + " frame from a shard worker");
-    }
-    throw wire_error("shard worker closed its pipe mid-job");
+    };
+    state.add_metric_served(submit_job(ch, job, fold, "shard worker").metric_served);
+    ch.send(frame_type::bye, "");
 }
 
 /// Runs one shard to completion, respawning its worker on transport

@@ -27,8 +27,9 @@ constexpr std::size_t checksum_size = 8;
 
 bool known_frame_type(std::uint8_t t)
 {
+    // Type 4, v1's front frame, is retired.
     return t >= static_cast<std::uint8_t>(frame_type::hello) &&
-           t <= static_cast<std::uint8_t>(frame_type::bye);
+           t <= static_cast<std::uint8_t>(frame_type::bye) && t != 4;
 }
 
 /// Decodes a whole payload with `body`, which must consume every byte.
@@ -45,48 +46,6 @@ auto decode_payload(const std::string& payload, Decode body)
     } catch (const decode_error& e) {
         throw wire_error(std::string("malformed frame: ") + e.what());
     }
-}
-
-void put_point(byte_writer& w, const front_point& p)
-{
-    w.u64(p.index);
-    w.i32(p.latency_bound);
-    w.f64(p.cap);
-    w.f64(p.area);
-    w.f64(p.peak);
-    w.i32(p.latency);
-    w.boolean(p.has_lifetime);
-    w.f64(p.lifetime_seconds);
-}
-
-front_point get_point(byte_reader& r)
-{
-    front_point p;
-    p.index = static_cast<std::size_t>(r.u64());
-    p.latency_bound = r.i32();
-    p.cap = r.f64();
-    p.area = r.f64();
-    p.peak = r.f64();
-    p.latency = r.i32();
-    p.has_lifetime = r.boolean();
-    p.lifetime_seconds = r.f64();
-    return p;
-}
-
-void put_points(byte_writer& w, const std::vector<front_point>& points)
-{
-    w.u32(static_cast<std::uint32_t>(points.size()));
-    for (const front_point& p : points) put_point(w, p);
-}
-
-std::vector<front_point> get_points(byte_reader& r)
-{
-    // Each point costs >= 40 payload bytes.
-    const std::size_t n = r.count(40, "point count");
-    std::vector<front_point> points;
-    points.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) points.push_back(get_point(r));
-    return points;
 }
 
 // Space payload: a list ships its points, a lattice its axes (plus the
@@ -159,7 +118,6 @@ const char* frame_type_name(frame_type t)
     case frame_type::hello: return "hello";
     case frame_type::job: return "job";
     case frame_type::report: return "report";
-    case frame_type::front: return "front";
     case frame_type::done: return "done";
     case frame_type::reject: return "reject";
     case frame_type::bye: return "bye";
@@ -463,61 +421,39 @@ report_frame decode_report(const std::string& payload)
     });
 }
 
-std::string encode_front(const front_delta& delta)
+std::string encode_done(const dse::explore_summary& sum)
 {
     byte_writer w;
-    w.u64(delta.index);
-    put_points(w, delta.entered);
-    put_points(w, delta.left);
+    w.u64(sum.space_size);
+    w.u64(sum.evaluated);
+    w.u64(sum.feasible);
+    w.u64(sum.metric_served);
+    const explore_cache::counters& c = sum.counters;
+    w.i64(c.hits);
+    w.i64(c.misses);
+    w.i64(c.report_hits);
+    w.i64(c.report_misses);
+    w.i64(c.metric_hits);
+    w.i64(c.interval_served);
     return w.take();
 }
 
-front_delta decode_front(const std::string& payload)
+dse::explore_summary decode_done(const std::string& payload)
 {
     return decode_payload(payload, [](byte_reader& r) {
-        front_delta delta;
-        delta.index = static_cast<std::size_t>(r.u64());
-        delta.entered = get_points(r);
-        delta.left = get_points(r);
-        return delta;
-    });
-}
-
-std::string encode_done(const done_frame& done)
-{
-    byte_writer w;
-    w.u64(done.space_size);
-    w.u64(done.evaluated);
-    w.u64(done.feasible);
-    w.u64(done.metric_served);
-    w.i64(done.counters.hits);
-    w.i64(done.counters.misses);
-    w.i64(done.counters.committed_hits);
-    w.i64(done.counters.committed_misses);
-    w.i64(done.counters.report_hits);
-    w.i64(done.counters.report_misses);
-    w.i64(done.counters.metric_hits);
-    put_points(w, done.front);
-    return w.take();
-}
-
-done_frame decode_done(const std::string& payload)
-{
-    return decode_payload(payload, [](byte_reader& r) {
-        done_frame done;
-        done.space_size = r.u64();
-        done.evaluated = r.u64();
-        done.feasible = r.u64();
-        done.metric_served = r.u64();
-        done.counters.hits = static_cast<long>(r.i64());
-        done.counters.misses = static_cast<long>(r.i64());
-        done.counters.committed_hits = static_cast<long>(r.i64());
-        done.counters.committed_misses = static_cast<long>(r.i64());
-        done.counters.report_hits = static_cast<long>(r.i64());
-        done.counters.report_misses = static_cast<long>(r.i64());
-        done.counters.metric_hits = static_cast<long>(r.i64());
-        done.front = get_points(r);
-        return done;
+        dse::explore_summary sum;
+        sum.space_size = static_cast<std::size_t>(r.u64());
+        sum.evaluated = static_cast<std::size_t>(r.u64());
+        sum.feasible = static_cast<std::size_t>(r.u64());
+        sum.metric_served = static_cast<std::size_t>(r.u64());
+        explore_cache::counters& c = sum.counters;
+        c.hits = static_cast<long>(r.i64());
+        c.misses = static_cast<long>(r.i64());
+        c.report_hits = static_cast<long>(r.i64());
+        c.report_misses = static_cast<long>(r.i64());
+        c.metric_hits = static_cast<long>(r.i64());
+        c.interval_served = static_cast<long>(r.i64());
+        return sum;
     });
 }
 
@@ -531,6 +467,44 @@ std::string encode_reject(const std::string& message)
 reject_frame decode_reject(const std::string& payload)
 {
     return decode_payload(payload, [](byte_reader& r) { return reject_frame{r.str()}; });
+}
+
+// -------------------------------------------------------- conversation
+
+dse::explore_summary submit_job(channel& ch, const job_request& job,
+                                const dse::stream_callback& on_report,
+                                const std::string& peer)
+{
+    ch.send(frame_type::job, encode_job(job));
+    const std::size_t points = job.space.size();
+    std::size_t reports = 0;
+    while (const std::optional<channel::frame> f = ch.recv()) {
+        switch (f->type) {
+        case frame_type::report: {
+            const report_frame r = decode_report(f->payload);
+            if (r.index >= points)
+                throw wire_error("protocol violation: report index " +
+                                 std::to_string(r.index) + " outside the job");
+            ++reports;
+            on_report(static_cast<std::size_t>(r.index), metric_report(r.metrics));
+            break;
+        }
+        case frame_type::done: {
+            const dse::explore_summary sum = decode_done(f->payload);
+            if (sum.evaluated != reports)
+                throw wire_error("protocol violation: done frame claims " +
+                                 std::to_string(sum.evaluated) + " evaluated points for " +
+                                 std::to_string(reports) + " streamed report(s)");
+            return sum;
+        }
+        case frame_type::reject:
+            throw error(peer + " rejected job: " + decode_reject(f->payload).message);
+        default:
+            throw wire_error(std::string("protocol violation: unexpected ") +
+                             frame_type_name(f->type) + " frame during a job");
+        }
+    }
+    throw wire_error(peer + " closed the connection mid-job");
 }
 
 } // namespace phls::serve

@@ -2,8 +2,8 @@
 //
 // Everything the serve layer ships between processes — job requests
 // (graph + library + flow configuration + a dse::space), streamed
-// per-point reports, Pareto front_deltas and end-of-job summaries — is
-// carried in self-delimiting *frames*:
+// per-point reports and end-of-job summaries — is carried in
+// self-delimiting *frames*:
 //
 //   [u32 magic "PHLS"] [u8 type] [u32 payload length] [payload bytes]
 //   [u64 FNV-1a checksum of the payload]
@@ -25,13 +25,14 @@
 //
 //   hello ->            <- hello
 //   job ->              <- report*      (one per evaluated point)
-//                       <- front*       (one per Pareto-front change)
-//                       <- done         (summary + final front + stats)
+//                       <- done         (summary counts + cache stats)
 //   job -> ... (more jobs on the same connection)
 //   bye ->  (or just close)
 //
-// A server that cannot run a job answers `reject` (the connection stays
-// usable); a protocol violation closes the connection.
+// Reports are the only result stream: a reader folds the Pareto front
+// from them itself, exactly as a local session does.  A server that
+// cannot run a job answers `reject` (the connection stays usable); a
+// protocol violation closes the connection.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +41,9 @@
 #include <string>
 #include <vector>
 
+#include "dse/session.h"
 #include "dse/space.h"
-#include "flow/explore_cache.h"
 #include "flow/flow.h"
-#include "flow/pareto_stream.h"
 #include "support/errors.h"
 
 namespace phls::serve {
@@ -57,15 +57,15 @@ public:
 
 /// Protocol version exchanged in the hello handshake.  Bumped on any
 /// incompatible change to the framing or a payload layout.
-constexpr std::uint32_t wire_protocol_version = 1;
+constexpr std::uint32_t wire_protocol_version = 2;
 
-/// The frame kinds of the protocol.
+/// The frame kinds of the protocol.  Type 4 (v1's front frame) is
+/// retired: a frame carrying it is malformed.
 enum class frame_type : std::uint8_t {
     hello = 1,  ///< version handshake (first frame in each direction)
     job = 2,    ///< client -> server: one exploration job
     report = 3, ///< server -> client: one evaluated point's metrics
-    front = 4,  ///< server -> client: one Pareto front_delta
-    done = 5,   ///< server -> client: job summary + final front + stats
+    done = 5,   ///< server -> client: job summary counts + cache stats
     reject = 6, ///< server -> client: job refused (connection survives)
     bye = 7,    ///< client -> server: polite end of conversation
 };
@@ -187,23 +187,12 @@ struct report_frame {
 std::string encode_report(std::uint64_t index, const metric_record& metrics);
 report_frame decode_report(const std::string& payload);
 
-std::string encode_front(const front_delta& delta);
-front_delta decode_front(const std::string& payload);
-
-/// End-of-job summary: the evaluation counts, the final Pareto front
-/// (replaying the streamed front frames must reconstruct exactly this),
-/// and the serving cache's counter snapshot.
-struct done_frame {
-    std::uint64_t space_size = 0;
-    std::uint64_t evaluated = 0;
-    std::uint64_t feasible = 0;
-    std::uint64_t metric_served = 0;
-    explore_cache::counters counters{};
-    std::vector<front_point> front;
-};
-
-std::string encode_done(const done_frame& done);
-done_frame decode_done(const std::string& payload);
+/// End-of-job summary: the counts of the server's explore_summary and
+/// its cache-counter snapshot (committed_hits/committed_misses are not
+/// carried).  The decoded summary's front is empty and its wall_ms 0:
+/// the front is the reader's own fold of the streamed reports.
+std::string encode_done(const dse::explore_summary& sum);
+dse::explore_summary decode_done(const std::string& payload);
 
 /// Why a job was refused (bad graph text, unknown strategy, ...).
 struct reject_frame {
@@ -212,5 +201,19 @@ struct reject_frame {
 
 std::string encode_reject(const std::string& message);
 reject_frame decode_reject(const std::string& payload);
+
+// -------------------------------------------------------- conversation
+
+/// Runs one job on an established conversation, client side: sends
+/// `job` on `ch`, hands each report frame to `on_report` as a
+/// metric-only report at its job-space index, and returns the done
+/// frame's summary.  `peer` names the other side in error messages
+/// ("server", "shard worker").
+/// @throws phls::error with the peer's message on a reject frame;
+/// wire_error on EOF, any other frame, a report index outside the job,
+/// or a done frame whose `evaluated` differs from the reports streamed.
+dse::explore_summary submit_job(channel& ch, const job_request& job,
+                                const dse::stream_callback& on_report,
+                                const std::string& peer);
 
 } // namespace phls::serve

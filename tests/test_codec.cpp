@@ -21,6 +21,7 @@
 #include "serve/manifest.h"
 #include "support/codec.h"
 #include "support/errors.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -31,8 +32,6 @@ std::string enc_double(double v)
     w.f64(v);
     return w.take();
 }
-
-flow hal17() { return flow::on(make_hal()).with_library(table1_library()).latency(17); }
 
 std::string bytes_of(std::initializer_list<unsigned> raw)
 {

@@ -27,18 +27,6 @@ const module_library& lib()
     return l;
 }
 
-flow hal17() { return flow::on(make_hal()).with_library(lib()).latency(17); }
-
-/// A duplicate-heavy point list: every grid point appears twice.
-std::vector<synthesis_constraints> duplicated_grid(int points)
-{
-    std::vector<synthesis_constraints> grid;
-    for (double cap : hal17().power_grid(points)) grid.push_back({17, cap});
-    const std::vector<synthesis_constraints> once = grid;
-    grid.insert(grid.end(), once.begin(), once.end());
-    return grid;
-}
-
 /// A scratch file path unique to the test, cleaned up by the caller.
 std::string scratch(const char* name)
 {
@@ -160,23 +148,6 @@ TEST(dse_session, bounded_memo_never_exceeds_capacity_and_serves_metrics)
         EXPECT_EQ(got[i].latency, reference[i].latency) << i;
     }
     EXPECT_EQ(sum.front, pareto_points(reference));
-}
-
-TEST(dse_session, metric_answers_can_be_disabled)
-{
-    const std::vector<synthesis_constraints> grid = duplicated_grid(6);
-    const std::vector<flow_report> reference = run_each(hal17(), grid);
-
-    dse::session session(hal17(),
-                         {.memo_limit = 2, .chunk = 4, .metric_answers = false});
-    std::vector<flow_report> got;
-    const dse::explore_summary sum = session.explore(dse::list(grid), collector(got), 1);
-    EXPECT_EQ(sum.metric_served, 0u);
-    // Everything was genuinely recomputed: full byte identity holds even
-    // with a tiny memo.
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i].to_string(), reference[i].to_string()) << i;
 }
 
 // ------------------------------------------------------------- persistence

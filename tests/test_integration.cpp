@@ -19,6 +19,8 @@ struct bench_case {
     int latency;
 };
 
+void PrintTo(const bench_case& c, std::ostream* os) { *os << c.name << " T=" << c.latency; }
+
 class integration : public ::testing::TestWithParam<bench_case> {};
 
 TEST_P(integration, unconstrained_power_synthesis_is_feasible_and_valid)

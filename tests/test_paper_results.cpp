@@ -71,18 +71,7 @@ struct curve_case {
     int latency;
 };
 
-// gtest has no printer for curve_case, so it labels each case with the
-// struct's raw bytes, the first being the low byte of `bench`. For a string
-// literal that byte is set by the link layout of the whole test binary and
-// moves with unrelated changes; names in one 256-byte-aligned table keep it
-// fixed. The 5-byte lead keeps "hal" at the offset its labels showed before.
-struct alignas(256) bench_name_table {
-    char lead[5];
-    char hal[4];
-    char cosine[7];
-    char elliptic[9];
-};
-constexpr bench_name_table bench_names{{}, "hal", "cosine", "elliptic"};
+void PrintTo(const curve_case& c, std::ostream* os) { *os << c.bench << " T=" << c.latency; }
 
 class figure2 : public ::testing::TestWithParam<curve_case> {};
 
@@ -114,12 +103,11 @@ TEST_P(figure2, curve_has_cliff_plateau_and_cap_compliance)
 }
 
 INSTANTIATE_TEST_SUITE_P(curves, figure2,
-                         ::testing::Values(curve_case{bench_names.hal, 10},
-                                           curve_case{bench_names.hal, 17},
-                                           curve_case{bench_names.cosine, 12},
-                                           curve_case{bench_names.cosine, 15},
-                                           curve_case{bench_names.cosine, 19},
-                                           curve_case{bench_names.elliptic, 22}),
+                         ::testing::Values(curve_case{"hal", 10}, curve_case{"hal", 17},
+                                           curve_case{"cosine", 12},
+                                           curve_case{"cosine", 15},
+                                           curve_case{"cosine", 19},
+                                           curve_case{"elliptic", 22}),
                          [](const ::testing::TestParamInfo<curve_case>& info) {
                              return std::string(info.param.bench) + "_T" +
                                     std::to_string(info.param.latency);

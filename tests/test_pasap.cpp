@@ -244,6 +244,11 @@ struct pasap_property_case {
     double cap;
 };
 
+void PrintTo(const pasap_property_case& c, std::ostream* os)
+{
+    *os << "seed " << c.seed << ", cap " << c.cap;
+}
+
 class pasap_property : public ::testing::TestWithParam<pasap_property_case> {};
 
 TEST_P(pasap_property, produces_valid_capped_schedules_or_honest_failures)

@@ -27,7 +27,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "cdfg/benchmarks.h"
 #include "dse/session.h"
 #include "flow/explore_cache.h"
 #include "flow/flow.h"
@@ -38,29 +37,12 @@
 #include "support/errors.h"
 #include "support/codec.h"
 #include "support/faultpoints.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
 
 using namespace serve;
-
-const module_library& lib()
-{
-    static const module_library l = table1_library();
-    return l;
-}
-
-flow hal17() { return flow::on(make_hal()).with_library(lib()).latency(17); }
-
-/// A duplicate-heavy point list: every grid point appears twice.
-std::vector<synthesis_constraints> duplicated_grid(int points)
-{
-    std::vector<synthesis_constraints> grid;
-    for (double cap : hal17().power_grid(points)) grid.push_back({17, cap});
-    const std::vector<synthesis_constraints> once = grid;
-    grid.insert(grid.end(), once.begin(), once.end());
-    return grid;
-}
 
 /// Distinct caps only — required wherever metric_served does point
 /// accounting (duplicated points are memo-served even fault-free).
@@ -77,20 +59,6 @@ std::string scratch_dir(const char* name)
     const std::string dir = std::string(::testing::TempDir()) + name;
     ::mkdir(dir.c_str(), 0755);
     return dir;
-}
-
-std::vector<front_point> reference_front(const std::vector<synthesis_constraints>& grid)
-{
-    dse::session session(hal17());
-    return session.explore(dse::list(grid), {}, 1).front;
-}
-
-void expect_same_front(const std::vector<front_point>& got,
-                       const std::vector<front_point>& want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(got[i] == want[i]) << "front point " << i;
 }
 
 /// Rewrites `path`, a valid cache file or manifest, around a new `body`:
@@ -385,7 +353,7 @@ TEST(recovery, cache_merge_skip_bad_skips_and_reports_damaged_inputs)
     // The merged survivors still replay their shards' front points.
     dse::session session(hal17());
     session.load(out);
-    expect_same_front(session.explore(dse::list(grid), {}, 1).front, want);
+    EXPECT_EQ(session.explore(dse::list(grid), {}, 1).front, want);
 }
 
 TEST(recovery, cache_file_declaring_more_records_than_its_body_holds_is_corrupt)
@@ -458,7 +426,7 @@ TEST(recovery, killed_forked_worker_is_respawned_and_the_front_is_identical)
     EXPECT_EQ(sum.worker_retries, 1u);
     EXPECT_EQ(seen.size(), grid.size());
     EXPECT_EQ(sum.evaluated, grid.size());
-    expect_same_front(sum.front, want);
+    EXPECT_EQ(sum.front, want);
 }
 
 TEST(recovery, doomed_spawn_is_retried_and_counted)
@@ -476,7 +444,7 @@ TEST(recovery, doomed_spawn_is_retried_and_counted)
     EXPECT_TRUE(fault_fired("shard.spawn.doom"));
     EXPECT_GE(sum.worker_retries, 1u);
     EXPECT_EQ(sum.evaluated, grid.size());
-    expect_same_front(sum.front, want);
+    EXPECT_EQ(sum.front, want);
 }
 
 TEST(recovery, zero_retries_restores_fail_fast)
@@ -707,7 +675,7 @@ TEST(recovery, resume_after_mid_sweep_kill_recomputes_only_unfinished_ranges)
     const dse::explore_summary sum = session.explore(dse::list(grid), {}, 1);
     EXPECT_EQ(sum.evaluated, grid.size());
     EXPECT_EQ(sum.metric_served, man.done_points());
-    expect_same_front(sum.front, want);
+    EXPECT_EQ(sum.front, want);
 }
 
 TEST(recovery, threads_mode_checkpoints_every_completed_shard)
@@ -747,7 +715,7 @@ TEST(recovery, resilient_client_reconnects_and_the_sweep_completes)
     reconnect_options ropts;
     ropts.max_retries = 2;
     ropts.backoff_ms = 1;
-    resilient_client c([&] { return connect_unix(sopts.socket_path); }, ropts);
+    client c([&] { return connect_unix(sopts.socket_path); }, ropts);
 
     std::set<std::size_t> seen;
     std::vector<front_delta> deltas;
@@ -756,22 +724,17 @@ TEST(recovery, resilient_client_reconnects_and_the_sweep_completes)
         EXPECT_TRUE(seen.insert(i).second) << "index " << i << " delivered twice";
     };
     sk.on_front = [&](const front_delta& d) { deltas.push_back(d); };
-    const done_frame done = c.explore(make_job(hal17(), dse::list(grid)), sk);
+    const dse::explore_summary sum = c.explore(make_job(hal17(), dse::list(grid)), sk);
     c.bye();
     srv.stop();
 
     EXPECT_TRUE(fault_fired("serve.conn.drop"));
     EXPECT_EQ(c.reconnects(), 1u);
     EXPECT_EQ(seen.size(), grid.size());
-    expect_same_front(done.front, want);
-    // Replaying the synthesised deltas reconstructs the same front.
-    std::vector<front_point> replayed;
-    for (const front_delta& d : deltas) {
-        for (const front_point& left : d.left)
-            std::erase(replayed, left);
-        replayed.insert(replayed.end(), d.entered.begin(), d.entered.end());
-    }
-    expect_same_front(replayed, want);
+    EXPECT_EQ(sum.evaluated, grid.size());
+    EXPECT_EQ(sum.front, want);
+    // Replaying the client's deltas reconstructs the same front.
+    EXPECT_EQ(replay_front(deltas), want);
 }
 
 TEST(recovery, resilient_client_gives_up_once_the_retry_budget_is_spent)
@@ -784,7 +747,7 @@ TEST(recovery, resilient_client_gives_up_once_the_retry_budget_is_spent)
     reconnect_options ropts;
     ropts.max_retries = 2;
     ropts.backoff_ms = 1;
-    resilient_client c(
+    client c(
         [&] {
             ++dials;
             return connect_unix(nowhere);
@@ -806,7 +769,7 @@ TEST(recovery, rejected_jobs_are_not_retried)
     reconnect_options ropts;
     ropts.max_retries = 3;
     ropts.backoff_ms = 1;
-    resilient_client c(
+    client c(
         [&] {
             ++dials;
             return connect_unix(sopts.socket_path);
@@ -831,18 +794,20 @@ TEST(recovery, clients_past_the_bound_get_a_loud_capacity_reject)
     server srv(sopts);
     srv.start();
 
-    client first(connect_unix(sopts.socket_path)); // fills the only slot
-    client second(connect_unix(sopts.socket_path));
+    const auto dial = [&] { return connect_unix(sopts.socket_path); };
+    const job_request job = make_job(hal17(), dse::list({{17, 7.5}}));
+    client first(dial);
+    first.explore(job); // its open connection fills the only slot
+    client second(dial);
     try {
-        second.explore(make_job(hal17(), dse::list({{17, 7.5}})));
+        second.explore(job);
         FAIL() << "the second client must be rejected at capacity";
     } catch (const error& e) {
         EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
             << e.what();
     }
     // The admitted client is unaffected by its neighbour's rejection.
-    const done_frame done = first.explore(make_job(hal17(), dse::list({{17, 7.5}})));
-    EXPECT_EQ(done.evaluated, 1u);
+    EXPECT_EQ(first.explore(job).evaluated, 1u);
     first.bye();
     srv.stop();
     EXPECT_EQ(srv.stats().overloaded, 1u);

@@ -1,7 +1,8 @@
 // Tests for the long-lived exploration server: handshake and job flow
 // over unix and TCP listeners, warm session sharing across clients,
 // concurrent clients, and graceful degradation — a malformed client or
-// a rejected job must never take the server (or other clients) down.
+// a rejected job must never take the server (or other clients) down —
+// plus the client's checks on what a server streams back.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +13,15 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include "cdfg/benchmarks.h"
 #include "dse/session.h"
 #include "flow/flow.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "support/errors.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -28,32 +32,6 @@ const module_library& lib()
 {
     static const module_library l = table1_library();
     return l;
-}
-
-flow hal17() { return flow::on(make_hal()).with_library(lib()).latency(17); }
-
-/// A duplicate-heavy point list: every grid point appears twice.
-std::vector<synthesis_constraints> duplicated_grid(int points)
-{
-    std::vector<synthesis_constraints> grid;
-    for (double cap : hal17().power_grid(points)) grid.push_back({17, cap});
-    const std::vector<synthesis_constraints> once = grid;
-    grid.insert(grid.end(), once.begin(), once.end());
-    return grid;
-}
-
-std::vector<front_point> reference_front(const std::vector<synthesis_constraints>& grid)
-{
-    dse::session session(hal17());
-    return session.explore(dse::list(grid), {}, 1).front;
-}
-
-void expect_same_front(const std::vector<front_point>& got,
-                       const std::vector<front_point>& want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(got[i] == want[i]) << "front point " << i;
 }
 
 /// Threads of this process right now (one /proc/self/task entry each).
@@ -80,7 +58,10 @@ struct test_server {
         srv->stop();
         std::remove(srv->socket_path().c_str());
     }
-    client connect() { return client(connect_unix(srv->socket_path())); }
+    client connect()
+    {
+        return client([path = srv->socket_path()] { return connect_unix(path); });
+    }
     std::unique_ptr<server> srv;
 };
 
@@ -98,31 +79,27 @@ TEST(serve, served_sweep_matches_local_explore)
     dse::sink sk;
     sk.on_result = [&](std::size_t i, const flow_report&) { indices.push_back(i); };
     sk.on_front = [&](const front_delta& d) { deltas.push_back(d); };
-    const done_frame done = c.explore(make_job(hal17(), dse::list(grid)), sk);
+    const dse::explore_summary sum = c.explore(make_job(hal17(), dse::list(grid)), sk);
     c.bye();
 
-    EXPECT_EQ(done.space_size, grid.size());
-    EXPECT_EQ(done.evaluated, grid.size());
+    EXPECT_EQ(sum.space_size, grid.size());
+    EXPECT_EQ(sum.evaluated, grid.size());
     EXPECT_EQ(indices.size(), grid.size());
-    expect_same_front(done.front, want);
-
-    // Replaying the streamed deltas reconstructs the done frame's front.
-    std::vector<front_point> rebuilt;
-    for (const front_delta& d : deltas) {
-        for (const front_point& p : d.left) {
-            const auto it = std::find_if(rebuilt.begin(), rebuilt.end(),
-                                         [&](const front_point& q) { return q == p; });
-            ASSERT_NE(it, rebuilt.end());
-            rebuilt.erase(it);
-        }
-        for (const front_point& p : d.entered) rebuilt.push_back(p);
+    EXPECT_EQ(sum.front, want);
+    // Replaying the streamed deltas reconstructs the summary's front.
+    EXPECT_EQ(replay_front(deltas), sum.front);
+    // No front crosses the wire, yet the client's deltas are the ones a
+    // local one-worker sweep emits (the server runs one worker too).
+    std::vector<front_delta> local;
+    dse::sink local_sk;
+    local_sk.on_front = [&](const front_delta& d) { local.push_back(d); };
+    dse::session(hal17()).explore(dse::list(grid), local_sk, 1);
+    ASSERT_EQ(deltas.size(), local.size());
+    for (std::size_t i = 0; i < local.size(); ++i) {
+        EXPECT_EQ(deltas[i].index, local[i].index) << i;
+        EXPECT_EQ(deltas[i].entered, local[i].entered) << i;
+        EXPECT_EQ(deltas[i].left, local[i].left) << i;
     }
-    std::sort(rebuilt.begin(), rebuilt.end(), [](const front_point& a, const front_point& b) {
-        if (a.peak != b.peak) return a.peak < b.peak;
-        if (a.area != b.area) return a.area < b.area;
-        return a.index < b.index;
-    });
-    expect_same_front(rebuilt, done.front);
 
     const server::stats_snapshot st = ts.srv->stats();
     EXPECT_EQ(st.jobs, 1u);
@@ -138,17 +115,17 @@ TEST(serve, duplicate_jobs_share_one_warm_session)
     const job_request job = make_job(hal17(), dse::list(grid));
 
     client first = ts.connect();
-    const done_frame cold = first.explore(job);
+    const dse::explore_summary cold = first.explore(job);
     first.bye();
     EXPECT_EQ(cold.evaluated, grid.size());
 
     client second = ts.connect();
-    const done_frame warm = second.explore(job);
+    const dse::explore_summary warm = second.explore(job);
     second.bye();
 
     // Same problem, same pool slot: the whole second sweep is answered
     // from the warm session's report memo, and the fronts agree exactly.
-    expect_same_front(warm.front, cold.front);
+    EXPECT_EQ(warm.front, cold.front);
     EXPECT_GT(warm.counters.report_hits, cold.counters.report_hits);
     EXPECT_EQ(ts.srv->stats().sessions, 1u);
     EXPECT_EQ(ts.srv->stats().jobs, 2u);
@@ -162,7 +139,7 @@ TEST(serve, concurrent_clients_all_get_the_single_process_front)
     const job_request job = make_job(hal17(), dse::list(grid));
 
     constexpr int clients = 4;
-    std::vector<done_frame> done(clients);
+    std::vector<dse::explore_summary> done(clients);
     std::vector<std::string> failures(clients);
     std::vector<std::thread> threads;
     for (int i = 0; i < clients; ++i) {
@@ -180,7 +157,7 @@ TEST(serve, concurrent_clients_all_get_the_single_process_front)
 
     for (int i = 0; i < clients; ++i) {
         EXPECT_EQ(failures[static_cast<std::size_t>(i)], "") << "client " << i;
-        expect_same_front(done[static_cast<std::size_t>(i)].front, want);
+        EXPECT_EQ(done[static_cast<std::size_t>(i)].front, want);
     }
     const server::stats_snapshot st = ts.srv->stats();
     EXPECT_EQ(st.jobs, static_cast<std::size_t>(clients));
@@ -199,10 +176,10 @@ TEST(serve, tcp_loopback_with_ephemeral_port)
     ASSERT_GT(srv.port(), 0);
     srv.start();
 
-    client c{connect_tcp("127.0.0.1", srv.port())};
-    const done_frame done = c.explore(make_job(hal17(), dse::list(grid)));
+    client c([port = srv.port()] { return connect_tcp("127.0.0.1", port); });
+    const dse::explore_summary sum = c.explore(make_job(hal17(), dse::list(grid)));
     c.bye();
-    expect_same_front(done.front, want);
+    EXPECT_EQ(sum.front, want);
     srv.stop();
     srv.stop(); // idempotent
 }
@@ -219,7 +196,11 @@ TEST(serve, job_threads_are_capped_at_the_server_limit)
 
     const auto run = [&](const char* name, int limit, int asked, long* extra) {
         test_server ts(name, limit);
-        client c = ts.connect(); // the server's thread for it is running
+        // A finished job on another problem opens the connection, so the
+        // server's thread for it runs before the count, and the measured
+        // job still meets a cold session.
+        client c = ts.connect();
+        c.explore(make_job(hal17(), dse::list({{17, 7.5}})));
         const long before = static_cast<long>(live_threads());
         std::vector<flow_report> reports(grid.size());
         dse::sink sk;
@@ -267,9 +248,9 @@ TEST(serve, malformed_client_is_dropped_but_the_server_keeps_serving)
 
     // The next well-formed client is served normally.
     client c = ts.connect();
-    const done_frame done = c.explore(make_job(hal17(), dse::list(grid)));
+    const dse::explore_summary sum = c.explore(make_job(hal17(), dse::list(grid)));
     c.bye();
-    EXPECT_EQ(done.evaluated, grid.size());
+    EXPECT_EQ(sum.evaluated, grid.size());
     EXPECT_GE(ts.srv->stats().protocol_errors, 1u);
     EXPECT_EQ(ts.srv->stats().jobs, 1u);
 }
@@ -292,10 +273,9 @@ TEST(serve, version_mismatch_is_rejected_before_any_job_bytes)
 
     // And a current-version client still gets served.
     client c = ts.connect();
-    const done_frame done =
-        c.explore(make_job(hal17(), dse::list({{17, 7.5}})));
+    const dse::explore_summary sum = c.explore(make_job(hal17(), dse::list({{17, 7.5}})));
     c.bye();
-    EXPECT_EQ(done.evaluated, 1u);
+    EXPECT_EQ(sum.evaluated, 1u);
 }
 
 TEST(serve, bad_jobs_are_rejected_and_the_connection_survives)
@@ -308,9 +288,9 @@ TEST(serve, bad_jobs_are_rejected_and_the_connection_survives)
     EXPECT_THROW(c.explore(bad), error);
 
     // Same connection, next job: served normally.
-    const done_frame done = c.explore(make_job(hal17(), dse::list({{17, 7.5}})));
+    const dse::explore_summary sum = c.explore(make_job(hal17(), dse::list({{17, 7.5}})));
     c.bye();
-    EXPECT_EQ(done.evaluated, 1u);
+    EXPECT_EQ(sum.evaluated, 1u);
     EXPECT_EQ(ts.srv->stats().rejects, 1u);
     EXPECT_EQ(ts.srv->stats().jobs, 1u);
     EXPECT_EQ(ts.srv->stats().protocol_errors, 0u);
@@ -348,6 +328,71 @@ TEST(serve, stop_disconnects_idle_clients_promptly)
     } catch (const wire_error&) {
     }
     SUCCEED();
+}
+
+// ------------------------------------------------- what a client checks
+
+/// A connector to a scripted server: the far end of a socketpair,
+/// loaded up front with a hello and then `answer` (the client's own
+/// hello and job fit in the socket buffer unread).  `far` keeps that
+/// end open, so the client reads the script and never an EOF.
+client::connector scripted_server(const std::vector<std::string>& answer, channel& far)
+{
+    return [&answer, &far] {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+            throw error("cannot create a socketpair");
+        far = channel(fds[1], fds[1]);
+        send_hello(far);
+        for (const std::string& frame : answer) far.send_raw(frame);
+        return channel(fds[0], fds[0]);
+    };
+}
+
+std::string report_bytes(std::uint64_t index)
+{
+    return encode_frame(frame_type::report, encode_report(index, metric_record{}));
+}
+
+std::string done_bytes(std::size_t evaluated)
+{
+    dse::explore_summary sum;
+    sum.space_size = 2;
+    sum.evaluated = evaluated;
+    return encode_frame(frame_type::done, encode_done(sum));
+}
+
+/// Runs a two-point job against `answer`, a whole conversation, and
+/// returns the wire_error the client must raise, after checking that
+/// only the `delivered` first reports reached the sink.
+std::string scripted_failure(const std::vector<std::string>& answer, std::size_t delivered)
+{
+    channel far(-1, -1);
+    client c(scripted_server(answer, far));
+    std::size_t reports = 0;
+    dse::sink sk;
+    sk.on_result = [&](std::size_t, const flow_report&) { ++reports; };
+    try {
+        c.explore(make_job(hal17(), dse::list({{17, 7.5}, {17, 9.5}})), sk);
+    } catch (const wire_error& e) {
+        EXPECT_EQ(reports, delivered);
+        return e.what();
+    }
+    ADD_FAILURE() << "the client accepted the script";
+    return "";
+}
+
+TEST(serve, client_rejects_a_report_index_outside_its_job)
+{
+    EXPECT_EQ(scripted_failure({report_bytes(2), done_bytes(1)}, 0),
+              "protocol violation: report index 2 outside the job");
+}
+
+TEST(serve, client_rejects_a_summary_counting_unstreamed_points)
+{
+    EXPECT_EQ(scripted_failure({report_bytes(0), done_bytes(2)}, 1),
+              "protocol violation: done frame claims 2 evaluated points for 1 streamed "
+              "report(s)");
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 
 #include <sys/stat.h>
 
-#include "cdfg/benchmarks.h"
 #include "dse/session.h"
 #include "flow/explore_cache.h"
 #include "flow/flow.h"
@@ -24,44 +23,12 @@
 namespace phls {
 namespace {
 
-const module_library& lib()
-{
-    static const module_library l = table1_library();
-    return l;
-}
-
-flow hal17() { return flow::on(make_hal()).with_library(lib()).latency(17); }
-
-/// A duplicate-heavy point list: every grid point appears twice.
-std::vector<synthesis_constraints> duplicated_grid(int points)
-{
-    std::vector<synthesis_constraints> grid;
-    for (double cap : hal17().power_grid(points)) grid.push_back({17, cap});
-    const std::vector<synthesis_constraints> once = grid;
-    grid.insert(grid.end(), once.begin(), once.end());
-    return grid;
-}
-
 /// A fresh scratch directory under the test temp root.
 std::string scratch_dir(const char* name)
 {
     const std::string dir = std::string(::testing::TempDir()) + name;
     ::mkdir(dir.c_str(), 0755);
     return dir;
-}
-
-std::vector<front_point> reference_front(const std::vector<synthesis_constraints>& grid)
-{
-    dse::session session(hal17());
-    return session.explore(dse::list(grid), {}, 1).front;
-}
-
-void expect_same_front(const std::vector<front_point>& got,
-                       const std::vector<front_point>& want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(got[i] == want[i]) << "front point " << i;
 }
 
 // ------------------------------------------------------- front identity
@@ -78,7 +45,7 @@ TEST(shard, every_shard_count_lands_on_the_single_process_front)
             serve::explore_sharded(hal17(), dse::list(grid), opts);
         EXPECT_EQ(sum.space_size, grid.size()) << shards << " shards";
         EXPECT_EQ(sum.evaluated, grid.size()) << shards << " shards";
-        expect_same_front(sum.front, want);
+        EXPECT_EQ(sum.front, want);
     }
 }
 
@@ -125,7 +92,7 @@ TEST(shard, forked_subprocess_workers_produce_the_same_front)
         serve::explore_sharded(hal17(), dse::list(grid), opts, sk);
 
     EXPECT_EQ(sum.evaluated, grid.size());
-    expect_same_front(sum.front, want);
+    EXPECT_EQ(sum.front, want);
     // Subprocess reports crossed the wire, so they are metric-only — but
     // the metrics themselves are exact.
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -146,7 +113,7 @@ TEST(shard, more_shards_than_points_still_works)
     const serve::shard_summary sum =
         serve::explore_sharded(hal17(), dse::list(grid), opts);
     EXPECT_EQ(sum.evaluated, grid.size());
-    expect_same_front(sum.front, want);
+    EXPECT_EQ(sum.front, want);
 }
 
 TEST(shard, adaptive_spaces_are_rejected)
@@ -207,7 +174,7 @@ TEST(shard, per_shard_cache_files_union_into_the_single_warm_cache)
     const dse::explore_summary warm = merged.explore(dse::list(grid), sk, 1);
     EXPECT_EQ(warm.metric_served, single_replay.metric_served);
     EXPECT_EQ(warm.evaluated, grid.size());
-    expect_same_front(warm.front, single_replay.front);
+    EXPECT_EQ(warm.front, single_replay.front);
     for (std::size_t i = 0; i < grid.size(); ++i) {
         EXPECT_EQ(replay[i].st.code, reference[i].st.code) << i;
         if (!reference[i].st.ok()) continue;
@@ -241,7 +208,7 @@ TEST(shard, guided_shards_land_on_the_single_process_front)
         opts.guided = true;
         const serve::shard_summary sum =
             serve::explore_sharded(hal17(), dse::list(grid), opts);
-        expect_same_front(sum.front, want);
+        EXPECT_EQ(sum.front, want);
         EXPECT_EQ(sum.evaluated + sum.skipped, grid.size()) << shards << " shards";
         EXPECT_LE(sum.computed, sum.evaluated) << shards << " shards";
     }
@@ -297,7 +264,7 @@ TEST(shard, merge_files_combines_shard_caches_into_one_loadable_file)
     EXPECT_GT(warm.load(out), 0u);
     const dse::explore_summary replay = warm.explore(dse::list(grid), {}, 1);
     EXPECT_EQ(replay.metric_served, grid.size());
-    expect_same_front(replay.front, sum.front);
+    EXPECT_EQ(replay.front, sum.front);
 
     std::remove(out.c_str());
     for (const std::string& path : sum.cache_files) std::remove(path.c_str());

@@ -32,6 +32,7 @@
 #include "dse/surrogate.h"
 #include "flow/flow.h"
 #include "support/errors.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
@@ -41,8 +42,6 @@ const module_library& lib()
     static const module_library l = table1_library();
     return l;
 }
-
-flow hal17() { return flow::on(make_hal()).with_library(lib()).latency(17); }
 
 constexpr double nan_v = std::numeric_limits<double>::quiet_NaN();
 constexpr double inf_v = std::numeric_limits<double>::infinity();

@@ -162,6 +162,12 @@ struct synth_case {
     int latency_margin; // T = critical path + margin
 };
 
+void PrintTo(const synth_case& c, std::ostream* os)
+{
+    *os << "seed " << c.seed << ", cap " << c.cap_scale << "x peak, T = cp + "
+        << c.latency_margin;
+}
+
 class synth_property : public ::testing::TestWithParam<synth_case> {};
 
 TEST_P(synth_property, produces_verified_datapaths_or_honest_infeasibility)

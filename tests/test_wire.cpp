@@ -13,24 +13,16 @@
 
 #include <unistd.h>
 
-#include "cdfg/benchmarks.h"
 #include "dse/space.h"
 #include "flow/flow.h"
 #include "serve/wire.h"
 #include "support/errors.h"
+#include "sweep_util.h"
 
 namespace phls {
 namespace {
 
 using namespace serve;
-
-const module_library& lib()
-{
-    static const module_library l = table1_library();
-    return l;
-}
-
-flow hal17() { return flow::on(make_hal()).with_library(lib()).latency(17); }
 
 std::string bytes_of(std::initializer_list<unsigned> raw)
 {
@@ -66,11 +58,11 @@ TEST(wire, golden_hello_frame)
         0x50, 0x48, 0x4c, 0x53,       // magic "PHLS", little-endian u32
         0x01,                         // frame_type::hello
         0x04, 0x00, 0x00, 0x00,       // payload length 4
-        0x01, 0x00, 0x00, 0x00,       // protocol version 1
-        0xa2, 0x74, 0x6c, 0x30, 0x98, 0x9a, 0x59, 0x91, // fnv1a(payload)
+        0x02, 0x00, 0x00, 0x00,       // protocol version 2
+        0x11, 0xb8, 0x36, 0xda, 0x8f, 0xee, 0x5e, 0xf1, // fnv1a(payload)
     });
-    EXPECT_EQ(encode_frame(frame_type::hello, encode_hello(1)), expected);
-    EXPECT_EQ(wire_protocol_version, 1u);
+    EXPECT_EQ(encode_frame(frame_type::hello, encode_hello(2)), expected);
+    EXPECT_EQ(wire_protocol_version, 2u);
 }
 
 TEST(wire, golden_reject_frame)
@@ -150,12 +142,14 @@ TEST(wire, reader_rejects_leftover_and_overrun)
     // A string whose length prefix points past the payload.
     expect_wire_error([&] { (void)decode_reject(bytes_of({0xe8, 0x03, 0x00, 0x00})); },
                       "malformed frame: string runs past the end");
-    // A front count the payload cannot hold, rejected before allocation.
-    expect_wire_error(
-        [&] {
-            (void)decode_front(bytes_of({0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}));
-        },
-        "malformed frame: point count exceeds payload");
+    // A job whose point list claims more points than the payload can
+    // hold, rejected before allocation.  An empty list space ends the
+    // payload with its kind byte, count, thread count and empty cache
+    // path.
+    std::string job = encode_job(make_job(hal17(), dse::list({})));
+    job.replace(job.size() - 12, 4, bytes_of({0xff, 0xff, 0xff, 0xff}));
+    expect_wire_error([&] { (void)decode_job(job); },
+                      "malformed frame: space point count exceeds payload");
     // A boolean field that is neither 0 nor 1.
     std::string report = encode_report(1, metric_record{});
     report[8 + 1 + 4 + 4 + 4 + 8] = 2; // has_design, after the cap
@@ -207,50 +201,35 @@ TEST(wire, report_frame_round_trip)
     EXPECT_EQ(encode_report(f.index, f.metrics), payload);
 }
 
-TEST(wire, front_delta_round_trip)
+TEST(wire, done_summary_round_trip)
 {
-    front_delta d;
-    d.index = 12;
-    d.entered.push_back({12, 17, 7.5, 230.0, 6.4, 17, false, 0.0});
-    d.left.push_back({3, 17, 7.5, 260.0, 6.4, 17, true, 99.5});
-    d.left.push_back({5, 19, 8.0, 231.0, 7.9, 19, false, 0.0});
-    const std::string payload = encode_front(d);
-    const front_delta back = decode_front(payload);
-    EXPECT_EQ(back.index, d.index);
-    ASSERT_EQ(back.entered.size(), 1u);
-    ASSERT_EQ(back.left.size(), 2u);
-    EXPECT_TRUE(back.entered[0] == d.entered[0]);
-    EXPECT_TRUE(back.left[0] == d.left[0]);
-    EXPECT_TRUE(back.left[1] == d.left[1]);
-    EXPECT_EQ(encode_front(back), payload);
-}
-
-TEST(wire, done_frame_round_trip)
-{
-    done_frame d;
+    dse::explore_summary d;
     d.space_size = 120;
     d.evaluated = 120;
     d.feasible = 88;
     d.metric_served = 60;
-    d.counters = {10, 2, 30, 4, 50, 6, 7};
+    d.counters = {10, 2, 30, 4, 50, 6, 7, 8};
     d.front.push_back({0, 17, 5.5, 200.0, 5.4, 17, false, 0.0});
-    d.front.push_back({7, 17, 9.5, 150.0, 9.0, 17, false, 0.0});
+    d.wall_ms = 12.5;
     const std::string payload = encode_done(d);
-    const done_frame back = decode_done(payload);
+    EXPECT_EQ(payload.size(), 4 * 8 + 6 * 8u); // four counts, six counters
+    const dse::explore_summary back = decode_done(payload);
     EXPECT_EQ(back.space_size, d.space_size);
     EXPECT_EQ(back.evaluated, d.evaluated);
     EXPECT_EQ(back.feasible, d.feasible);
     EXPECT_EQ(back.metric_served, d.metric_served);
     EXPECT_EQ(back.counters.hits, 10);
     EXPECT_EQ(back.counters.misses, 2);
-    EXPECT_EQ(back.counters.committed_hits, 30);
-    EXPECT_EQ(back.counters.committed_misses, 4);
     EXPECT_EQ(back.counters.report_hits, 50);
     EXPECT_EQ(back.counters.report_misses, 6);
     EXPECT_EQ(back.counters.metric_hits, 7);
-    ASSERT_EQ(back.front.size(), 2u);
-    EXPECT_TRUE(back.front[0] == d.front[0]);
-    EXPECT_TRUE(back.front[1] == d.front[1]);
+    EXPECT_EQ(back.counters.interval_served, 8);
+    // Neither the dead committed counters nor the front travel, and the
+    // wall time is the reader's own.
+    EXPECT_EQ(back.counters.committed_hits, 0);
+    EXPECT_EQ(back.counters.committed_misses, 0);
+    EXPECT_TRUE(back.front.empty());
+    EXPECT_EQ(back.wall_ms, 0.0);
     EXPECT_EQ(encode_done(back), payload);
 }
 
@@ -378,6 +357,18 @@ TEST(wire, hello_handshake_and_version_mismatch)
         EXPECT_THROW(expect_hello(p.second), wire_error);
     }
     {
+        // A v1 peer is told which versions met.
+        pipe_pair p = make_pipes();
+        p.first.send(frame_type::hello, encode_hello(1));
+        try {
+            expect_hello(p.second);
+            ADD_FAILURE() << "a v1 hello was accepted";
+        } catch (const wire_error& e) {
+            EXPECT_STREQ(e.what(), "protocol version mismatch: peer speaks v1, this "
+                                   "build speaks v2");
+        }
+    }
+    {
         // A non-hello opening frame is a handshake failure too.
         pipe_pair p = make_pipes();
         p.first.send(frame_type::bye, "");
@@ -410,6 +401,17 @@ TEST(wire, malformed_frames_are_rejected_cleanly)
     expect_recv_rejects(bad_type);
     bad_type[4] = 99;
     expect_recv_rejects(bad_type);
+    // Type 4, v1's front frame, is retired.
+    {
+        pipe_pair p = make_pipes();
+        p.first.send_raw(encode_frame(static_cast<frame_type>(4), ""));
+        try {
+            (void)p.second.recv();
+            ADD_FAILURE() << "a type-4 frame was accepted";
+        } catch (const wire_error& e) {
+            EXPECT_STREQ(e.what(), "malformed frame: unknown type 4");
+        }
+    }
 
     std::string oversized = good;
     // Length field of 0x7FFFFFFF: rejected before any allocation.

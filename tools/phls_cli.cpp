@@ -525,15 +525,15 @@ int cmd_sweep(const arg_parser& args)
         // tolerance"); with 0 it fails fast.
         serve::reconnect_options ro;
         ro.max_retries = server_retries;
-        serve::resilient_client client(
-            [&server_spec] { return connect_server(server_spec); }, ro);
-        const serve::done_frame df = client.explore(job, sink);
+        serve::client client([&server_spec] { return connect_server(server_spec); },
+                             ro);
+        const dse::explore_summary sum = client.explore(job, sink);
         client.bye();
         if (client.reconnects() > 0)
             std::cerr << strf("reconnected to %s %zu time(s) mid-sweep\n",
                               server_spec.c_str(), client.reconnects());
-        front = df.front;
-        evaluated = static_cast<std::size_t>(df.evaluated);
+        front = sum.front;
+        evaluated = sum.evaluated;
     } else if (sharded) {
         serve::shard_options so;
         so.shards = shards;
