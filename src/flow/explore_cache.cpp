@@ -1,6 +1,7 @@
 #include "flow/explore_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -307,48 +308,49 @@ flow_report metric_report(const metric_record& m)
 
 metric_record metric_of(const flow_report& r) { return project(r); }
 
+void restamp_point(flow_report& r, const graph& g, const synthesis_constraints& c)
+{
+    r.constraints = c;
+    r.dp.name = design_name(g, c);
+    if (r.has_netlist) r.nl.design_name = r.dp.name;
+}
+
 /// The report memo.  Lives behind a pimpl so explore_cache.h does not
 /// pull in flow.h (the flow layer sits above this one).  It has its own
-/// lock: copying a whole flow_report (datapath, netlist, note strings)
-/// in or out is far heavier than the invariant lookups, and must not
-/// stall workers queued on the shared mutex_ for those.
+/// lock, held only to find, insert or unlink an entry: reports are
+/// shared and immutable, so a lookup copies the pointer under the lock
+/// and the report (datapath, netlist, note strings) outside it, and
+/// workers queued on the shared mutex_ for the invariants never wait
+/// for either.
 ///
-/// Every entry carries the metric projection of its report; the full
-/// report itself is optional — LRU eviction under a configured capacity
-/// and cache-file loads leave metric-only entries behind, which keep
-/// serving metric_lookup() while report_lookup() falls through to a
-/// recompute.
+/// Every entry carries the metric projection of its report at the
+/// entry's own point; the report itself is optional — LRU eviction
+/// under a configured capacity and cache-file loads leave metric-only
+/// entries behind, which keep serving metric_lookup() while
+/// report_lookup() falls through to a recompute.
 struct explore_cache::report_memo {
     struct entry {
-        std::unique_ptr<flow_report> full; ///< null = metric-only entry
-        metric_record metrics;
+        /// null = metric-only entry.  Possibly shared with the interval
+        /// table and computed at another point of its span.
+        std::shared_ptr<const flow_report> full;
+        metric_record metrics; ///< at the point this entry answers for
         /// Position in `lru`; meaningful only while `full` is held.
-        std::list<std::string>::iterator lru_pos;
+        std::list<const std::string*>::iterator lru_pos;
     };
 
     std::mutex mutex;
+    /// Entries are never erased, so `lru` can point at their keys.
     std::map<std::string, entry> entries;
-    std::list<std::string> lru; ///< keys holding full reports; front = MRU
-    std::size_t capacity = 0;   ///< max full reports; 0 = unbounded
-    std::size_t full_count = 0; ///< entries currently holding a full report
+    std::list<const std::string*> lru; ///< keys holding reports; front = MRU
+    std::size_t capacity = 0;   ///< max entries holding reports; 0 = unbounded
+    std::size_t full_count = 0; ///< entries currently holding a report
 
-    /// Installs `full` as `it`'s full report and makes it MRU.
-    void install(std::map<std::string, entry>::iterator it, std::unique_ptr<flow_report> full)
-    {
-        it->second.metrics = project(*full);
-        it->second.full = std::move(full);
-        lru.push_front(it->first);
-        it->second.lru_pos = lru.begin();
-        ++full_count;
-    }
-
-    /// Drops least-recently-used full reports down to their metric
-    /// records until the capacity bound holds (with the lock held).
+    /// Drops least-recently-used reports, leaving their entries' metric
+    /// records, until the capacity bound holds (with the lock held).
     void evict_over_capacity()
     {
         while (capacity > 0 && full_count > capacity) {
-            const auto victim = entries.find(lru.back());
-            victim->second.full.reset();
+            entries.find(*lru.back())->second.full.reset();
             lru.pop_back();
             --full_count;
         }
@@ -358,8 +360,8 @@ struct explore_cache::report_memo {
 /// The interval table.  Per (fingerprint without the cap, bucket), the
 /// stored spans are disjoint, so they are keyed by their lower end and
 /// the one span that can hold a limit is the last starting at or below
-/// it.  Reports are shared, immutable copies, so a lookup copies the
-/// pointer under the lock and the report outside it.
+/// it.  Reports are shared and immutable, so a lookup hands out the
+/// pointer it copied under the lock.
 struct explore_cache::interval_table {
     struct entry {
         cap_interval span;
@@ -480,37 +482,61 @@ module_assignment explore_cache::fastest(double cap) const
 
 bool explore_cache::report_lookup(const std::string& fingerprint, flow_report* out) const
 {
-    const std::lock_guard<std::mutex> lock(reports_->mutex);
-    const auto it = reports_->entries.find(fingerprint);
-    if (it == reports_->entries.end() || !it->second.full) return false;
+    std::shared_ptr<const flow_report> full;
+    synthesis_constraints point;
+    {
+        const std::lock_guard<std::mutex> lock(reports_->mutex);
+        const auto it = reports_->entries.find(fingerprint);
+        if (it == reports_->entries.end() || !it->second.full) return false;
+        // Touch: a served report moves to the front of the eviction order.
+        reports_->lru.splice(reports_->lru.begin(), reports_->lru, it->second.lru_pos);
+        full = it->second.full;
+        point = it->second.metrics.constraints;
+    }
     report_hits_.fetch_add(1, std::memory_order_relaxed);
-    // Touch: a served report moves to the front of the eviction order.
-    reports_->lru.splice(reports_->lru.begin(), reports_->lru, it->second.lru_pos);
-    it->second.lru_pos = reports_->lru.begin();
-    *out = *it->second.full;
+    *out = *full;
+    // A span's report answering for another cap of the span.  Compared
+    // bit for bit: an entry's own report carries its point's exact bits.
+    if (full->constraints.latency != point.latency ||
+        std::bit_cast<std::uint64_t>(full->constraints.max_power) !=
+            std::bit_cast<std::uint64_t>(point.max_power))
+        restamp_point(*out, g_, point);
     return true;
 }
 
 void explore_cache::report_store(const std::string& fingerprint,
-                                 const flow_report& report) const
+                                 std::shared_ptr<const flow_report> report,
+                                 const synthesis_constraints& point) const
 {
-    // Copied before taking the lock, so workers storing at once queue
-    // only for the insert.
-    auto full = std::make_unique<flow_report>(report);
+    // Projected before taking the lock, so workers storing at once
+    // queue only for the insert.
+    metric_record metrics = project(*report);
+    metrics.constraints = point;
     const std::lock_guard<std::mutex> lock(reports_->mutex);
     const auto [it, inserted] = reports_->entries.try_emplace(fingerprint);
-    if (!inserted && it->second.full) {
+    report_memo::entry& e = it->second;
+    if (!inserted && e.full) {
         // A concurrent computation of the same key won the insert race;
         // this store is the loser and counts the hit.
         report_hits_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
     // Fresh key, or a metric-only entry (evicted or loaded from a cache
-    // file) whose full report was genuinely recomputed: either way a
-    // real computation happened, so it counts as the miss.
-    reports_->install(it, std::move(full));
+    // file) whose report was genuinely recomputed: either way a real
+    // computation happened, so it counts as the miss.
+    e.full = std::move(report);
+    e.metrics = std::move(metrics);
+    reports_->lru.push_front(&it->first);
+    e.lru_pos = reports_->lru.begin();
+    ++reports_->full_count;
     report_misses_.fetch_add(1, std::memory_order_relaxed);
     reports_->evict_over_capacity();
+}
+
+void explore_cache::report_store(const std::string& fingerprint,
+                                 const flow_report& report) const
+{
+    report_store(fingerprint, std::make_shared<const flow_report>(report), report.constraints);
 }
 
 bool explore_cache::metric_lookup(const std::string& fingerprint,
@@ -525,10 +551,9 @@ bool explore_cache::metric_lookup(const std::string& fingerprint,
 }
 
 bool explore_cache::interval_lookup(const std::string& key, double cap,
-                                    flow_report* out) const
+                                    std::shared_ptr<const flow_report>* out) const
 {
     const std::string full_key = interval_key(key, cap);
-    std::shared_ptr<const flow_report> served;
     {
         const std::lock_guard<std::mutex> lock(intervals_->mutex);
         const auto k = intervals_->keys.find(full_key);
@@ -537,19 +562,17 @@ bool explore_cache::interval_lookup(const std::string& key, double cap,
         if (it == k->second.end()) return false;
         intervals_->lru.splice(intervals_->lru.begin(), intervals_->lru,
                                it->second.lru_pos);
-        served = it->second.report;
+        *out = it->second.report;
     }
     interval_served_.fetch_add(1, std::memory_order_relaxed);
-    *out = *served;
     return true;
 }
 
 void explore_cache::interval_store(const std::string& key, double cap,
                                    const cap_interval& span,
-                                   const flow_report& report) const
+                                   std::shared_ptr<const flow_report> report) const
 {
     std::string full_key = interval_key(key, cap);
-    auto stored = std::make_shared<const flow_report>(report);
     const std::lock_guard<std::mutex> lock(intervals_->mutex);
     interval_table::spans& spans = intervals_->keys[full_key];
     if (interval_table::holding(spans, cap_test(cap).limit()) != spans.end()) {
@@ -558,7 +581,7 @@ void explore_cache::interval_store(const std::string& key, double cap,
         return;
     }
     const auto [it, inserted] =
-        spans.try_emplace(span.below, interval_table::entry{span, std::move(stored), {}});
+        spans.try_emplace(span.below, interval_table::entry{span, std::move(report), {}});
     if (!inserted) return;
     intervals_->lru.emplace_front(std::move(full_key), span.below);
     it->second.lru_pos = intervals_->lru.begin();

@@ -25,9 +25,15 @@
 //     so a later point of the same configuration, latency and bucket
 //     whose limit Pmax + tolerance falls in the span would make the
 //     same decisions on the same sums: flow::run_point serves it the
-//     stored design, renamed for its own cap.  A dense Pmax sweep then
-//     costs one synthesis per span instead of one per point.  Held in
-//     memory only, LRU-bounded like the full reports.
+//     stored design, renamed for its own cap (restamp_point).  A dense
+//     Pmax sweep then costs one synthesis per span instead of one per
+//     point.  Held in memory only, LRU-bounded like the full reports.
+//
+// The two tables share one immutable report per design: a synthesised
+// greedy point's memo entry and its span hold the same allocation, and
+// the memo entry of every point a span served points at the span's
+// report, its own point kept in the entry's metric record.  So an
+// answered point costs a metric record and a pointer, not a datapath.
 //
 // The pasap/palap windows are not memoised: every synthesis computes
 // its initial and per-merge windows itself, with or without a cache.
@@ -121,6 +127,14 @@ flow_report metric_report(const metric_record& m);
 /// wire report frame) carries.  metric_report(metric_of(r)) preserves
 /// status and every achieved metric of `r`.
 metric_record metric_of(const flow_report& r);
+
+/// Renames `r`, a report computed at another point of graph `g`, for
+/// point `c`: re-stamps `constraints`, `dp.name` (design_name) and, when
+/// the report has a netlist, `nl.design_name`, and changes nothing
+/// else.  These are the only fields of a greedy report that name its
+/// cap, so this is how one design the interval table holds answers for
+/// every point of its span.
+void restamp_point(flow_report& r, const graph& g, const synthesis_constraints& c);
 
 /// Appends `m` in the one metric-record layout that cache-file records
 /// and wire report frames share (support/codec.h fields).
@@ -244,23 +258,37 @@ public:
     /// The report memo: whole-report memoisation for exactly-duplicate
     /// constraint points.  `fingerprint` must encode the complete flow
     /// configuration and the (T, Pmax) point (flow::fingerprint builds
-    /// it); the stored report is a deterministic pure function of that
-    /// fingerprint on the cached problem.  Returns true and fills `*out` on a full-report
-    /// hit (entries evicted down to metric records do not answer here —
-    /// see metric_lookup); a hit refreshes the entry's LRU position.
+    /// it); the answered report is a deterministic pure function of
+    /// that fingerprint on the cached problem.  Returns true and fills
+    /// `*out` on a full-report hit (entries evicted down to metric
+    /// records do not answer here — see metric_lookup); a hit refreshes
+    /// the entry's LRU position.  An entry holds a shared report and the
+    /// point it answers for; the report is copied outside the lock, and
+    /// one computed at another cap of its span is re-stamped for that
+    /// point (restamp_point).  `*out`'s wall_ms is the stored run's.
     bool report_lookup(const std::string& fingerprint, flow_report* out) const;
 
-    /// Stores `report` under `fingerprint` together with its metric
-    /// projection.  The first writer of a key counts the miss; a
+    /// Stores `report`, the answer at `point`, under `fingerprint`
+    /// together with its metric projection at `point`.  The entry
+    /// shares `report`: the interval table may hold it too, and it may
+    /// have been computed at another cap of its span (report_lookup
+    /// re-stamps it).  The first writer of a key counts the miss; a
     /// concurrent loser of the insert race counts a hit instead, so
     /// report_hits + report_misses always equals the number of lookups
     /// that found or stored a full report — flow::run_point's memoised
     /// calls plus dse::session's scan-time probes.  (flow::run_point
-    /// skips the store for status `internal` — an escaped, possibly transient exception must not
-    /// become permanent for every duplicate point.)  When a report
-    /// capacity is configured and the store exceeds it, the
-    /// least-recently-used full report is evicted down to its metric
-    /// record, so the number of held reports never passes the bound.
+    /// skips the store for status `internal` — an escaped, possibly
+    /// transient exception must not become permanent for every
+    /// duplicate point.)  When a report capacity is configured and the
+    /// store exceeds it, the least-recently-used entry is evicted down
+    /// to its metric record, so the number of entries holding a report
+    /// never passes the bound.
+    void report_store(const std::string& fingerprint,
+                      std::shared_ptr<const flow_report> report,
+                      const synthesis_constraints& point) const;
+
+    /// Stores a copy of `report` that no other entry shares, as the
+    /// answer at its own point (report.constraints).
     void report_store(const std::string& fingerprint, const flow_report& report) const;
 
     /// Metric-level lookup: serves the (status, peak, area, latency,
@@ -274,33 +302,38 @@ public:
     /// The interval table: a stored greedy report whose span holds
     /// `cap`'s limit (cap + cap_test::tolerance), under `key` -- the
     /// flow fingerprint without the cap (the latency included) -- and
-    /// `cap`'s admissible-module bucket.  Returns true and fills `*out`
-    /// with the report exactly as stored (its own point and design
-    /// name; the caller re-stamps them) and counts interval_served.  A
-    /// hit refreshes the entry's LRU position.  `cap` must be finite.
-    bool interval_lookup(const std::string& key, double cap, flow_report* out) const;
+    /// `cap`'s admissible-module bucket.  Returns true, points `*out`
+    /// at the stored report (its own point and design name; the caller
+    /// re-stamps a copy with restamp_point) and counts interval_served.
+    /// A hit refreshes the entry's LRU position.  `cap` must be finite.
+    bool interval_lookup(const std::string& key, double cap,
+                         std::shared_ptr<const flow_report>* out) const;
 
     /// Stores the feasible report computed at `cap` with the span its
-    /// run recorded.  Two spans under one key and bucket are disjoint or
-    /// identical, so a store whose limit an entry already holds is a
-    /// racing duplicate: it stores nothing and counts interval_served,
-    /// as a lookup after the winner's store would have.  Beyond the
-    /// report capacity the least-recently-used entry is dropped whole.
+    /// run recorded, sharing `report` (flow::run_point hands the same
+    /// allocation to report_store).  Two spans under one key and
+    /// bucket are disjoint or identical, so a store whose limit an
+    /// entry already holds is a racing duplicate: it stores nothing and
+    /// counts interval_served, as a lookup after the winner's store
+    /// would have.  Beyond the report capacity the least-recently-used
+    /// entry is dropped whole.
     void interval_store(const std::string& key, double cap, const cap_interval& span,
-                        const flow_report& report) const;
+                        std::shared_ptr<const flow_report> report) const;
 
-    /// Bounds the number of *full* reports the report memo holds, and
+    /// Bounds the number of report-memo entries that hold a report, and
     /// the number of designs the interval table holds; 0 (the default)
-    /// means unbounded.  Beyond the bound the least-recently-used report
-    /// is dropped to its metric record, which is retained (metric
+    /// means unbounded.  Beyond the bound the least-recently-used memo
+    /// entry is dropped to its metric record, which is retained (metric
     /// records are ~100 bytes, so a 10^5-point plane costs megabytes,
     /// not the gigabytes of full datapaths), and the least-recently-used
-    /// interval design is dropped.  Shrinking the capacity evicts
+    /// interval design is dropped.  A report either table still holds
+    /// outlives its eviction from the other, so at most twice the bound
+    /// of designs stay alive.  Shrinking the capacity evicts
     /// immediately.  Not thread-safe: call before sharing the cache.
     void set_report_capacity(std::size_t max_full_reports);
     /// The configured full-report bound (0 = unbounded).
     std::size_t report_capacity() const;
-    /// Full reports currently held by the report memo.
+    /// Report-memo entries currently holding a report (shared or not).
     std::size_t report_full_size() const;
     /// Designs currently held by the interval table.
     std::size_t interval_size() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <optional>
 
 #include "battery/lifetime.h"
@@ -21,23 +22,21 @@ double elapsed_ms(std::chrono::steady_clock::time_point since)
     return std::chrono::duration<double, std::milli>(now - since).count();
 }
 
-/// `served`, a greedy report from the interval table, turned into the
-/// report of point `c` of graph `g`: the fields that name the cap are
-/// re-stamped, and with `verify` the design is re-checked at `c`.
-void restamp(flow_report& served, const synthesis_constraints& c, const graph& g,
-             const module_library& lib, const synthesis_options& options)
+/// The status of serving `dp`, a greedy design from the interval table,
+/// at point `c` of graph `g`: with `verify_result` the design is
+/// re-checked at `c`, and a failure is internal.
+status verify_served(const datapath& dp, const synthesis_constraints& c, const graph& g,
+                     const module_library& lib, const synthesis_options& options)
 {
-    served.constraints = c;
-    served.dp.name = design_name(g, c);
-    if (served.has_netlist) served.nl.design_name = served.dp.name;
-    if (!options.verify_result) return;
+    if (!options.verify_result) return status::success();
     try {
-        check_datapath(g, lib, served.dp, c, options.costs);
+        check_datapath(g, lib, dp, c, options.costs);
     } catch (const error& e) {
-        served.st = status::internal(
+        return status::internal(
             strf("interval memo served a design that fails at T=%d Pmax=%.6f: %s",
                  c.latency, c.max_power, e.what()));
     }
+    return status::success();
 }
 
 } // namespace
@@ -229,7 +228,9 @@ flow_report flow::run_point(const synthesis_constraints& c,
     // canonical rendering) reflects the lookup instead.  Then the
     // interval table: a greedy design whose cap span holds this point's
     // limit is what synthesis would return here, up to the fields that
-    // name the cap.  Non-finite caps have no span to fall in.
+    // name the cap.  Non-finite caps have no span to fall in.  A served
+    // point's memo entry shares the span's report, and a synthesised
+    // greedy point's two entries share one copy of its report.
     std::string span_key;
     std::string memo_key;
     const bool use_spans = cache != nullptr && std::isfinite(c.max_power);
@@ -243,11 +244,15 @@ flow_report flow::run_point(const synthesis_constraints& c,
             memo.wall_ms = elapsed_ms(started);
             return memo;
         }
-        if (use_spans && cache->interval_lookup(span_key, c.max_power, &memo)) {
-            restamp(memo, c, graph_, lib_, options_);
-            memo.wall_ms = elapsed_ms(started);
-            if (memo.st.ok()) cache->report_store(memo_key, memo);
-            return memo;
+        std::shared_ptr<const flow_report> stored;
+        if (use_spans && cache->interval_lookup(span_key, c.max_power, &stored)) {
+            const status verified = verify_served(stored->dp, c, graph_, lib_, options_);
+            if (verified.ok()) cache->report_store(memo_key, stored, c);
+            flow_report served = *stored;
+            restamp_point(served, graph_, c);
+            if (!verified.ok()) served.st = verified;
+            served.wall_ms = elapsed_ms(started);
+            return served;
         }
     }
 
@@ -318,13 +323,17 @@ flow_report flow::run_point(const synthesis_constraints& c,
     // internal means an escaped exception (possibly transient, e.g. an
     // allocation failure): memoising it would make one bad run permanent
     // for every duplicate of this point on a shared cache.  The other
-    // codes are deterministic outcomes and safe to store.
-    if (cache != nullptr && report.st.code != status_code::internal)
+    // codes are deterministic outcomes and safe to store.  Only feasible
+    // designs keep a span: an infeasible reason prints the cap, and
+    // infeasible points are cheap anyway.
+    if (cache == nullptr || report.st.code == status_code::internal) return report;
+    if (use_spans && report.st.ok() && span) {
+        auto stored = std::make_shared<const flow_report>(report);
+        cache->report_store(memo_key, stored, c);
+        cache->interval_store(span_key, c.max_power, *span, std::move(stored));
+    } else {
         cache->report_store(memo_key, report);
-    // Only feasible designs keep a span: an infeasible reason prints the
-    // cap, and infeasible points are cheap anyway.
-    if (use_spans && report.st.ok() && span)
-        cache->interval_store(span_key, c.max_power, *span, report);
+    }
     return report;
 }
 

@@ -280,6 +280,32 @@ TEST(cap_interval, non_finite_caps_and_other_strategies_leave_the_table_empty)
     }
 }
 
+TEST(cap_interval, duplicates_of_served_points_are_identical)
+{
+    // Every hal T=17 cap twice.  A served point's memo entry shares its
+    // span's report, so a second visit to it is a memo hit on a report
+    // computed at another cap, re-stamped on the way out: its name, its
+    // netlist's design name and its constraints.
+    const flow f = hal17().emit_netlist().estimate_lifetime();
+    const std::vector<synthesis_constraints> points = duplicated_grid(64);
+    const std::vector<flow_report> want = run_each(f, points);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(strf("%d threads", threads));
+        dse::session s(f);
+        std::vector<flow_report> got(points.size());
+        s.explore(dse::list(points), collector(got), threads);
+        expect_identical(f, got, want);
+        EXPECT_GT(s.cache()->stats().interval_served, 0);
+
+        // Again on the same session: every point is a scan-time memo hit.
+        const long hits = s.cache()->stats().report_hits;
+        std::vector<flow_report> again(points.size());
+        s.explore(dse::list(points), collector(again), threads);
+        expect_identical(f, again, want);
+        EXPECT_EQ(s.cache()->stats().report_hits - hits, static_cast<long>(points.size()));
+    }
+}
+
 TEST(cap_interval, capacity_two_holds_at_most_two_designs)
 {
     const graph g = make_elliptic();
