@@ -189,24 +189,15 @@ session::session(const flow& prototype, const session_options& opts)
 bool session::serve_from_memo(const space& s, std::size_t index,
                               delivery_state& state)
 {
-    const synthesis_constraints c = s.at(index);
-    const std::string fp = flow_.fingerprint(c);
-    flow_report full;
-    if (cache_->report_lookup(fp, &full)) {
-        state.deliver(index, full, delivery_source::memo_report);
-        return true;
-    }
-    // Metric-only entries exist only after an eviction or a cache-file
-    // load; skip the per-point probe (one mutex round-trip each) when
-    // there are none.
-    if (cache_->report_metric_size() > 0) {
-        metric_record m;
-        if (cache_->metric_lookup(fp, &m)) {
-            state.deliver(index, metric_report(m), delivery_source::memo_metric);
-            return true;
-        }
-    }
-    return false;
+    // Entries evicted to, or warm-started as, metric records answer at
+    // the metric level.
+    flow_report memo;
+    bool metric_only = false;
+    if (!cache_->report_lookup(flow_.fingerprint(s.at(index)), &memo, &metric_only))
+        return false;
+    state.deliver(index, memo,
+                  metric_only ? delivery_source::memo_metric : delivery_source::memo_report);
+    return true;
 }
 
 void session::evaluate(const space& s, const std::vector<std::size_t>& indices,

@@ -159,21 +159,18 @@ public:
     /// written.
     std::size_t save(const std::string& path) const { return cache_->save(path); }
 
-    /// Warm-starts the cache from a save()d file; returns records
-    /// loaded.  @throws cache_file_error carrying the path and failure
-    /// kind (missing / truncated / corrupt / version or problem
-    /// mismatch; files written before format v4 are version mismatches
-    /// and must be deleted) — never silently degrades.  Call before
-    /// explore().
-    std::size_t load(const std::string& path) { return cache_->load(path); }
-
     /// Unions a save()d cache file into this session's (possibly warm)
     /// cache: novel metric records are inserted, keys the cache already
-    /// holds keep their in-memory value.  This is how per-shard sweep
-    /// caches combine into one warm session; merging every shard file
-    /// then behaves like the single cache that computed all shards.  Returns the number of new records.
-    /// @throws cache_file_error like load().
-    std::size_t merge(const std::string& path) { return cache_->merge(path); }
+    /// holds keep their in-memory value.  Returns the number of new
+    /// records.  This is how a repeated sweep warm-starts and how
+    /// per-shard sweep caches combine into one warm session; loading
+    /// every shard file then behaves like the single cache that computed
+    /// all shards.  @throws cache_file_error carrying the path and
+    /// failure kind (missing / truncated / corrupt / version or problem
+    /// mismatch; files written before format v4 are version mismatches
+    /// and must be deleted) — never silently degrades.  Call between
+    /// explorations, not during one.
+    std::size_t load(const std::string& path) { return cache_->load(path); }
 
     /// Evaluates every point of `s` (adaptively, when s.adaptive()) on
     /// `threads` workers, delivering through `sk` and folding the

@@ -28,7 +28,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "flow/explore_cache.h"
+#include "flow/flow.h"
 #include "library/library.h"
 #include "synth/synthesizer.h"
 

@@ -76,6 +76,47 @@ std::string flow_report::to_string() const
     return out;
 }
 
+void put_metric_record(byte_writer& w, const metric_record& m)
+{
+    w.u8(static_cast<std::uint8_t>(m.st.code));
+    w.str(m.st.message);
+    w.str(m.strategy);
+    w.i32(m.constraints.latency);
+    w.f64(m.constraints.max_power);
+    w.boolean(m.has_design);
+    w.boolean(m.optimal);
+    w.str(m.note);
+    w.f64(m.area);
+    w.f64(m.peak);
+    w.i32(m.latency);
+    w.boolean(m.has_lifetime);
+    w.f64(m.lifetime_seconds);
+    w.f64(m.battery_alpha);
+}
+
+metric_record get_metric_record(byte_reader& r)
+{
+    metric_record m;
+    const std::uint8_t code = r.u8();
+    if (code > static_cast<std::uint8_t>(status_code::internal))
+        throw decode_error("unknown status code " + std::to_string(code));
+    m.st.code = static_cast<status_code>(code);
+    m.st.message = r.str();
+    m.strategy = r.str();
+    m.constraints.latency = r.i32();
+    m.constraints.max_power = r.f64();
+    m.has_design = r.boolean();
+    m.optimal = r.boolean();
+    m.note = r.str();
+    m.area = r.f64();
+    m.peak = r.f64();
+    m.latency = r.i32();
+    m.has_lifetime = r.boolean();
+    m.lifetime_seconds = r.f64();
+    m.battery_alpha = r.f64();
+    return m;
+}
+
 flow::flow(const graph& g) : graph_(g), lib_(table1_library()) {}
 
 flow flow::on(const graph& g) { return flow(g); }
@@ -327,13 +368,10 @@ flow_report flow::run_point(const synthesis_constraints& c,
     // designs keep a span: an infeasible reason prints the cap, and
     // infeasible points are cheap anyway.
     if (cache == nullptr || report.st.code == status_code::internal) return report;
-    if (use_spans && report.st.ok() && span) {
-        auto stored = std::make_shared<const flow_report>(report);
-        cache->report_store(memo_key, stored, c);
+    auto stored = std::make_shared<const flow_report>(report);
+    cache->report_store(memo_key, stored, c);
+    if (use_spans && report.st.ok() && span)
         cache->interval_store(span_key, c.max_power, *span, std::move(stored));
-    } else {
-        cache->report_store(memo_key, report);
-    }
     return report;
 }
 
@@ -377,13 +415,10 @@ std::vector<double> flow::power_grid(int points) const
 
     // Lower edge: no operation can run below the min per-cycle power of
     // its kind, so the sweep starts just under that necessary bound.
-    // One min_power_for query per kind present (the cache's kind
-    // buckets when available), not one per node.
+    // One min_power_for query per kind present, not one per node.
     double low = 0.0;
     for (const op_kind k : all_op_kinds()) {
-        const bool present = cache != nullptr ? !cache->nodes_of_kind(k).empty()
-                                              : graph_.count_of_kind(k) > 0;
-        if (!present) continue;
+        if (graph_.count_of_kind(k) == 0) continue;
         const std::optional<double> p = lib_.min_power_for(k);
         check(p.has_value(), "library does not cover the graph");
         low = std::max(low, *p);

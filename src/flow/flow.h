@@ -33,6 +33,7 @@
 
 namespace phls {
 
+class byte_reader;
 class byte_writer;
 class explore_cache;
 namespace dse {
@@ -53,8 +54,15 @@ struct lifetime_spec {
     double max_seconds = 1e9; ///< simulation horizon
 };
 
-/// Structured outcome of one flow run.
-struct flow_report {
+/// The metric projection of a flow run: everything a sweep table,
+/// Pareto front or Figure-2 envelope reads — status, achieved (peak,
+/// area, latency) and battery lifetime — without the datapath, netlist
+/// or heuristic counters.  Every flow_report is one (it is the base).
+/// A report-memo entry keeps one after LRU eviction, cache files
+/// persist them and wire report frames carry them, so evicted and
+/// warm-started points still answer metric queries without a
+/// resynthesis.
+struct metric_record {
     status st;            ///< ok, infeasible, invalid_argument, ...
     std::string strategy; ///< synthesis strategy used
     synthesis_constraints constraints; ///< the (T, Pmax) point evaluated
@@ -63,8 +71,6 @@ struct flow_report {
     /// baseline strategies that produced a design violating the cap (the
     /// status is infeasible but the datapath is still inspectable).
     bool has_design = false;
-    datapath dp;           ///< schedule + allocation + binding (see has_design)
-    synthesis_stats stats; ///< heuristic counters (greedy strategy)
     bool optimal = false;  ///< design proven minimal-area ("exact" strategy)
     std::string note;      ///< strategy remark ("optimal", peak trace, ...)
 
@@ -72,12 +78,19 @@ struct flow_report {
     double peak = 0.0;  ///< achieved peak per-cycle power
     int latency = 0;    ///< achieved latency, cycles
 
-    bool has_netlist = false; ///< emit_netlist() stage ran
-    netlist nl;               ///< structural netlist (see has_netlist)
-
     bool has_lifetime = false;       ///< estimate_lifetime() stage ran
     double lifetime_seconds = 0.0;   ///< battery lifetime of this design
     double battery_alpha = 0.0;      ///< capacity used by the model
+};
+
+/// Structured outcome of one flow run: its metric record plus the
+/// design behind it.
+struct flow_report : metric_record {
+    datapath dp;           ///< schedule + allocation + binding (see has_design)
+    synthesis_stats stats; ///< heuristic counters (greedy strategy)
+
+    bool has_netlist = false; ///< emit_netlist() stage ran
+    netlist nl;               ///< structural netlist (see has_netlist)
 
     double wall_ms = 0.0; ///< wall-clock time of this run
 
@@ -88,6 +101,30 @@ struct flow_report {
     /// determinism tests: identical reports must serialise identically).
     std::string to_string() const;
 };
+
+/// A metric record turned back into a (metric-only) flow_report: status
+/// and achieved metrics are exact, the datapath/netlist/stats are empty.
+/// This is the shape dse::session serves warm points in and the shape
+/// the serve layer streams over the wire.
+inline flow_report metric_report(const metric_record& m)
+{
+    flow_report r;
+    static_cast<metric_record&>(r) = m;
+    return r;
+}
+
+/// The metric projection of a finished report: metric_report(metric_of(r))
+/// preserves status and every achieved metric of `r`.
+inline metric_record metric_of(const flow_report& r) { return r; }
+
+/// Appends `m` in the one metric-record layout that cache-file records
+/// and wire report frames share (support/codec.h fields).
+void put_metric_record(byte_writer& w, const metric_record& m);
+
+/// Reads one record put_metric_record() wrote.  @throws decode_error on
+/// truncated bytes, an unknown status code or a boolean field that is
+/// neither 0 nor 1.
+metric_record get_metric_record(byte_reader& r);
 
 /// Fluent builder + executor for one design problem.  The graph and
 /// library are copied in, so a flow outlives its inputs; a configured
@@ -121,8 +158,8 @@ public:
     flow& estimate_lifetime(const lifetime_spec& spec = {});
 
     /// Shares a pre-built explore_cache with this flow: run(),
-    /// run_schedule() and power_grid() serve the graph invariants
-    /// (reachability, the reversed graph, prospect and fastest tables),
+    /// run_schedule() and power_grid() serve the problem tables
+    /// (reachability, prospect and fastest tables; problem_tables),
     /// whole reports of exactly-duplicate points and greedy designs
     /// whose cap span holds the point from it instead of recomputing
     /// per point (see explore_cache).  The cache must have

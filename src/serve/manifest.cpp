@@ -1,6 +1,7 @@
 #include "serve/manifest.h"
 
 #include "serve/wire.h"
+#include "support/checksummed_file.h"
 #include "support/codec.h"
 #include "support/errors.h"
 #include "support/strings.h"

@@ -10,7 +10,7 @@
 // the metric memo and recomputing only the unfinished remainder.
 //
 // The file is format v2, framed by the checksummed-file helper cache
-// files use (write_checksummed_file, flow/explore_cache.h): a magic
+// files use (write_checksummed_file, support/checksummed_file.h): a magic
 // string, a version and the body length in an unchecksummed header (so
 // a torn tail classifies as `truncated`), the body, and the FNV-1a
 // checksum of the body (so a flipped byte classifies as `corrupt`),
@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "dse/session.h"
-#include "flow/explore_cache.h"
 #include "flow/flow.h"
+#include "support/checksummed_file.h"
 
 namespace phls::serve {
 

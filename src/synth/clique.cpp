@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "cdfg/analysis.h"
-#include "flow/explore_cache.h"
 #include "sched/mobility.h"
 #include "support/errors.h"
 #include "support/kernels.h"
@@ -14,6 +13,7 @@
 #include "synth/arena.h"
 #include "synth/candidates.h"
 #include "synth/compat.h"
+#include "synth/problem_tables.h"
 
 namespace phls {
 
@@ -133,7 +133,7 @@ void unwind(partition_state& st, const merge_undo& undo)
 synthesis_result run_clique_partitioning(const graph& g, const module_library& lib,
                                          const synthesis_constraints& constraints,
                                          const synthesis_options& options,
-                                         const explore_cache* cache)
+                                         const problem_tables* tables)
 {
     const int n = g.node_count();
     const double cap = constraints.max_power;
@@ -154,10 +154,10 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     long long* const rollback_acc = timers.collect ? &timers.rollback_ns : nullptr;
 
     // 1. Prospect modules under the power cap (one table per
-    // admissible-module set when a batch cache is attached).
+    // admissible-module set when batch tables are attached).
     const prospect_result prospect =
-        cache ? cache->prospect(options.policy, cap)
-              : make_prospect(g, lib, options.policy, cap);
+        tables ? tables->prospect(options.policy, cap)
+               : make_prospect(g, lib, options.policy, cap);
     if (!prospect.ok) {
         result.reason = prospect.reason;
         return result;
@@ -204,10 +204,10 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     }
 
     // 3. Reachability: a pure graph invariant, computed once per batch
-    // when cached instead of once per (point, policy).
+    // with tables instead of once per (point, policy).
     std::optional<reachability> local_reach;
-    if (cache == nullptr) local_reach.emplace(g);
-    const reachability& reach = cache ? cache->reach() : *local_reach;
+    if (tables == nullptr) local_reach.emplace(g);
+    const reachability& reach = tables ? tables->reach() : *local_reach;
     bool locked = false;
 
     candidate_store store;

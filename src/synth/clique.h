@@ -9,12 +9,12 @@ namespace phls {
 
 /// Runs prospect selection, window computation, the greedy merge loop
 /// with backtrack-and-lock, and finalisation.  Does not compute area or
-/// verify (synthesize() adds those).  `cache` (optional) serves the
-/// reachability relation, the reversed graph and the prospect table;
-/// see synthesize() for the contract.
+/// verify (synthesize() adds those).  `tables` (optional) serve the
+/// reachability relation and the prospect table; see synthesize() for
+/// the contract.
 synthesis_result run_clique_partitioning(const graph& g, const module_library& lib,
                                          const synthesis_constraints& constraints,
                                          const synthesis_options& options,
-                                         const explore_cache* cache = nullptr);
+                                         const problem_tables* tables = nullptr);
 
 } // namespace phls

@@ -1,7 +1,7 @@
 #include "synth/synthesizer.h"
 
-#include "flow/explore_cache.h"
 #include "synth/clique.h"
+#include "synth/problem_tables.h"
 #include "synth/verify.h"
 
 namespace phls {
@@ -11,10 +11,10 @@ namespace {
 synthesis_result synthesize_one(const graph& g, const module_library& lib,
                                 const synthesis_constraints& constraints,
                                 const synthesis_options& options,
-                                const explore_cache* cache)
+                                const problem_tables* tables)
 {
     synthesis_result result =
-        run_clique_partitioning(g, lib, constraints, options, cache);
+        run_clique_partitioning(g, lib, constraints, options, tables);
     if (!result.feasible) return result;
 
     result.dp.compute_area(g, lib, options.costs);
@@ -28,13 +28,13 @@ synthesis_result synthesize_one(const graph& g, const module_library& lib,
 synthesis_result synthesize(const graph& g, const module_library& lib,
                             const synthesis_constraints& constraints,
                             const synthesis_options& options,
-                            const explore_cache* cache)
+                            const problem_tables* tables)
 {
     g.validate();
     lib.check_covers(g);
 
     if (!options.try_both_prospects)
-        return synthesize_one(g, lib, constraints, options, cache);
+        return synthesize_one(g, lib, constraints, options, tables);
 
     synthesis_options fast = options;
     fast.try_both_prospects = false;
@@ -49,17 +49,17 @@ synthesis_result synthesize(const graph& g, const module_library& lib,
     // the second run would reproduce the first bit for bit -- skip it.
     const double cap = constraints.max_power;
     const prospect_result pf =
-        cache ? cache->prospect(prospect_policy::fastest_fit, cap)
-              : make_prospect(g, lib, prospect_policy::fastest_fit, cap);
+        tables ? tables->prospect(prospect_policy::fastest_fit, cap)
+               : make_prospect(g, lib, prospect_policy::fastest_fit, cap);
     const prospect_result pc =
-        cache ? cache->prospect(prospect_policy::cheapest_fit, cap)
-              : make_prospect(g, lib, prospect_policy::cheapest_fit, cap);
+        tables ? tables->prospect(prospect_policy::cheapest_fit, cap)
+               : make_prospect(g, lib, prospect_policy::cheapest_fit, cap);
     const bool same_prospects =
         pf.ok == pc.ok && pf.assignment == pc.assignment && pf.reason == pc.reason;
 
-    const synthesis_result a = synthesize_one(g, lib, constraints, fast, cache);
+    const synthesis_result a = synthesize_one(g, lib, constraints, fast, tables);
     const synthesis_result b =
-        same_prospects ? a : synthesize_one(g, lib, constraints, cheap, cache);
+        same_prospects ? a : synthesize_one(g, lib, constraints, cheap, tables);
     if (!a.feasible && !b.feasible) {
         synthesis_result out = a;
         out.reason = "fastest_fit: " + a.reason + "; cheapest_fit: " + b.reason;

@@ -74,7 +74,7 @@ struct synthesis_result {
     synthesis_stats stats;
 };
 
-class explore_cache;
+class problem_tables;
 
 /// The name synthesize() gives its design at point `c`:
 /// "<graph>_T<latency>_P<cap>" (the cap as %.3g, "inf" when unbounded).
@@ -82,16 +82,16 @@ std::string design_name(const graph& g, const synthesis_constraints& c);
 
 /// Runs the full algorithm: prospect modules -> pasap/palap windows ->
 /// greedy power-aware clique partitioning with backtrack-and-lock ->
-/// finalisation -> area accounting.  `cache` (optional) serves the
-/// per-(graph, lib) invariants -- reachability, the reversed graph,
-/// prospect tables -- during batch exploration; it must have been built
-/// for exactly (g, lib), and the result is byte-identical with or
-/// without it.  When `options.try_both_prospects` resolves both policies
-/// to the same module table (any cap below the point where they
-/// diverge), the second synthesis run is skipped outright.
+/// finalisation -> area accounting.  `tables` (optional) serve the
+/// per-(graph, lib) invariants -- reachability and the prospect tables
+/// -- during batch exploration; they must have been built for exactly
+/// (g, lib), and the result is byte-identical with or without them.
+/// When `options.try_both_prospects` resolves both policies to the same
+/// module table (any cap below the point where they diverge), the second
+/// synthesis run is skipped outright.
 synthesis_result synthesize(const graph& g, const module_library& lib,
                             const synthesis_constraints& constraints,
                             const synthesis_options& options = {},
-                            const explore_cache* cache = nullptr);
+                            const problem_tables* tables = nullptr);
 
 } // namespace phls

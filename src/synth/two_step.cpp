@@ -87,7 +87,7 @@ int reduce_peak_power(const graph& g, const module_library& lib, datapath& dp, i
 two_step_result two_step_synthesize(const graph& g, const module_library& lib,
                                     const synthesis_constraints& constraints,
                                     const synthesis_options& options,
-                                    const explore_cache* cache)
+                                    const problem_tables* tables)
 {
     two_step_result result;
 
@@ -96,7 +96,7 @@ two_step_result two_step_synthesize(const graph& g, const module_library& lib,
     step1.max_power = unbounded_power;
     synthesis_options opts = options;
     opts.verify_result = false; // verified below with the relaxed cap
-    const synthesis_result s1 = synthesize(g, lib, step1, opts, cache);
+    const synthesis_result s1 = synthesize(g, lib, step1, opts, tables);
     if (!s1.feasible) {
         result.reason = "step one (time-constrained synthesis) failed: " + s1.reason;
         return result;

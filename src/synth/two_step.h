@@ -21,19 +21,19 @@ struct two_step_result {
     int moves = 0;             ///< accepted reordering moves
 };
 
-class explore_cache;
+class problem_tables;
 
 /// Runs the baseline under `constraints`; step one ignores
 /// constraints.max_power, step two tries to reach it by moving operations
-/// within their slack (allocation/binding unchanged).  `cache` (optional)
-/// serves step one's graph invariants during batch exploration; step one
-/// itself (the same cap-free problem for every cap) is re-run at every
-/// point of a power sweep.  Results are byte-identical with or without
-/// the cache.
+/// within their slack (allocation/binding unchanged).  `tables`
+/// (optional) serve step one's graph invariants during batch exploration;
+/// step one itself (the same cap-free problem for every cap) is re-run at
+/// every point of a power sweep.  Results are byte-identical with or
+/// without the tables.
 two_step_result two_step_synthesize(const graph& g, const module_library& lib,
                                     const synthesis_constraints& constraints,
                                     const synthesis_options& options = {},
-                                    const explore_cache* cache = nullptr);
+                                    const problem_tables* tables = nullptr);
 
 /// Step two alone: greedy peak-power reduction on an existing datapath by
 /// retiming operations within dependency and instance-exclusivity slack.

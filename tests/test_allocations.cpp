@@ -1,19 +1,25 @@
 // Allocation gates: a passing check() and the per-merge window recompute
 // must not allocate per node (a warm window engine allocates nothing),
-// and a point the interval table serves copies its report once.
+// a point the interval table serves copies its report once, and a
+// checksummed file is read into one buffer.
 // A replaced global operator new counts the calls made on the measuring
-// thread inside a measured scope only.
+// thread inside a measured scope only, and the bytes they ask for.
 //
 // ASan and TSan own operator new, so the replacement is compiled out under
 // them and the gates skip.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "cdfg/random_dag.h"
 #include "sched/mobility.h"
+#include "support/checksummed_file.h"
+#include "support/codec.h"
 #include "support/errors.h"
 #include "sweep_util.h"
 
@@ -31,13 +37,18 @@
 namespace {
 /// operator new calls on this thread; negative while not counting.
 thread_local long counted_allocations = -1;
+/// Bytes those calls asked for.
+thread_local std::size_t counted_bytes = 0;
 } // namespace
 
 #if PHLS_COUNT_ALLOCATIONS
 // The standard library's array and nothrow forms forward to these.
 void* operator new(std::size_t size)
 {
-    if (counted_allocations >= 0) ++counted_allocations;
+    if (counted_allocations >= 0) {
+        ++counted_allocations;
+        counted_bytes += size;
+    }
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc();
 }
@@ -58,6 +69,15 @@ long allocations_in(F&& f)
     const long n = counted_allocations;
     counted_allocations = -1;
     return n;
+}
+
+/// Bytes operator new handed out on this thread while `f` runs.
+template <typename F>
+std::size_t bytes_allocated_in(F&& f)
+{
+    counted_bytes = 0;
+    allocations_in(f);
+    return counted_bytes;
 }
 
 TEST(allocations, passing_checks_allocate_nothing)
@@ -137,6 +157,32 @@ TEST(allocations, a_served_point_copies_its_report_once)
     // and 114 allocations.
     EXPECT_LE(plain, 67);
     EXPECT_LE(netlist, 83);
+}
+
+TEST(allocations, reading_a_checksummed_file_holds_it_once)
+{
+    if (!PHLS_COUNT_ALLOCATIONS) GTEST_SKIP() << "the sanitizer runtime owns operator new";
+    const checksummed_format format{
+        .magic = "phls-allocation-test",
+        .version = 1,
+        .sites = "allocations",
+        .noun = "test file",
+        .header = "test-file header",
+        .foreign = "not a test file",
+        .temporary = "temporary test file",
+    };
+    const std::string path = std::string(::testing::TempDir()) + "allocations_1mib.bin";
+    write_checksummed_file(path, format, std::string(std::size_t{1} << 20, 'x'));
+    const std::size_t file_size = std::filesystem::file_size(path);
+    const std::size_t bytes = bytes_allocated_in([&] {
+        read_checksummed_file(path, format, [](byte_reader& r) { r.raw(r.remaining()); });
+    });
+    std::remove(path.c_str());
+    RecordProperty("bytes_reading_1mib", static_cast<int>(bytes));
+    // One buffer sized from the file.  Streaming it through an
+    // ostringstream and copying it out with str() allocated 5.0x.
+    EXPECT_LT(static_cast<double>(bytes), 1.1 * static_cast<double>(file_size))
+        << bytes << " bytes allocated to read a " << file_size << "-byte file";
 }
 
 } // namespace

@@ -1,5 +1,4 @@
-// Tests for the baseline schedulers: resource-constrained list
-// scheduling and force-directed scheduling.
+// Tests for the baseline force-directed scheduler.
 #include <gtest/gtest.h>
 
 #include "cdfg/analysis.h"
@@ -8,7 +7,6 @@
 #include "power/tracker.h"
 #include "sched/asap_alap.h"
 #include "sched/force_directed.h"
-#include "sched/list_sched.h"
 #include "support/errors.h"
 
 namespace phls {
@@ -18,68 +16,6 @@ const module_library& lib()
 {
     static const module_library l = table1_library();
     return l;
-}
-
-TEST(list_sched, minimal_allocation_has_one_instance_per_used_module)
-{
-    const graph g = make_hal();
-    const module_assignment a = fastest_assignment(g, lib(), unbounded_power);
-    const allocation alloc = minimal_allocation(lib(), a);
-    ASSERT_EQ(alloc.size(), static_cast<std::size_t>(lib().size()));
-    EXPECT_EQ(alloc[lib().find("mult_par")->index()], 1);
-    EXPECT_EQ(alloc[lib().find("mult_ser")->index()], 0);
-    EXPECT_EQ(alloc[lib().find("input")->index()], 1);
-}
-
-TEST(list_sched, produces_valid_schedules_and_bindings)
-{
-    const graph g = make_hal();
-    const module_assignment a = fastest_assignment(g, lib(), unbounded_power);
-    allocation alloc = minimal_allocation(lib(), a);
-    const list_sched_result r = list_schedule(g, lib(), a, alloc);
-    ASSERT_TRUE(r.feasible) << r.reason;
-    EXPECT_NO_THROW(validate_schedule(g, lib(), r.sched));
-    // Exclusive instances: no two ops on the same instance overlap.
-    for (node_id v : g.nodes())
-        for (node_id u : g.nodes()) {
-            if (v >= u || r.instance_of[v.index()] != r.instance_of[u.index()]) continue;
-            const bool overlap = r.sched.start(v) < r.sched.finish(u, lib()) &&
-                                 r.sched.start(u) < r.sched.finish(v, lib());
-            EXPECT_FALSE(overlap) << g.label(v) << " vs " << g.label(u);
-        }
-}
-
-TEST(list_sched, more_instances_never_hurt_latency)
-{
-    const graph g = make_cosine();
-    const module_assignment a = fastest_assignment(g, lib(), unbounded_power);
-    allocation one = minimal_allocation(lib(), a);
-    allocation many = one;
-    for (int& c : many) c = c > 0 ? 4 : 0;
-    const list_sched_result r1 = list_schedule(g, lib(), a, one);
-    const list_sched_result r4 = list_schedule(g, lib(), a, many);
-    ASSERT_TRUE(r1.feasible && r4.feasible);
-    EXPECT_LE(r4.sched.latency(lib()), r1.sched.latency(lib()));
-}
-
-TEST(list_sched, missing_instances_are_reported)
-{
-    const graph g = make_hal();
-    const module_assignment a = fastest_assignment(g, lib(), unbounded_power);
-    allocation alloc(static_cast<std::size_t>(lib().size()), 0);
-    const list_sched_result r = list_schedule(g, lib(), a, alloc);
-    EXPECT_FALSE(r.feasible);
-    EXPECT_FALSE(r.reason.empty());
-}
-
-TEST(list_sched, serial_multiplier_latency_reflects_contention)
-{
-    // 6 mults on one serial multiplier: at least 24 cycles of mult time.
-    const graph g = make_hal();
-    const module_assignment a = cheapest_assignment(g, lib(), unbounded_power);
-    const list_sched_result r = list_schedule(g, lib(), a, minimal_allocation(lib(), a));
-    ASSERT_TRUE(r.feasible);
-    EXPECT_GE(r.sched.latency(lib()), 24);
 }
 
 TEST(fds, schedules_within_the_bound_and_validates)

@@ -239,7 +239,7 @@ TEST(codec, golden_one_record_cache_file_v4)
     r.st = status::infeasible("cap");
     r.strategy = "greedy";
     r.constraints = {3, 2.5};
-    cache.report_store("fp", r);
+    cache.report_store("fp", std::make_shared<const flow_report>(r), r.constraints);
     const std::string path = std::string(::testing::TempDir()) + "codec_golden.phlscache";
     ASSERT_EQ(cache.save(path), 1u);
 
@@ -288,13 +288,15 @@ TEST(codec, cache_file_of_smallest_records_round_trips)
     const graph g = parse_cdfg_string(tiny_graph_text);
     const module_library lib = parse_library_string(tiny_lib_text);
     explore_cache cache(g, lib);
-    cache.report_store("", flow_report{});
+    cache.report_store("", std::make_shared<const flow_report>(), synthesis_constraints{});
     const std::string path = std::string(::testing::TempDir()) + "codec_smallest.phlscache";
     ASSERT_EQ(cache.save(path), 1u);
     explore_cache fresh(g, lib);
     EXPECT_EQ(fresh.load(path), 1u);
-    metric_record m;
-    EXPECT_TRUE(fresh.metric_lookup("", &m));
+    flow_report m;
+    bool metric_only = false;
+    EXPECT_TRUE(fresh.report_lookup("", &m, &metric_only));
+    EXPECT_TRUE(metric_only);
 }
 
 TEST(codec, golden_one_range_manifest_v2)

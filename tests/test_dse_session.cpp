@@ -535,12 +535,12 @@ TEST(dse_session, merge_unions_disjoint_cache_files)
     }
 
     dse::session merged(hal17());
-    const std::size_t from_lo = merged.merge(lo_path);
-    const std::size_t from_hi = merged.merge(hi_path);
+    const std::size_t from_lo = merged.load(lo_path);
+    const std::size_t from_hi = merged.load(hi_path);
     EXPECT_GT(from_lo, 0u);
     EXPECT_GT(from_hi, 0u);
     // Merging the same file again contributes nothing.
-    EXPECT_EQ(merged.merge(lo_path), 0u);
+    EXPECT_EQ(merged.load(lo_path), 0u);
 
     const dse::explore_summary replay = merged.explore(dse::list(grid), {}, 1);
     EXPECT_EQ(replay.metric_served, grid.size());
@@ -549,8 +549,8 @@ TEST(dse_session, merge_unions_disjoint_cache_files)
     const std::vector<flow_report> reference = run_each(hal17(), grid);
     std::vector<flow_report> got;
     dse::session check(hal17());
-    check.merge(lo_path);
-    check.merge(hi_path);
+    check.load(lo_path);
+    check.load(hi_path);
     check.explore(dse::list(grid), collector(got), 1);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -569,7 +569,7 @@ TEST(dse_session, merge_rejects_a_foreign_problem)
     saved_cache_bytes(path);
     dse::session cosine_session(flow::on(make_cosine()).with_library(lib()).latency(15));
     try {
-        cosine_session.merge(path);
+        cosine_session.load(path);
         ADD_FAILURE() << "merge accepted a cache for a different problem";
     } catch (const cache_file_error& e) {
         EXPECT_EQ(e.kind(), cache_file_error::failure::problem_mismatch);

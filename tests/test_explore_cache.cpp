@@ -1,6 +1,7 @@
-// Tests for the explore_cache (shared per-(graph, lib) sub-results) and
-// the session's streaming report channel: every point delivered once,
-// deliveries serialised, sink exceptions rethrown after the pool drains.
+// Tests for the explore_cache (shared per-(graph, lib) sub-results), the
+// synth layer's problem_tables under it, and the session's streaming
+// report channel: every point delivered once, deliveries serialised,
+// sink exceptions rethrown after the pool drains.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,8 @@
 #include "flow/flow.h"
 #include "sched/schedule.h"
 #include "support/errors.h"
+#include "support/strings.h"
+#include "synth/problem_tables.h"
 #include "synth/prospect.h"
 #include "synth/two_step.h"
 #include "sweep_util.h"
@@ -169,6 +172,61 @@ TEST(explore_cache, two_step_shares_step_one_windows_across_a_cap_sweep)
     ASSERT_EQ(with.feasible, without.feasible);
     EXPECT_EQ(with.dp.sched.starts(), without.dp.sched.starts());
     EXPECT_DOUBLE_EQ(with.peak_after, without.peak_after);
+}
+
+// The synth layer used without flow/: synthesize() and
+// two_step_synthesize() return the same designs with no tables, with
+// bare problem_tables and with an explore_cache.
+TEST(problem_tables, synthesis_is_identical_without_tables_on_bare_tables_and_on_a_cache)
+{
+    const auto render = [](const graph& g, bool feasible, const std::string& reason,
+                           const datapath& dp, const std::string& counters) {
+        return strf("feasible %d: %s\n%s\n", feasible ? 1 : 0, reason.c_str(),
+                    counters.c_str()) +
+               (feasible ? dp.report(g, lib()) : std::string());
+    };
+    const std::vector<std::pair<graph, int>> problems = {{make_hal(), 17},
+                                                         {make_cosine(), 15}};
+    for (const auto& [g, T] : problems) {
+        const problem_tables bare(g, lib());
+        const explore_cache cache(g, lib());
+        for (double cap : {2.0, 4.5, 7.0, 8.1, 9.0, 12.0, unbounded_power}) {
+            const synthesis_constraints c{T, cap};
+            std::vector<std::string> greedy, two_step;
+            std::vector<datapath> designs;
+            for (const problem_tables* tables :
+                 {static_cast<const problem_tables*>(nullptr), &bare,
+                  static_cast<const problem_tables*>(&cache)}) {
+                const synthesis_result s = synthesize(g, lib(), c, {}, tables);
+                greedy.push_back(render(
+                    g, s.feasible, s.reason, s.dp,
+                    strf("merges %d pair %d join %d rejected %d recomputes %d locked %d",
+                         s.stats.merges, s.stats.pair_merges, s.stats.join_merges,
+                         s.stats.rejected, s.stats.window_recomputes,
+                         s.stats.locked ? 1 : 0)));
+                designs.push_back(s.dp);
+                const two_step_result t = two_step_synthesize(g, lib(), c, {}, tables);
+                two_step.push_back(
+                    render(g, t.feasible, t.reason, t.dp,
+                           strf("before %.17g after %.17g meets %d moves %d",
+                                t.peak_before, t.peak_after, t.meets_power ? 1 : 0,
+                                t.moves)));
+                designs.push_back(t.dp);
+            }
+            for (std::size_t i = 1; i < greedy.size(); ++i) {
+                EXPECT_EQ(greedy[i], greedy[0]) << g.name() << " cap " << cap << " setup " << i;
+                EXPECT_EQ(two_step[i], two_step[0])
+                    << g.name() << " cap " << cap << " setup " << i;
+            }
+            for (std::size_t i = 2; i < designs.size(); ++i) {
+                EXPECT_EQ(designs[i].sched.starts(), designs[i % 2].sched.starts()) << cap;
+                EXPECT_EQ(designs[i].instance_of, designs[i % 2].instance_of) << cap;
+            }
+        }
+        EXPECT_GT(bare.hits(), 0) << g.name();
+        EXPECT_EQ(bare.hits(), cache.stats().hits) << g.name();
+        EXPECT_EQ(bare.misses(), cache.stats().misses) << g.name();
+    }
 }
 
 // ------------------------------------------------------------ report memo

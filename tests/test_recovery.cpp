@@ -671,7 +671,7 @@ TEST(recovery, resume_after_mid_sweep_kill_recomputes_only_unfinished_ranges)
     // the warm metrics; only the doomed shard's range is recomputed.
     dse::session session(hal17());
     for (const std::string& path : man.cache_files)
-        EXPECT_GT(session.merge(path), 0u) << path;
+        EXPECT_GT(session.load(path), 0u) << path;
     const dse::explore_summary sum = session.explore(dse::list(grid), {}, 1);
     EXPECT_EQ(sum.evaluated, grid.size());
     EXPECT_EQ(sum.metric_served, man.done_points());

@@ -165,7 +165,7 @@ TEST(shard, per_shard_cache_files_union_into_the_single_warm_cache)
     // served from metrics, none recomputed, same answers, same front.
     dse::session merged(hal17());
     std::size_t merged_records = 0;
-    for (const std::string& path : sum.cache_files) merged_records += merged.merge(path);
+    for (const std::string& path : sum.cache_files) merged_records += merged.load(path);
     EXPECT_GT(merged_records, 0u);
 
     std::vector<flow_report> replay(grid.size());
@@ -183,7 +183,7 @@ TEST(shard, per_shard_cache_files_union_into_the_single_warm_cache)
     }
 
     // Merging a file twice adds nothing new.
-    EXPECT_EQ(merged.merge(sum.cache_files[0]), 0u);
+    EXPECT_EQ(merged.load(sum.cache_files[0]), 0u);
 
     std::remove(single_path.c_str());
     for (const std::string& path : sum.cache_files) std::remove(path.c_str());

@@ -450,7 +450,7 @@ int cmd_sweep(const arg_parser& args)
     }
 
     // The grid probe shares the session cache when there is one (its
-    // kind buckets and invariants are already built); distributed sweeps
+    // problem tables are already built); distributed sweeps
     // probe cold — the grid is a pure function of the problem, so the
     // caps are identical.
     flow probe = proto;
@@ -478,7 +478,7 @@ int cmd_sweep(const arg_parser& args)
                    "--points",
                    man.space_size, sp.size()));
         std::size_t merged = 0;
-        for (const std::string& path : man.cache_files) merged += session->merge(path);
+        for (const std::string& path : man.cache_files) merged += session->load(path);
         std::cerr << strf("resuming: %zu of %zu points already complete "
                           "(%zu memo records from %zu cache file(s))\n",
                           man.done_points(), sp.size(), merged,
