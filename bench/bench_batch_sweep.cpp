@@ -37,7 +37,13 @@
 //   * guided exploration -- explore_guided over a 10^4-point (T, Pmax)
 //     plane must land on the EXACT eager front while evaluating at most
 //     25% of the plane, its counters must partition the space, and the
-//     guided walk must beat the eager walk on wall time.
+//     guided walk must beat the eager walk on wall time;
+//   * delivery convoy -- a cold eager explore of the same plane in a
+//     seeded order, lifetime stage on, with a sink that formats every
+//     report as the end-to-end benchmark's point_line does, on 1 and 4
+//     threads: wall, CPU and system time are reported per thread
+//     count, and the per-point projections must be identical.  No
+//     speed gate.
 //
 // The machine-readable summary (points/sec, hit rates, warm vs cold
 // wall time, gate results) is written to BENCH_batch_sweep.json so the
@@ -49,7 +55,9 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <sys/resource.h>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cdfg/benchmarks.h"
@@ -57,6 +65,7 @@
 #include "flow/explore_cache.h"
 #include "flow/flow.h"
 #include "flow/pareto_stream.h"
+#include "support/rng.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "../tests/sweep_util.h"
@@ -83,6 +92,27 @@ bool identical(const std::vector<phls::flow_report>& a,
     for (std::size_t i = 0; i < a.size(); ++i)
         if (a[i].to_string() != b[i].to_string()) return false;
     return true;
+}
+
+/// User and system CPU seconds this process has used so far, all
+/// threads together.
+std::pair<double, double> cpu_seconds()
+{
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    const auto seconds = [](const timeval& t) {
+        return static_cast<double>(t.tv_sec) + 1e-6 * static_cast<double>(t.tv_usec);
+    };
+    return {seconds(u.ru_utime), seconds(u.ru_stime)};
+}
+
+/// One point's metric projection, formatted as perfbench's point_line.
+std::string point_line(const phls::flow_report& r)
+{
+    return phls::strf("%d %.17g %s %d %.17g %.17g %d %d %.17g\n", r.constraints.latency,
+                      r.constraints.max_power, phls::status_code_name(r.st.code),
+                      r.has_design ? 1 : 0, r.area, r.peak, r.latency,
+                      r.has_lifetime ? 1 : 0, r.lifetime_seconds);
 }
 
 /// Metric-level equality: what a warm-started session guarantees (the
@@ -380,6 +410,52 @@ int main()
                       plane_guided_sum.verified, plane_guided_sum.front.size(),
                       ms_plane_guided > 0.0 ? ms_plane_eager / ms_plane_guided : 0.0);
 
+    // ---- the delivery convoy: a cold eager plane with a formatting sink ----
+    //
+    // Deliveries are serialised, so workers that finish while the sink
+    // runs must not queue on it.  The plane in a seeded order (as the
+    // end-to-end benchmark's sweep-plane walks it), lifetime stage on, on
+    // 1 and 4 threads; best of three cold explores per thread count.
+    // The projections must match; the times are reported, not gated.
+    std::cout << "=== delivery convoy: cold eager plane with a formatting sink ===\n";
+    std::vector<synthesis_constraints> convoy_points = plane.materialize();
+    rng shuffle(1);
+    for (std::size_t i = convoy_points.size() - 1; i > 0; --i)
+        std::swap(convoy_points[i], convoy_points[shuffle.next() % (i + 1)]);
+    const dse::space convoy_plane = dse::list(convoy_points);
+    struct convoy_row {
+        int threads;
+        double wall_ms = 0.0, cpu_ms = 0.0, sys_ms = 0.0;
+        std::vector<std::string> lines;
+    };
+    std::vector<convoy_row> convoy = {{1, 0.0, 0.0, 0.0, {}}, {4, 0.0, 0.0, 0.0, {}}};
+    for (convoy_row& row : convoy) {
+        for (int rep = 0; rep < 3; ++rep) {
+            dse::session cold_plane(flow::on(g2).with_library(lib).estimate_lifetime());
+            std::vector<std::string> lines(convoy_points.size());
+            dse::sink sk;
+            sk.on_result = [&](std::size_t i, const flow_report& r) { lines[i] = point_line(r); };
+            const auto [user0, sys0] = cpu_seconds();
+            const double ms =
+                run_ms([&] { cold_plane.explore(convoy_plane, sk, row.threads); });
+            const auto [user1, sys1] = cpu_seconds();
+            if (rep == 0 || ms < row.wall_ms) {
+                row.wall_ms = ms;
+                row.cpu_ms = 1e3 * (user1 - user0 + sys1 - sys0);
+                row.sys_ms = 1e3 * (sys1 - sys0);
+            }
+            row.lines = std::move(lines);
+        }
+    }
+    const bool convoy_identical = convoy[0].lines == convoy[1].lines;
+    ascii_table t5({"threads", "wall (ms)", "cpu (ms)", "sys (ms)", "identical"});
+    for (const convoy_row& row : convoy)
+        t5.add_row({std::to_string(row.threads), strf("%.1f", row.wall_ms),
+                    strf("%.1f", row.cpu_ms), strf("%.1f", row.sys_ms),
+                    row.threads == 1 ? "ref" : convoy_identical ? "yes" : "NO"});
+    t5.print(std::cout);
+    std::cout << '\n';
+
     // ------------------------------------------------------------ gates
     //
     // The scaling gate is hard only where a ratio means something: at
@@ -419,6 +495,8 @@ int main()
                       guided_fraction);
     std::cout << "guided walk beats the eager walk on wall time: "
               << (guided_faster ? "YES" : "NO") << '\n';
+    std::cout << "convoy plane projections identical on 1 and 4 threads: "
+              << (convoy_identical ? "YES" : "NO") << '\n';
     const std::string gate =
         hard_scaling ? std::string(">= 2x, hard")
         : cores < 4  ? std::string("soft: fewer than 4 cores")
@@ -431,7 +509,7 @@ int main()
                     pareto_matches && scaling_ok &&
                     session_identical && deltas_ok && warm_matches && warm_faster &&
                     bounded_ok && refine_ok && guided_identical && guided_partition &&
-                    guided_frugal && guided_faster;
+                    guided_frugal && guided_faster && convoy_identical;
 
     // Machine-readable trajectory: one flat JSON object per run, stable
     // keys, so successive PRs can be diffed/plotted without parsing the
@@ -478,6 +556,12 @@ int main()
         json << strf("  \"guided_evaluated_fraction\": %.4f,\n", guided_fraction);
         json << strf("  \"guided_wall_ms\": %.3f,\n", ms_plane_guided);
         json << strf("  \"guided_eager_wall_ms\": %.3f,\n", ms_plane_eager);
+        for (const convoy_row& row : convoy) {
+            json << strf("  \"convoy_wall_ms_%dt\": %.3f,\n", row.threads, row.wall_ms);
+            json << strf("  \"convoy_cpu_ms_%dt\": %.3f,\n", row.threads, row.cpu_ms);
+            json << strf("  \"convoy_sys_ms_%dt\": %.3f,\n", row.threads, row.sys_ms);
+        }
+        json << strf("  \"convoy_identical\": %s,\n", convoy_identical ? "true" : "false");
         json << strf("  \"gates_passed\": %s\n", ok ? "true" : "false");
         json << "}\n";
         std::cout << "wrote BENCH_batch_sweep.json\n";

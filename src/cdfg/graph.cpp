@@ -82,14 +82,6 @@ std::optional<node_id> graph::find(std::string_view label) const
     return node_id(id);
 }
 
-std::vector<node_id> graph::nodes_of_kind(op_kind k) const
-{
-    std::vector<node_id> out;
-    for (int i = 0; i < node_count(); ++i)
-        if (nodes_[static_cast<std::size_t>(i)].kind == k) out.push_back(node_id(i));
-    return out;
-}
-
 int graph::count_of_kind(op_kind k) const
 {
     int count = 0;

@@ -90,9 +90,6 @@ public:
     /// Node with the given label, if any; O(1) through the label index.
     std::optional<node_id> find(std::string_view label) const;
 
-    /// Nodes of the given kind, in id order.
-    std::vector<node_id> nodes_of_kind(op_kind k) const;
-
     /// Number of nodes of the given kind.
     int count_of_kind(op_kind k) const;
 

@@ -237,12 +237,27 @@ void session::evaluate(const space& s, const std::vector<std::size_t>& indices,
     // Each point is claimed by exactly one worker.  run_point never
     // throws, but the catch keeps even an allocation failure isolated to
     // one point's report.  Deliveries are serialised under
-    // `deliver_mutex` in completion order; the first sink exception
-    // cancels the rest and is rethrown once every worker has drained.
+    // `deliver_mutex` in completion order.  A worker that finds the lock
+    // taken holds its report back and goes on computing; it delivers
+    // what it holds the next time it gets the lock, and waits for the
+    // lock only to flush before it leaves.  So a slow sink stalls the one
+    // worker delivering, never the pool.  The first sink exception
+    // cancels every later delivery and is rethrown once every worker has
+    // drained.
     std::atomic<std::size_t> next{0};
     std::mutex deliver_mutex;
     std::exception_ptr sink_error;
+    // With the lock held.
+    const auto deliver = [&](std::size_t index, const flow_report& report) {
+        if (sink_error) return;
+        try {
+            state.deliver(index, report, delivery_source::computed);
+        } catch (...) {
+            sink_error = std::current_exception();
+        }
+    };
     const auto drain = [&] {
+        std::vector<std::pair<std::size_t, flow_report>> held;
         for (std::size_t k = next.fetch_add(1); k < pending.size(); k = next.fetch_add(1)) {
             const std::size_t index = pending[k];
             const synthesis_constraints c = s.at(index);
@@ -252,14 +267,19 @@ void session::evaluate(const space& s, const std::vector<std::size_t>& indices,
             } catch (const std::exception& e) {
                 report = failed(c, status::internal(e.what()));
             }
-            const std::lock_guard<std::mutex> lock(deliver_mutex);
-            if (sink_error) continue;
-            try {
-                state.deliver(index, report, delivery_source::computed);
-            } catch (...) {
-                sink_error = std::current_exception();
+            std::unique_lock<std::mutex> lock(deliver_mutex, std::try_to_lock);
+            if (!lock.owns_lock()) {
+                held.emplace_back(index, std::move(report));
+                continue;
             }
+            for (const auto& [i, r] : held) deliver(i, r);
+            deliver(index, report);
+            lock.unlock();
+            held.clear();
         }
+        if (held.empty()) return;
+        const std::lock_guard<std::mutex> lock(deliver_mutex);
+        for (const auto& [i, r] : held) deliver(i, r);
     };
     if (workers <= 1) {
         drain();

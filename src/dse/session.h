@@ -62,7 +62,8 @@ struct session_options {
     std::size_t memo_limit = 0;
     /// Points handed to the worker pool at a time: a space is walked in
     /// chunks of this size, so a 10^5-point plane never exists as one
-    /// eager vector.  Must be >= 1.
+    /// eager vector.  It also bounds the reports a worker holds back
+    /// while another delivers (see sink).  Must be >= 1.
     std::size_t chunk = 1024;
 };
 
@@ -71,14 +72,21 @@ using stream_callback = std::function<void(std::size_t index, const flow_report&
 
 /// The unified delivery interface of session::explore.  Both channels
 /// are optional.  Calls are serialised (never concurrent), so a callback
-/// may touch shared state without locking; it should not block for long
-/// (it stalls the worker pool).  A throwing callback cancels every later
-/// delivery: the exploration stops once the running workers drain, and
-/// the first exception is rethrown to the caller.
+/// may touch shared state without locking, and each point is delivered
+/// exactly once.  A slow callback stalls only the worker that is
+/// delivering: a worker that finds a delivery running holds its report
+/// back and goes on computing, and delivers what it holds the next time
+/// it finishes a point while no delivery is running, or before it
+/// leaves its chunk of points, so it holds back at most one chunk
+/// (session_options::chunk).  A throwing
+/// callback cancels every later delivery, held-back reports included:
+/// the exploration stops once the running workers drain, and the first
+/// exception is rethrown to the caller.
 struct sink {
     /// Per-point channel: (space index, finished report), in completion
     /// order — memo-served points complete instantly, computed points as
-    /// their worker finishes.
+    /// their worker finishes (or, when another delivery was running then,
+    /// with that worker's next delivery).
     stream_callback on_result;
     /// Pareto channel: invoked only when a report *changed* the
     /// incremental front, with exactly the points that entered and left.

@@ -1,10 +1,12 @@
 #include "flow/explore_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "flow/flow.h"
@@ -89,11 +91,14 @@ void restamp_point(flow_report& r, const graph& g, const synthesis_constraints& 
 }
 
 /// The report memo.  Lives behind a pimpl so explore_cache.h does not
-/// pull in flow.h (the flow layer sits above this one).  It has its own
+/// pull in flow.h (flow_report is incomplete there).  It has its own
 /// lock, held only to find, insert or unlink an entry: reports are
 /// shared and immutable, so a lookup copies the pointer under the lock
 /// and the report (datapath, netlist, note strings) outside it, and
 /// workers queued on the problem tables' lock never wait for either.
+/// Entries are hashed by fingerprint: fingerprints of one configuration
+/// share all but their last bytes, which an ordered map compares again
+/// at every level of its search.
 ///
 /// Every entry carries the metric record of its report at the entry's
 /// own point; the report itself is optional — LRU eviction under a
@@ -110,8 +115,9 @@ struct explore_cache::report_memo {
     };
 
     std::mutex mutex;
-    /// Entries are never erased, so `lru` can point at their keys.
-    std::map<std::string, entry> entries;
+    /// Entries are never erased, and a rehash moves no node, so `lru`
+    /// can point at their keys.
+    std::unordered_map<std::string, entry> entries;
     std::list<const std::string*> lru; ///< keys holding reports; front = MRU
     std::size_t capacity = 0;   ///< max entries holding reports; 0 = unbounded
     std::size_t full_count = 0; ///< entries currently holding a report
@@ -128,13 +134,18 @@ struct explore_cache::report_memo {
     }
 
     /// Every entry's (fingerprint, metric record), in fingerprint order,
-    /// copied under the lock so the caller may use the memo meanwhile.
+    /// copied under the lock (and sorted outside it) so the caller may
+    /// use the memo meanwhile.
     std::vector<std::pair<std::string, metric_record>> snapshot()
     {
         std::vector<std::pair<std::string, metric_record>> out;
-        const std::lock_guard<std::mutex> lock(mutex);
-        out.reserve(entries.size());
-        for (const auto& [fp, e] : entries) out.emplace_back(fp, e.metrics);
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            out.reserve(entries.size());
+            for (const auto& [fp, e] : entries) out.emplace_back(fp, e.metrics);
+        }
+        std::sort(out.begin(), out.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
         return out;
     }
 };
@@ -142,8 +153,9 @@ struct explore_cache::report_memo {
 /// The interval table.  Per (fingerprint without the cap, bucket), the
 /// stored spans are disjoint, so they are keyed by their lower end and
 /// the one span that can hold a limit is the last starting at or below
-/// it.  Reports are shared and immutable, so a lookup hands out the
-/// pointer it copied under the lock.
+/// it.  The outer keys are hashed, as the report memo's are.  Reports
+/// are shared and immutable, so a lookup hands out the pointer it
+/// copied under the lock.
 struct explore_cache::interval_table {
     struct entry {
         cap_interval span;
@@ -153,7 +165,7 @@ struct explore_cache::interval_table {
     using spans = std::map<double, entry>; ///< by the span's lower end
 
     std::mutex mutex;
-    std::map<std::string, spans> keys;
+    std::unordered_map<std::string, spans> keys;
     /// (key, lower end) of every entry; front = MRU.
     std::list<std::pair<std::string, double>> lru;
     std::size_t capacity = 0; ///< max entries; 0 = unbounded
@@ -180,8 +192,18 @@ struct explore_cache::interval_table {
     }
 };
 
+/// The lifetime memo: the battery stage's answer per (power profile,
+/// lifetime spec).  Its lock is held only to find or insert; the
+/// integration runs outside it, and racing workers that integrate the
+/// same key compute the same answer.
+struct explore_cache::lifetime_memo {
+    std::mutex mutex;
+    std::unordered_map<std::string, lifetime_estimate> answers;
+};
+
 explore_cache::explore_cache(const graph& g, const module_library& lib)
-    : problem_tables(g, lib), reports_(new report_memo), intervals_(new interval_table)
+    : problem_tables(g, lib), reports_(new report_memo), intervals_(new interval_table),
+      lifetimes_(new lifetime_memo)
 {
 }
 
@@ -286,6 +308,37 @@ void explore_cache::interval_store(const std::string& key, double cap,
     intervals_->lru.emplace_front(std::move(full_key), span.below);
     it->second.lru_pos = intervals_->lru.begin();
     intervals_->evict_over_capacity();
+}
+
+void explore_cache::lifetime(const power_profile& profile, const lifetime_spec& spec,
+                             lifetime_estimate& out) const
+{
+    byte_writer key;
+    key.u32(static_cast<std::uint32_t>(profile.values().size()));
+    for (const double p : profile.values()) key.f64(p);
+    key.f64(spec.voltage);
+    key.f64(spec.cycle_seconds);
+    key.i32(spec.idle_cycles);
+    key.f64(spec.beta);
+    key.f64(spec.alpha);
+    key.f64(spec.max_seconds);
+    {
+        const std::lock_guard<std::mutex> lock(lifetimes_->mutex);
+        const auto it = lifetimes_->answers.find(key.bytes());
+        if (it != lifetimes_->answers.end()) {
+            out = it->second;
+            return;
+        }
+    }
+    battery_lifetime(profile, spec, out);
+    const std::lock_guard<std::mutex> lock(lifetimes_->mutex);
+    lifetimes_->answers.try_emplace(key.take(), out);
+}
+
+std::size_t explore_cache::lifetime_size() const
+{
+    const std::lock_guard<std::mutex> lock(lifetimes_->mutex);
+    return lifetimes_->answers.size();
 }
 
 std::string explore_cache::interval_key(const std::string& key, double cap) const

@@ -3,10 +3,10 @@
 // A (T, Pmax) sweep evaluates many constraint points over ONE graph and
 // ONE module library.  explore_cache is the synth layer's
 // problem_tables (synth/problem_tables.h: reachability and the
-// prospect and fastest tables) plus two tables of finished reports,
-// served to every sweep point and worker thread; every dse::session
-// builds one for its problem, and callers can share a cache across
-// several flows with flow::reuse():
+// prospect and fastest tables) plus two tables of finished reports and
+// one of battery lifetimes, served to every sweep point and worker
+// thread; every dse::session builds one for its problem, and callers
+// can share a cache across several flows with flow::reuse():
 //
 //   * the report memo -- whole-flow_report memoisation for exactly-
 //     duplicate constraint points, keyed by a fingerprint of the
@@ -24,14 +24,29 @@
 //     same decisions on the same sums: flow::run_point serves it the
 //     stored design, renamed for its own cap (restamp_point).  A dense
 //     Pmax sweep then costs one synthesis per span instead of one per
-//     point.  Held in memory only, LRU-bounded like the full reports.
+//     point.  Held in memory only, LRU-bounded like the full reports;
+//   * the lifetime memo -- the battery stage's answer (battery_lifetime)
+//     per design power profile, keyed by the profile's canonical bytes
+//     plus every lifetime_spec field, so flows with different battery
+//     parameters never share an answer.  Many designs draw the same
+//     per-cycle profile (hal's 10^4-point plane synthesises 678 designs
+//     with 45 distinct profiles), and the Rakhmatov integration is a
+//     pure function of the profile and the spec.  Held in memory only,
+//     unbounded: one small entry per distinct profile.
 //
-// The two tables share one immutable report per design: a synthesised
-// greedy point's memo entry and its span hold the same allocation, and
-// the memo entry of every point a span served points at the span's
-// report, its own point kept in the entry's metric record.  So an
-// answered point costs a metric record and a pointer, not a datapath.
-// Cache files are framed by support/checksummed_file.h.
+// The report memo's fingerprints and the interval table's outer keys
+// are hashed: every fingerprint of one configuration shares all but its
+// last bytes, which an ordered map would compare again at every level
+// of its search.  save(), each_metric() and cache files still see the
+// records in fingerprint order, because the snapshot they read is
+// sorted.
+//
+// The two report tables share one immutable report per design: a
+// synthesised greedy point's memo entry and its span hold the same
+// allocation, and the memo entry of every point a span served points at
+// the span's report, its own point kept in the entry's metric record.
+// So an answered point costs a metric record and a pointer, not a
+// datapath.  Cache files are framed by support/checksummed_file.h.
 //
 // The pasap/palap windows are not memoised: every synthesis computes
 // its initial and per-merge windows itself, with or without a cache.
@@ -51,7 +66,10 @@
 namespace phls {
 
 struct flow_report;
+struct lifetime_estimate;
+struct lifetime_spec;
 struct metric_record;
+class power_profile;
 
 /// Renames `r`, a report computed at another point of graph `g`, for
 /// point `c`: re-stamps `constraints`, `dp.name` (design_name) and, when
@@ -79,8 +97,8 @@ struct cache_merge_stats {
     std::size_t skipped_inputs = 0; ///< inputs rejected under skip_bad
 };
 
-/// The per-problem tables plus the report memo and the interval table
-/// of one (graph, library) pair.
+/// The per-problem tables plus the report memo, the interval table and
+/// the lifetime memo of one (graph, library) pair.
 ///
 /// The cache owns copies of the graph and library it was built for, so
 /// it outlives the flows that share it.  All lookups are thread-safe,
@@ -153,6 +171,17 @@ public:
     /// entry is dropped whole.
     void interval_store(const std::string& key, double cap, const cap_interval& span,
                         std::shared_ptr<const flow_report> report) const;
+
+    /// The lifetime memo: battery_lifetime(profile, spec, out),
+    /// integrated once per distinct (profile, spec) and bit-equal to a
+    /// direct call.  The key is the profile's per-cycle values in the
+    /// byte codec's canonical form plus every field of `spec`.  A spec
+    /// the battery stage rejects throws as battery_lifetime does, with
+    /// `out` filled as far as it got, and stores nothing.
+    void lifetime(const power_profile& profile, const lifetime_spec& spec,
+                  lifetime_estimate& out) const;
+    /// Distinct (profile, spec) pairs the lifetime memo holds.
+    std::size_t lifetime_size() const;
 
     /// Bounds the number of report-memo entries that hold a report, and
     /// the number of designs the interval table holds; 0 (the default)
@@ -287,6 +316,10 @@ private:
     /// The interval table, behind a pimpl for the same reason.
     struct interval_table;
     mutable std::unique_ptr<interval_table> intervals_;
+    /// The lifetime memo, behind a pimpl (lifetime_estimate is
+    /// incomplete here too).
+    struct lifetime_memo;
+    mutable std::unique_ptr<lifetime_memo> lifetimes_;
     mutable std::atomic<long> report_hits_{0};
     mutable std::atomic<long> report_misses_{0};
     mutable std::atomic<long> metric_hits_{0};

@@ -117,6 +117,18 @@ metric_record get_metric_record(byte_reader& r)
     return m;
 }
 
+void battery_lifetime(const power_profile& profile, const lifetime_spec& spec,
+                      lifetime_estimate& out)
+{
+    const load_profile load =
+        to_load(profile, spec.voltage, spec.cycle_seconds, spec.idle_cycles);
+    out.alpha = spec.alpha > 0.0 ? spec.alpha
+                                 : profile.energy() * spec.cycle_seconds * 100.0;
+    out.seconds = make_rakhmatov_battery(out.alpha, spec.beta)
+                      ->lifetime(load, spec.max_seconds)
+                      .seconds;
+}
+
 flow::flow(const graph& g) : graph_(g), lib_(table1_library()) {}
 
 flow flow::on(const graph& g) { return flow(g); }
@@ -124,6 +136,7 @@ flow flow::on(const graph& g) { return flow(g); }
 flow& flow::with_library(const module_library& lib)
 {
     lib_ = lib;
+    if (cache_) cache_matches_ = cache_->compatible(graph_, lib_);
     return *this;
 }
 
@@ -185,6 +198,7 @@ flow& flow::estimate_lifetime(const lifetime_spec& spec)
 flow& flow::reuse(std::shared_ptr<const explore_cache> cache)
 {
     cache_ = std::move(cache);
+    cache_matches_ = cache_ && cache_->compatible(graph_, lib_);
     return *this;
 }
 
@@ -197,7 +211,7 @@ status flow::shared_cache(const explore_cache** out) const
 {
     *out = nullptr;
     if (!cache_) return status::success();
-    if (!cache_->compatible(graph_, lib_))
+    if (!cache_matches_)
         return status::invalid(
             "explore_cache was built for a different graph or library");
     *out = cache_.get();
@@ -301,6 +315,7 @@ flow_report flow::run_point(const synthesis_constraints& c,
     report.strategy = synth_name_;
     report.constraints = c;
     std::optional<cap_interval> span;
+    lifetime_estimate life; // the battery stage fills it in stage order
     try {
         const synth_strategy* strategy =
             strategy_registry::instance().synthesizer(synth_name_);
@@ -342,17 +357,11 @@ flow_report flow::run_point(const synthesis_constraints& c,
 
         if (report.st.ok() && want_lifetime_) {
             const power_profile profile = report.dp.sched.profile(lib_);
-            const load_profile load = to_load(profile, lifetime_.voltage,
-                                              lifetime_.cycle_seconds,
-                                              lifetime_.idle_cycles);
-            report.battery_alpha =
-                lifetime_.alpha > 0.0
-                    ? lifetime_.alpha
-                    : profile.energy() * lifetime_.cycle_seconds * 100.0;
-            const auto cell =
-                make_rakhmatov_battery(report.battery_alpha, lifetime_.beta);
-            report.lifetime_seconds =
-                cell->lifetime(load, lifetime_.max_seconds).seconds;
+            if (cache != nullptr)
+                cache->lifetime(profile, lifetime_, life);
+            else
+                battery_lifetime(profile, lifetime_, life);
+            report.lifetime_seconds = life.seconds;
             report.has_lifetime = true;
         }
     } catch (const error& e) {
@@ -360,6 +369,7 @@ flow_report flow::run_point(const synthesis_constraints& c,
     } catch (const std::exception& e) {
         report.st = status::internal(e.what());
     }
+    report.battery_alpha = life.alpha;
     report.wall_ms = elapsed_ms(started);
     // internal means an escaped exception (possibly transient, e.g. an
     // allocation failure): memoising it would make one bad run permanent

@@ -54,6 +54,24 @@ struct lifetime_spec {
     double max_seconds = 1e9; ///< simulation horizon
 };
 
+/// The battery stage's answer for one design.
+struct lifetime_estimate {
+    double alpha = 0.0;   ///< battery capacity the model used
+    double seconds = 0.0; ///< lifetime until the battery is exhausted
+};
+
+/// The battery stage on one design's per-cycle power profile: the
+/// Rakhmatov-Vrudhula lifetime of the periodic load to_load() makes of
+/// `profile` under `spec`, with alpha derived from the profile when
+/// spec.alpha <= 0.  A pure function of the profile's values and every
+/// field of `spec`, which is what lets explore_cache::lifetime memoise
+/// it.  Fills `out` in stage order: `out.alpha` once to_load() accepts
+/// the spec, then `out.seconds`.  @throws phls::error on a spec the
+/// load or the model rejects (a rejecting model leaves `out.alpha`
+/// set, so a failed report still names the capacity it was given).
+void battery_lifetime(const power_profile& profile, const lifetime_spec& spec,
+                      lifetime_estimate& out);
+
 /// The metric projection of a flow run: everything a sweep table,
 /// Pareto front or Figure-2 envelope reads — status, achieved (peak,
 /// area, latency) and battery lifetime — without the datapath, netlist
@@ -134,7 +152,8 @@ public:
     /// Starts a flow on a copy of `g` with the paper's Table 1 library.
     static flow on(const graph& g);
 
-    /// Replaces the module library (default: the paper's Table 1).
+    /// Replaces the module library (default: the paper's Table 1).  A
+    /// cache installed with reuse() is checked against the new library.
     flow& with_library(const module_library& lib);
     /// Sets the latency constraint T in cycles.
     flow& latency(int cycles);
@@ -165,7 +184,9 @@ public:
     /// per point (see explore_cache).  The cache must have
     /// been built for this flow's (graph, library) -- see build_cache();
     /// a mismatched cache makes every run report invalid_argument rather
-    /// than silently computing on the wrong problem.
+    /// than silently computing on the wrong problem.  The match is
+    /// decided here, and again by with_library() while a cache is
+    /// installed, not on every run.
     flow& reuse(std::shared_ptr<const explore_cache> cache);
 
     /// Builds an explore_cache for this flow's (graph, library), ready to
@@ -256,6 +277,10 @@ private:
     bool want_lifetime_ = false;
     lifetime_spec lifetime_;
     std::shared_ptr<const explore_cache> cache_;
+    /// Whether cache_ was built for (graph_, lib_)
+    /// (problem_tables::compatible), decided when reuse() or
+    /// with_library() binds the pair.
+    bool cache_matches_ = false;
 };
 
 /// Appends a flow configuration -- strategy names, synthesis and exact

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -116,6 +119,84 @@ TEST(dse_session, sink_exception_aborts_and_rethrows)
     std::vector<synthesis_constraints> grid;
     for (double cap : hal17().power_grid(4)) grid.push_back({17, cap});
     EXPECT_THROW(session.explore(dse::list(grid), sk, 1), std::runtime_error);
+}
+
+/// hal at latencies 17-19 across 40 caps from 2 to 20: 120 points,
+/// infeasible, synthesised and span-served ones mixed.
+std::vector<synthesis_constraints> small_plane()
+{
+    std::vector<synthesis_constraints> plane;
+    for (int T = 17; T <= 19; ++T)
+        for (int i = 0; i < 40; ++i) plane.push_back({T, 2.0 + 18.0 * i / 39.0});
+    return plane;
+}
+
+TEST(dse_session, sink_calls_never_overlap_on_eight_threads)
+{
+    // Workers that find the delivery lock taken hold their reports back;
+    // the sink must still be called one point at a time, once per point.
+    // It spins inside every call so that workers do find the lock taken.
+    const std::vector<synthesis_constraints> plane = small_plane();
+    std::vector<int> arrivals(plane.size(), 0);
+    std::atomic<bool> inside{false};
+    std::atomic<int> overlaps{0};
+    dse::sink sk;
+    sk.on_result = [&](std::size_t i, const flow_report& r) {
+        if (inside.exchange(true)) ++overlaps;
+        ASSERT_LT(i, plane.size());
+        ++arrivals[i];
+        EXPECT_EQ(r.constraints.latency, plane[i].latency) << i;
+        EXPECT_EQ(r.constraints.max_power, plane[i].max_power) << i;
+        const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        inside.store(false);
+    };
+    const dse::explore_summary eight =
+        dse::session(hal17().estimate_lifetime()).explore(dse::list(plane), sk, 8);
+    const dse::explore_summary one =
+        dse::session(hal17().estimate_lifetime()).explore(dse::list(plane), {}, 1);
+
+    EXPECT_EQ(overlaps.load(), 0);
+    for (std::size_t i = 0; i < plane.size(); ++i) EXPECT_EQ(arrivals[i], 1) << i;
+    EXPECT_EQ(eight.evaluated, one.evaluated);
+    EXPECT_EQ(eight.feasible, one.feasible);
+    EXPECT_EQ(eight.metric_served, one.metric_served);
+    EXPECT_EQ(eight.front, one.front);
+}
+
+TEST(dse_session, sink_exception_on_four_threads_stops_later_deliveries)
+{
+    // The k-th call throws; reports workers held back meanwhile must not
+    // reach the sink afterwards, and explore rethrows that exception.
+    constexpr int k = 5;
+    const std::vector<synthesis_constraints> plane = small_plane();
+    for (int run = 0; run < 5; ++run) {
+        std::atomic<int> calls{0};
+        std::atomic<int> after_throw{0};
+        std::atomic<bool> thrown{false};
+        dse::sink sk;
+        sk.on_result = [&](std::size_t, const flow_report&) {
+            if (thrown.load()) ++after_throw;
+            if (++calls == k) {
+                thrown.store(true);
+                throw std::runtime_error("sink failed at call 5");
+            }
+            const auto until =
+                std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+        };
+        dse::session session(hal17());
+        try {
+            session.explore(dse::list(plane), sk, 4);
+            ADD_FAILURE() << "explore did not rethrow the sink's exception";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "sink failed at call 5");
+        }
+        EXPECT_EQ(calls.load(), k) << "run " << run;
+        EXPECT_EQ(after_throw.load(), 0) << "run " << run;
+    }
 }
 
 // ------------------------------------------------------------ bounded memo

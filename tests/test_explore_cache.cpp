@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <set>
 #include <thread>
 
+#include "battery/battery.h"
+#include "battery/lifetime.h"
 #include "cdfg/benchmarks.h"
+#include "cdfg/textio.h"
 #include "flow/explore_cache.h"
 #include "flow/flow.h"
 #include "sched/schedule.h"
@@ -103,6 +108,36 @@ TEST(explore_cache, stale_cache_is_reported_not_silently_recomputed)
     EXPECT_EQ(single.st.code, status_code::invalid_argument);
     const sched_outcome sched = f.run_schedule();
     EXPECT_EQ(sched.st.code, status_code::invalid_argument);
+}
+
+TEST(explore_cache, switching_the_library_after_reuse_fails_every_run)
+{
+    // reuse() and with_library() decide whether the cache matches, so a
+    // library swapped in after reuse() is refused on every run, and the
+    // cache's own library swapped back in is served again.
+    const graph g = make_hal();
+    const auto cache = std::make_shared<explore_cache>(g, lib());
+    const module_library other = parse_library_string(
+        write_library_string(lib()) + "module spare_alu + - > area 97 cycles 1 power 2.5\n");
+    flow f = flow::on(g).with_library(lib()).latency(17).power_cap(9.0).reuse(cache);
+    ASSERT_TRUE(f.run().st.ok());
+
+    f.with_library(other);
+    for (int run = 0; run < 3; ++run) {
+        const flow_report r = f.run();
+        EXPECT_EQ(r.st.code, status_code::invalid_argument) << run;
+        EXPECT_EQ(r.st.message, "explore_cache was built for a different graph or library")
+            << run;
+        EXPECT_EQ(f.run_schedule().st.code, status_code::invalid_argument) << run;
+        EXPECT_THROW(f.power_grid(4), error) << run;
+    }
+
+    f.with_library(lib());
+    EXPECT_TRUE(f.run().st.ok());
+    EXPECT_TRUE(f.run_schedule().st.ok());
+    // Installing the cache after the foreign library is refused as well.
+    EXPECT_EQ(flow::on(g).with_library(other).latency(17).reuse(cache).run().st.code,
+              status_code::invalid_argument);
 }
 
 TEST(explore_cache, rejects_malformed_problems_at_construction)
@@ -227,6 +262,79 @@ TEST(problem_tables, synthesis_is_identical_without_tables_on_bare_tables_and_on
         EXPECT_EQ(bare.hits(), cache.stats().hits) << g.name();
         EXPECT_EQ(bare.misses(), cache.stats().misses) << g.name();
     }
+}
+
+// ---------------------------------------------------------- lifetime memo
+
+/// The battery stage's lifetime of `profile` under `spec`, integrated
+/// directly.
+double direct_lifetime(const power_profile& profile, const lifetime_spec& spec)
+{
+    const double alpha = spec.alpha > 0.0 ? spec.alpha
+                                          : profile.energy() * spec.cycle_seconds * 100.0;
+    return make_rakhmatov_battery(alpha, spec.beta)
+        ->lifetime(to_load(profile, spec.voltage, spec.cycle_seconds, spec.idle_cycles),
+                   spec.max_seconds)
+        .seconds;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(explore_cache, lifetime_memo_matches_direct_integration)
+{
+    // Every lifetime on hal's 10^4-point plane is bit-equal to a direct
+    // integration of its design's profile, and the memo holds one answer
+    // per distinct profile.
+    std::vector<synthesis_constraints> plane;
+    for (int T = 17; T < 37; ++T)
+        for (int i = 0; i < 500; ++i) plane.push_back({T, 2.0 + 18.0 * i / 499.0});
+    const lifetime_spec spec;
+    dse::session session(flow::on(make_hal()).with_library(lib()).estimate_lifetime(spec));
+    std::set<std::vector<double>> profiles;
+    std::size_t feasible = 0;
+    dse::sink sk;
+    sk.on_result = [&](std::size_t i, const flow_report& r) {
+        if (!r.st.ok()) return;
+        ++feasible;
+        ASSERT_TRUE(r.has_lifetime) << i;
+        const power_profile profile = r.dp.sched.profile(lib());
+        profiles.insert(profile.values());
+        EXPECT_EQ(bits(r.lifetime_seconds), bits(direct_lifetime(profile, spec))) << i;
+    };
+    session.explore(dse::list(plane), sk, 4);
+    ASSERT_GT(feasible, 0u);
+    EXPECT_EQ(session.cache()->lifetime_size(), profiles.size());
+    EXPECT_LT(profiles.size(), feasible / 100);
+
+    // Flows with different battery parameters share one cache through
+    // reuse(); each must get its own spec's answer, never another's.
+    std::vector<lifetime_spec> specs(5);
+    specs[1].beta = 0.05;
+    specs[2].idle_cycles = 4;
+    specs[3].max_seconds = 3.0;
+    specs[4].alpha = 40.0;
+    const auto cache = std::make_shared<explore_cache>(make_hal(), lib());
+    std::set<std::vector<double>> shared_profiles;
+    for (const synthesis_constraints c :
+         {synthesis_constraints{17, 9.0}, {17, 7.0}, {28, 6.0}, {36, 4.0}}) {
+        std::set<std::uint64_t> answers;
+        for (const lifetime_spec& s : specs) {
+            const flow_report r = flow::on(make_hal())
+                                      .with_library(lib())
+                                      .constraints(c)
+                                      .estimate_lifetime(s)
+                                      .reuse(cache)
+                                      .run();
+            ASSERT_TRUE(r.st.ok()) << r.st.to_string();
+            const power_profile profile = r.dp.sched.profile(lib());
+            shared_profiles.insert(profile.values());
+            EXPECT_EQ(bits(r.lifetime_seconds), bits(direct_lifetime(profile, s)))
+                << "T=" << c.latency << " cap " << c.max_power;
+            answers.insert(bits(r.lifetime_seconds));
+        }
+        EXPECT_EQ(answers.size(), specs.size()) << "T=" << c.latency << " cap " << c.max_power;
+    }
+    EXPECT_EQ(cache->lifetime_size(), shared_profiles.size() * specs.size());
 }
 
 // ------------------------------------------------------------ report memo
