@@ -30,55 +30,89 @@ const checksummed_format cache_file_format{
     .temporary = "temporary file",
 };
 
-/// The problem identity and the metric records, in file order.
-struct parsed_cache_file {
-    std::string graph_text;
-    std::string lib_text;
-    std::vector<std::pair<std::string, metric_record>> metrics;
-};
-
-/// Atomically writes one cache file holding `records`, (fingerprint,
-/// metric record) pairs.
-template <class Records>
-void write_cache_file(const std::string& path, const std::string& graph_text,
-                      const std::string& lib_text, const Records& records)
+/// Bytes a record takes in a cache-file body: its fingerprint with the
+/// length prefix, then put_metric_record()'s fields, three of them
+/// strings.
+std::uint64_t record_bytes(std::string_view fingerprint, const metric_record& m)
 {
-    byte_writer w;
-    w.str(graph_text);
-    w.str(lib_text);
-    w.u32(static_cast<std::uint32_t>(records.size()));
-    for (const auto& [fp, m] : records) {
-        w.str(fp);
-        put_metric_record(w, m);
-    }
-    write_checksummed_file(path, cache_file_format, w.bytes());
-}
-
-/// Reads and fully validates one cache file, classifying every way it
-/// can be unusable (see cache_file_error::failure).  The identity check
-/// against a particular (graph, library) is the caller's.
-parsed_cache_file parse_cache_file(const std::string& path)
-{
-    // The smallest record: an empty fingerprint and a metric record
-    // with empty strings.
-    static const std::size_t min_record_bytes = [] {
+    static const std::size_t empty_record = [] {
         byte_writer w;
-        w.str("");
         put_metric_record(w, metric_record{});
         return w.bytes().size();
     }();
-    parsed_cache_file parsed;
-    read_checksummed_file(path, cache_file_format, [&](byte_reader& r) {
-        parsed.graph_text = r.str();
-        parsed.lib_text = r.str();
-        const std::size_t n = r.count(min_record_bytes, "record count");
-        parsed.metrics.reserve(n);
+    return 4 + fingerprint.size() + empty_record + m.st.message.size() + m.strategy.size() +
+           m.note.size();
+}
+
+/// Takes the next record of a cache file being written.
+using record_sink =
+    std::function<void(std::string_view fingerprint, const metric_record& record)>;
+
+/// Atomically writes a cache file for the (graph, library) identity
+/// whose body holds `count` records taking `records_bytes` bytes:
+/// `write_records` passes them to its sink in fingerprint order, and
+/// each is encoded into one reused buffer and written as it arrives.
+void write_cache_file(const std::string& path, std::string_view graph_text,
+                      std::string_view lib_text, std::size_t count,
+                      std::uint64_t records_bytes,
+                      const std::function<void(const record_sink& put)>& write_records)
+{
+    byte_writer head;
+    head.str(graph_text);
+    head.str(lib_text);
+    head.u32(static_cast<std::uint32_t>(count));
+    write_checksummed_file(
+        path, cache_file_format, head.bytes().size() + records_bytes,
+        [&](const body_sink& put) {
+            put(head.bytes());
+            byte_writer record;
+            write_records([&](std::string_view fingerprint, const metric_record& m) {
+                record.clear();
+                record.str(fingerprint);
+                put_metric_record(record, m);
+                put(record.bytes());
+            });
+        });
+}
+
+/// One record of a cache file, as views into the file's buffer.
+struct record_view {
+    std::string_view fingerprint;
+    std::string_view encoded; ///< the bytes put_metric_record() wrote
+};
+
+/// A read and fully validated cache file: the buffer holding it, and
+/// views into that buffer of its (graph, library) identity and of every
+/// record, in file order.  Moving it keeps the views valid.
+struct cache_file_view {
+    std::vector<char> buffer;
+    std::string_view graph_text;
+    std::string_view lib_text;
+    std::vector<record_view> records;
+};
+
+/// Reads and fully validates one cache file, decoding every record
+/// once, and classifies every way it can be unusable (see
+/// cache_file_error::failure).  The identity check against a particular
+/// (graph, library) is the caller's.
+cache_file_view read_cache_file(const std::string& path)
+{
+    cache_file_view file;
+    file.buffer = read_checksummed_file(path, cache_file_format, [&](byte_reader& r) {
+        file.graph_text = r.str_view();
+        file.lib_text = r.str_view();
+        // The smallest record: an empty fingerprint and a metric record
+        // with empty strings.
+        const std::size_t n = r.count(record_bytes({}, metric_record{}), "record count");
+        file.records.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
-            std::string fp = r.str();
-            parsed.metrics.emplace_back(std::move(fp), get_metric_record(r));
+            const std::string_view fingerprint = r.str_view();
+            byte_reader record = r;
+            get_metric_record(record);
+            file.records.push_back({fingerprint, r.raw(r.remaining() - record.remaining())});
         }
     });
-    return parsed;
+    return file;
 }
 
 } // namespace
@@ -394,25 +428,33 @@ std::size_t explore_cache::save(const std::string& path) const
     // deliberately not persisted — a warm start answers metric queries
     // instantly and recomputes designs on demand.
     const auto records = reports_->snapshot();
-    write_cache_file(path, graph_text(), library_text(), records);
+    std::uint64_t bytes = 0;
+    for (const auto& [fp, m] : records) bytes += record_bytes(fp, m);
+    write_cache_file(path, graph_text(), library_text(), records.size(), bytes,
+                     [&](const record_sink& put) {
+                         for (const auto& [fp, m] : records) put(fp, m);
+                     });
     return records.size();
 }
 
 std::size_t explore_cache::load(const std::string& path)
 {
-    parsed_cache_file parsed = parse_cache_file(path);
-    if (parsed.graph_text != graph_text() || parsed.lib_text != library_text())
+    // The whole file is validated before the first insert, so a failed
+    // load changes nothing.
+    const cache_file_view file = read_cache_file(path);
+    if (file.graph_text != graph_text() || file.lib_text != library_text())
         throw cache_file_error(cache_file_error::failure::problem_mismatch, path,
                                "saved for a different graph or library");
 
     std::size_t loaded = 0;
     const std::lock_guard<std::mutex> lock(reports_->mutex);
-    for (auto& [fp, m] : parsed.metrics) {
+    for (const auto& [fp, encoded] : file.records) {
         // Existing entries win: a live full report is strictly more
         // informative than a loaded metric record.
-        const auto [it, inserted] = reports_->entries.try_emplace(std::move(fp));
+        const auto [it, inserted] = reports_->entries.try_emplace(std::string(fp));
         if (!inserted) continue;
-        it->second.metrics = std::move(m);
+        byte_reader r(encoded);
+        it->second.metrics = get_metric_record(r);
         ++loaded;
     }
     return loaded;
@@ -425,37 +467,22 @@ cache_merge_stats explore_cache::merge_files(const std::string& out,
     check(!inputs.empty(), "cache merge needs at least one input file");
 
     cache_merge_stats stats;
-    std::string graph_text;
-    std::string lib_text;
-    std::string identity_path; ///< the first good input, the problem anchor
-    bool have_identity = false;
-    // std::map keeps the merged records in sorted key order, the same
-    // order save() writes, so merged files are deterministic whatever
-    // the input order (only first-wins value choice depends on it).
-    std::map<std::string, metric_record> metrics;
-
+    /// Every good input with its index in `inputs`; the first is the
+    /// problem anchor.
+    std::vector<std::pair<std::size_t, cache_file_view>> files;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         cache_merge_stats::input in;
         in.path = inputs[i];
         try {
-            parsed_cache_file parsed = parse_cache_file(inputs[i]);
-            if (!have_identity) {
-                graph_text = std::move(parsed.graph_text);
-                lib_text = std::move(parsed.lib_text);
-                identity_path = inputs[i];
-                have_identity = true;
-            } else if (parsed.graph_text != graph_text ||
-                       parsed.lib_text != lib_text) {
+            cache_file_view file = read_cache_file(inputs[i]);
+            if (!files.empty() && (file.graph_text != files.front().second.graph_text ||
+                                   file.lib_text != files.front().second.lib_text))
                 throw cache_file_error(cache_file_error::failure::problem_mismatch,
                                        inputs[i],
                                        "saved for a different graph or library than '" +
-                                           identity_path + "'");
-            }
-            in.metrics = parsed.metrics.size();
-            // A key already merged keeps its first value, and the
-            // record is dropped unmoved.
-            for (auto& [fp, m] : parsed.metrics)
-                in.new_metrics += metrics.try_emplace(std::move(fp), std::move(m)).second ? 1 : 0;
+                                           inputs[files.front().first] + "'");
+            in.metrics = file.records.size();
+            files.emplace_back(i, std::move(file));
         } catch (const cache_file_error& e) {
             if (!skip_bad) throw;
             in.skipped = true;
@@ -466,10 +493,54 @@ cache_merge_stats explore_cache::merge_files(const std::string& out,
     }
     // Every input bad is still an error — an empty merged file would
     // silently launder total data loss into a "successful" merge.
-    check(have_identity, "cache merge: every input file was rejected");
+    check(!files.empty(), "cache merge: every input file was rejected");
 
-    write_cache_file(out, graph_text, lib_text, metrics);
-    stats.metric_total = metrics.size();
+    /// A record of a good input and the input's index.
+    struct input_record {
+        record_view record;
+        std::size_t input;
+    };
+    std::vector<input_record> records;
+    std::size_t total = 0;
+    for (const auto& [i, file] : files) total += file.records.size();
+    records.reserve(total);
+    for (auto& [i, file] : files) {
+        // Each file's own views die as they are copied.
+        const std::vector<record_view> views = std::move(file.records);
+        for (const record_view& r : views) records.push_back({r, i});
+    }
+
+    // The first occurrence of a key wins, inputs in order and each file
+    // in its own order: the stable sort keeps that order within each run
+    // of one fingerprint, and unique() keeps the first of each run.  The
+    // merged records are in fingerprint order, as save() writes them, so
+    // merged files are deterministic whatever the input order (only the
+    // choice among a key's records depends on it).
+    std::stable_sort(records.begin(), records.end(),
+                     [](const input_record& a, const input_record& b) {
+                         return a.record.fingerprint < b.record.fingerprint;
+                     });
+    records.erase(std::unique(records.begin(), records.end(),
+                              [](const input_record& a, const input_record& b) {
+                                  return a.record.fingerprint == b.record.fingerprint;
+                              }),
+                  records.end());
+    std::uint64_t bytes = 0;
+    for (const input_record& r : records) {
+        ++stats.inputs[r.input].new_metrics;
+        bytes += 4 + r.record.fingerprint.size() + r.record.encoded.size();
+    }
+    // Each kept record is decoded and put again, so the merged file
+    // holds canonical fields (one NaN) whatever an input held.
+    const cache_file_view& anchor = files.front().second;
+    write_cache_file(out, anchor.graph_text, anchor.lib_text, records.size(), bytes,
+                     [&](const record_sink& put) {
+                         for (const input_record& r : records) {
+                             byte_reader encoded(r.record.encoded);
+                             put(r.record.fingerprint, get_metric_record(encoded));
+                         }
+                     });
+    stats.metric_total = records.size();
     return stats;
 }
 

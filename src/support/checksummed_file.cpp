@@ -31,57 +31,105 @@ const char* cache_file_error::kind_name(failure kind)
 }
 
 void write_checksummed_file(const std::string& path, const checksummed_format& format,
-                            std::string_view body)
+                            std::uint64_t body_size,
+                            const std::function<void(const body_sink& put)>& write_body)
 {
     using failure = cache_file_error::failure;
     const std::string sites = format.sites;
-    byte_writer w;
-    w.u64(std::string_view(format.magic).size());
-    w.raw(format.magic);
-    w.i64(format.version);
-    w.i64(static_cast<std::int64_t>(body.size()));
-    w.raw(body);
-    w.u64(fnv1a(body));
-    std::string bytes = w.take();
+    byte_writer header;
+    header.u64(std::string_view(format.magic).size());
+    header.raw(format.magic);
+    header.i64(format.version);
+    header.i64(static_cast<std::int64_t>(body_size));
+    const std::uint64_t file_size = header.bytes().size() + body_size + sizeof(std::uint64_t);
 
     // Fault site: silent on-disk corruption — a body byte flipped after
     // the checksum was computed, so the save "succeeds" but every later
     // load rejects the file as corrupt instead of misreading it.
-    if (fault_fire((sites + ".save.corrupt").c_str()) && !body.empty())
-        bytes[bytes.size() - 8 - body.size() + body.size() / 2] ^= 0x40;
+    const bool corrupt = fault_fire((sites + ".save.corrupt").c_str()) && body_size > 0;
 
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw cache_file_error(failure::io, path, std::string("cannot write ") +
-                                                          format.temporary + " '" + tmp + "'");
-        // Fault site: a crash halfway through the temporary file.  The
-        // rename below never runs, so `path` keeps its previous complete
-        // contents — this is the atomicity the tmp+rename scheme buys.
-        if (fault_fire((sites + ".save.tear").c_str())) {
-            os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os)
+        throw cache_file_error(failure::io, path, std::string("cannot write ") +
+                                                      format.temporary + " '" + tmp + "'");
+    // Fault site: a crash halfway through the temporary file.  The
+    // rename below never runs, so `path` keeps its previous complete
+    // contents — this is the atomicity the tmp+rename scheme buys.
+    const std::uint64_t torn_at =
+        fault_fire((sites + ".save.tear").c_str()) ? file_size / 2 : file_size;
+    bool torn = false;
+    std::uint64_t written = 0; ///< bytes of the file handed to `os`
+    const auto emit = [&](std::string_view bytes) {
+        if (bytes.size() > torn_at - written) {
+            os.write(bytes.data(), static_cast<std::streamsize>(torn_at - written));
             os.flush();
+            torn = true;
             throw cache_file_error(failure::io, path,
                                    "fault injected: crash during " + sites + " save");
         }
         os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        written += bytes.size();
+    };
+
+    const auto size_error = [&](std::uint64_t passed) {
+        return error("checksummed file '" + path + "': " + std::to_string(passed) +
+                     " body bytes passed, " + std::to_string(body_size) + " declared");
+    };
+    std::uint64_t body_written = 0;
+    std::uint64_t checksum = fnv1a({});
+    const body_sink put = [&](std::string_view piece) {
+        if (piece.size() > body_size - body_written)
+            throw size_error(body_written + piece.size());
+        checksum = fnv1a(piece, checksum);
+        const std::uint64_t flip = body_size / 2;
+        if (corrupt && flip >= body_written && flip - body_written < piece.size()) {
+            std::string damaged(piece);
+            damaged[static_cast<std::size_t>(flip - body_written)] ^= 0x40;
+            emit(damaged);
+        } else {
+            emit(piece);
+        }
+        body_written += piece.size();
+    };
+
+    try {
+        emit(header.bytes());
+        write_body(put);
+        if (body_written != body_size) throw size_error(body_written);
+        byte_writer trailer;
+        trailer.u64(checksum);
+        emit(trailer.bytes());
         os.flush();
-        if (!os) {
-            os.close();
-            std::remove(tmp.c_str());
+        if (!os)
             throw cache_file_error(failure::io, path, std::string("failed writing ") +
                                                           format.temporary + " '" + tmp + "'");
+    } catch (...) {
+        // A torn write stands for a crash, which leaves its temporary
+        // file behind; any other failure removes it.
+        if (!torn) {
+            os.close();
+            std::remove(tmp.c_str());
         }
+        throw;
     }
+    os.close();
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         throw cache_file_error(failure::io, path, "cannot rename '" + tmp + "' into place");
     }
 }
 
-void read_checksummed_file(const std::string& path, const checksummed_format& format,
-                           const std::function<void(byte_reader&)>& decode)
+void write_checksummed_file(const std::string& path, const checksummed_format& format,
+                            std::string_view body)
+{
+    write_checksummed_file(path, format, body.size(),
+                           [body](const body_sink& put) { put(body); });
+}
+
+std::vector<char> read_checksummed_file(const std::string& path,
+                                        const checksummed_format& format,
+                                        const std::function<void(byte_reader&)>& decode)
 {
     using failure = cache_file_error::failure;
 
@@ -92,7 +140,7 @@ void read_checksummed_file(const std::string& path, const checksummed_format& fo
     // directory) reads as empty, and a short read keeps what it got.
     std::error_code unsized;
     const std::uintmax_t size = std::filesystem::file_size(path, unsized);
-    std::string content(unsized ? 0 : static_cast<std::size_t>(size), '\0');
+    std::vector<char> content(unsized ? 0 : static_cast<std::size_t>(size));
     is.read(content.data(), static_cast<std::streamsize>(content.size()));
     content.resize(static_cast<std::size_t>(is.gcount()));
 
@@ -104,7 +152,7 @@ void read_checksummed_file(const std::string& path, const checksummed_format& fo
     // Header: magic, version and the declared body length are outside
     // the checksum, so they classify a damaged file precisely.  A header
     // field cut off by the end of the file is `truncated`.
-    byte_reader header(content);
+    byte_reader header(std::string_view(content.data(), content.size()));
     const auto header_field = [&](auto read) {
         try {
             return read();
@@ -145,6 +193,7 @@ void read_checksummed_file(const std::string& path, const checksummed_format& fo
     } catch (const error& e) {
         throw cache_file_error(failure::corrupt, path, e.what());
     }
+    return content;
 }
 
 } // namespace phls

@@ -84,6 +84,8 @@ public:
     const std::string& bytes() const { return bytes_; }
     /// Moves the bytes out (the writer is empty afterwards).
     std::string take() { return std::move(bytes_); }
+    /// Drops the bytes written so far and keeps their storage.
+    void clear() { bytes_.clear(); }
 
 private:
     template <int N>
@@ -118,11 +120,13 @@ public:
         return v == 1;
     }
     double f64() { return std::bit_cast<double>(u64()); }
-    std::string str()
+    std::string str() { return std::string(str_view()); }
+    /// str() as a view into the bytes.
+    std::string_view str_view()
     {
         const std::uint32_t n = u32();
         if (n > remaining()) throw decode_error("string runs past the end");
-        return std::string(raw(n));
+        return raw(n);
     }
     /// The next `n` bytes as they are.
     std::string_view raw(std::size_t n)

@@ -85,10 +85,12 @@ int parse_int(std::string_view s, const std::string& what);
 double parse_double(std::string_view s, const std::string& what);
 
 /// FNV-1a 64 of `bytes`: the checksum of cache files, sweep manifests
-/// and wire frames, and the hash of graph's label index.
-inline std::uint64_t fnv1a(std::string_view bytes)
+/// and wire frames, and the hash of graph's label index.  `seed` is the
+/// hash of the bytes before these, so fnv1a(b, fnv1a(a)) is the hash of
+/// a followed by b; the default is the offset basis, fnv1a("").
+inline std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed = 1469598103934665603ull)
 {
-    std::uint64_t h = 1469598103934665603ull;
+    std::uint64_t h = seed;
     for (const char c : bytes) {
         h ^= static_cast<unsigned char>(c);
         h *= 1099511628211ull;
